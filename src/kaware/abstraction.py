@@ -133,8 +133,18 @@ class Abstraction:
 
     @classmethod
     def load(cls, path: str) -> "Abstraction":
-        with open(path, "rb") as fh:
-            buf = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                buf = fh.read()
+        except OSError as exc:
+            raise CacheFormatError(f"{path}: {exc.strerror}") from None
+        try:
+            return cls._decode(buf)
+        except (ValueError, struct.error, IndexError) as exc:
+            raise CacheFormatError(f"corrupt or truncated cache: {exc}") from None
+
+    @classmethod
+    def _decode(cls, buf: bytes) -> "Abstraction":
         if buf[:4] != _MAGIC:
             raise CacheFormatError("bad magic number (not an abstraction cache)")
         off = 4

@@ -7,6 +7,8 @@ import logging
 import sys
 import time
 
+import numpy as np
+
 from .abstraction import Abstraction, build_abstraction
 from .audit import audit_ok, audit_trace
 from .errors import (CacheFormatError, KawareError, ScenarioParseError,
@@ -20,11 +22,21 @@ from .synthesis import solve_reach_avoid
 log = logging.getLogger("kaware")
 
 
+def _grid_fields(grid) -> list[np.ndarray]:
+    return [grid.bounds.lower, grid.bounds.upper, grid.eta, grid.periodic,
+            grid.counts]
+
+
 def _load_cache(path: str, scenario) -> Abstraction:
     abs_ = Abstraction.load(path)
-    if abs_.grid_x.size != scenario.state_grid().size:
-        raise CacheFormatError(
-            "cache grid does not match the scenario discretization")
+    if abs_.tau != scenario.tau:
+        raise CacheFormatError(f"cache was built for tau = {abs_.tau:g}, "
+                               f"the scenario has tau = {scenario.tau:g}")
+    for name, cached, wanted in (("state", abs_.grid_x, scenario.state_grid()),
+                                 ("input", abs_.grid_u, scenario.input_grid())):
+        if not all(map(np.array_equal, _grid_fields(cached), _grid_fields(wanted))):
+            raise CacheFormatError(f"cache {name} grid does not match the "
+                                   "scenario discretization")
     return abs_
 
 

@@ -44,7 +44,8 @@ class ScenarioValidationError(KawareError):
 
 
 class CacheFormatError(KawareError):
-    """An abstraction cache file has a bad magic number or version."""
+    """An abstraction cache file cannot be read, is corrupt, or was built
+    for another discretization."""
 
 
 class InitialStateOutsideDomain(KawareError):

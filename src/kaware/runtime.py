@@ -1,16 +1,19 @@
 """Closed-loop execution: sense, re-synthesize on knowledge change, act.
 
 Each sampling step quantizes the concrete state, runs the detection
-relation against the undetected sign cells, enlarges the avoid set and
-re-solves the game when something new was detected, then applies the
-policy input and integrates the disturbed dynamics for one period.  The
-disturbance realization is piecewise constant per period, drawn uniformly
-from W by a seeded generator, so runs are bit-reproducible.
+relation against the undetected sign cells, and on a new detection
+recompiles the objective and re-solves the game, unless the world has
+already solved that objective.  It then applies the policy input and
+integrates the disturbed dynamics for one period.  The disturbance
+realization is piecewise constant per period, drawn uniformly from W by a
+seeded generator, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +22,8 @@ from .dynamics import flow
 from .errors import InitialStateNotWinning, InitialStateOutsideDomain
 from .ltl import compile_objective
 from .synthesis import solve_reach_avoid
+
+log = logging.getLogger("kaware")
 
 
 class Outcome(enum.Enum):
@@ -68,6 +73,22 @@ def sensor_step(interp, sign_extent: frozenset[int], cell: int,
     return newly
 
 
+def _controller_for(world, objective):
+    """The world's controller for ``objective``, solved on a memo miss.
+
+    Returns ``(controller, seconds)``; ``seconds`` is None on a hit.  Only
+    an entry solved on ``world.abstraction`` itself is a hit.
+    """
+    key = (objective.target, objective.avoid)
+    hit = world.controllers.get(key)
+    if hit is not None and hit[0] is world.abstraction:
+        return hit[1], None
+    t0 = time.perf_counter()
+    controller = solve_reach_avoid(world.abstraction, objective)
+    world.controllers[key] = (world.abstraction, controller)
+    return controller, time.perf_counter() - t0
+
+
 def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
     """Run the knowledge-aware control loop until target entry, avoid
     entry, synthesis failure, or the step limit.
@@ -85,7 +106,7 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
     sign_extent = world.interp.extent(world.sign_concept) if world.sign_links else frozenset()
     objective = compile_objective(world.interp, world.sign_links,
                                   sensor.known_signs)
-    controller = solve_reach_avoid(world.abstraction, objective)
+    controller, _ = _controller_for(world, objective)
     target = objective.target
     avoid = objective.avoid
     steps: list[TraceStep] = []
@@ -106,12 +127,18 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
         newly = sensor_step(world.interp, sign_extent, cell, sensor, step=i)
         resynth = bool(newly)
         if resynth:
+            previous = objective
             objective = compile_objective(world.interp, world.sign_links,
                                           sensor.known_signs)
-            controller = solve_reach_avoid(world.abstraction, objective)
+            controller, solve_s = _controller_for(world, objective)
             target = objective.target
             avoid = objective.avoid
             resynth_count += 1
+            log.debug("step %d: detected %d cells (%s); objective %s; "
+                      "controller %s", i, len(newly), ";".join(map(str, newly)),
+                      "unchanged" if objective == previous else "changed",
+                      "reused" if solve_s is None else
+                      f"solved ({controller.sweeps} sweeps, {solve_s:.3f} s)")
         if not controller.winning_mask[cell]:
             if i == 0:
                 raise InitialStateNotWinning(

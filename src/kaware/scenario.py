@@ -84,7 +84,13 @@ class Scenario:
 
 @dataclass
 class World:
-    """Everything the control loop needs, built once per scenario."""
+    """Everything the control loop needs, built once per scenario.
+
+    ``controllers`` memoizes solved games by compiled objective ``(target,
+    avoid)``, each entry tagged with the abstraction it was solved on.
+    ``dataclasses.replace`` copies share it, so a later run that reaches
+    the same knowledge state reuses the controller.
+    """
 
     scenario: Scenario
     system: ContinuousSystem
@@ -95,6 +101,7 @@ class World:
     sign_links: list[tuple[frozenset, frozenset]]
     sign_concept: str = "NoEntrySign"
     street_extents: list[frozenset] = field(default_factory=list)
+    controllers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def initial_state(self) -> np.ndarray:
@@ -149,6 +156,31 @@ def _require(mapping, key, where):
         raise ScenarioValidationError(f"{where}.{key}", "missing field") from None
 
 
+def _bounds(sysblk, key: str) -> HyperRect:
+    where = f"system.{key}"
+    blk = _require(sysblk, key, "system")
+    try:
+        return HyperRect(_require(blk, "lower", where),
+                         _require(blk, "upper", where))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioValidationError(where, str(exc)) from None
+
+
+def _vector(sysblk, key: str, n: int, dtype=float, default=None) -> np.ndarray:
+    """A per-dimension entry of the system block, checked to have ``n``
+    entries."""
+    where = f"system.{key}"
+    value = (_require(sysblk, key, "system") if default is None
+             else sysblk.get(key, default))
+    try:
+        vec = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioValidationError(where, str(exc)) from None
+    if vec.shape != (n,):
+        raise ScenarioValidationError(where, f"needs {n} entries, one per dimension")
+    return vec
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -160,21 +192,20 @@ def load_scenario(path: str) -> Scenario:
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
     sysblk = _require(raw, "system", "scenario")
-    sb = _require(sysblk, "state_bounds", "system")
-    state_bounds = HyperRect(_require(sb, "lower", "system.state_bounds"),
-                             _require(sb, "upper", "system.state_bounds"))
-    ib = _require(sysblk, "input_bounds", "system")
-    input_bounds = HyperRect(_require(ib, "lower", "system.input_bounds"),
-                             _require(ib, "upper", "system.input_bounds"))
+    state_bounds = _bounds(sysblk, "state_bounds")
+    input_bounds = _bounds(sysblk, "input_bounds")
     tau = float(_require(sysblk, "tau", "system"))
     if tau <= 0:
         raise ScenarioValidationError("system.tau", "must be positive")
-    eta_x = np.asarray(_require(sysblk, "eta_x", "system"), dtype=float)
-    eta_u = np.asarray(_require(sysblk, "eta_u", "system"), dtype=float)
-    periodic = np.asarray(sysblk.get("periodic",
-                                     [False] * state_bounds.ndim), dtype=bool)
-    disturbance = np.asarray(sysblk.get("disturbance",
-                                        [0.0] * state_bounds.ndim), dtype=float)
+    nx = state_bounds.ndim
+    eta_x = _vector(sysblk, "eta_x", nx)
+    eta_u = _vector(sysblk, "eta_u", input_bounds.ndim)
+    for key, eta in (("eta_x", eta_x), ("eta_u", eta_u)):
+        if not np.all(eta > 0):
+            raise ScenarioValidationError(f"system.{key}",
+                                          "entries must be positive")
+    periodic = _vector(sysblk, "periodic", nx, bool, default=[False] * nx)
+    disturbance = _vector(sysblk, "disturbance", nx, default=[0.0] * nx)
     if np.any(disturbance < 0):
         raise ScenarioValidationError("system.disturbance",
                                       "half-widths must be non-negative")

@@ -29,14 +29,21 @@ def _as_bool_mask(n: int, cells) -> np.ndarray:
     return mask
 
 
+def _all_in(Z: np.ndarray, starts: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """Controllability test: per successor segment ``succ[starts[i]:
+    starts[i+1]]`` (the last runs to the end; none is empty), whether every
+    successor lies in ``Z``."""
+    if not starts.size:
+        return np.zeros(0, dtype=bool)
+    return np.logical_and.reduceat(Z[succ], starts)
+
+
 def _pair_controllable(ts, Z: np.ndarray) -> np.ndarray:
     """Per (state, input) pair: successor set nonempty and entirely in Z."""
     lens, offsets, flat = ts.flat_transitions()
     ok = np.zeros(lens.size, dtype=bool)
     nz = lens > 0
-    if nz.any():
-        starts = offsets[:-1][nz]
-        ok[nz] = np.logical_and.reduceat(Z[flat], starts)
+    ok[nz] = _all_in(Z, offsets[:-1][nz], flat)
     return ok
 
 
@@ -66,6 +73,7 @@ class Controller:
     policy_array: np.ndarray       # int32 input index, -1 where undefined
     allowed_lens: np.ndarray       # int32 per pair (n_states * n_inputs)
     n_inputs: int
+    sweeps: int = 0                # fixpoint sweeps, the last one adds nothing
 
     @property
     def winning(self) -> frozenset[int]:
@@ -110,18 +118,27 @@ def solve_reach_avoid(ts, objective) -> Controller:
     rank = np.full(n, _NO_RANK, dtype=np.int32)
     rank[target] = 0
     Z = target.copy()
+    lens, offsets, flat = ts.flat_transitions()
+    # Z only grows, so each sweep re-checks just the enabled pairs of the
+    # undecided states; the pairs of a state leave once it is won
+    open_pairs = np.repeat(~(target | avoid), m) & (lens > 0)
+    owner = np.flatnonzero(open_pairs) // m     # the state of each open pair
+    plens = lens[open_pairs]
+    succ = flat[np.repeat(open_pairs, lens)]
     k = 0
     while True:
         k += 1
-        nxt = target | cpre(ts, Z, avoid)
-        new = nxt & ~Z
+        new = np.zeros(n, dtype=bool)
+        new[owner[_all_in(Z, np.cumsum(plens) - plens, succ)]] = True
         if not new.any():
             break
         rank[new] = k
-        Z = nxt
+        Z |= new
+        keep = ~new[owner]
+        succ = succ[np.repeat(keep, plens)]
+        owner, plens = owner[keep], plens[keep]
     winning = Z
     # allowed inputs: all successors strictly decrease rank (or are target)
-    lens, offsets, flat = ts.flat_transitions()
     max_succ_rank = np.full(lens.size, _NO_RANK, dtype=np.int64)
     nz = lens > 0
     if nz.any():
@@ -141,7 +158,8 @@ def solve_reach_avoid(ts, objective) -> Controller:
         policy[states[first]] = inputs[first]
     return Controller(n_states=n, winning_mask=winning, rank_array=rank,
                       policy_array=policy,
-                      allowed_lens=allowed.astype(np.int32), n_inputs=m)
+                      allowed_lens=allowed.astype(np.int32), n_inputs=m,
+                      sweeps=k)
 
 
 def respected_region(ts, forbidden) -> frozenset[int]:

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from kaware import (Outcome, build_abstraction, build_world, load_scenario,
-                    run_closed_loop)
+import kaware.runtime
+from kaware import (Outcome, build_abstraction, build_world, compile_objective,
+                    load_scenario, run_closed_loop, solve_reach_avoid)
 from kaware.audit import audit_ok, audit_trace
 from kaware.dynamics import reach_over_approx
 from kaware.errors import InitialStateNotWinning, InitialStateOutsideDomain
@@ -185,3 +187,72 @@ def test_trace_csv_rejects_missing_outcome(desk_trace, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         read_trace_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# controller memo
+
+
+def _trace_bytes(trace, path):
+    write_trace_csv(trace, str(path))
+    return path.read_bytes()
+
+
+def test_controller_memo_solves_each_objective_once(
+        desk_scenario, desk_abstraction, desk_trace, monkeypatch, tmp_path):
+    solved = []
+
+    def counting(ts, objective):
+        solved.append((id(ts), objective.target, objective.avoid))
+        return solve_reach_avoid(ts, objective)
+
+    monkeypatch.setattr(kaware.runtime, "solve_reach_avoid", counting)
+    world = build_world(desk_scenario, desk_abstraction)
+    run = dict(seed=desk_scenario.seed, max_steps=desk_scenario.max_steps)
+    reference = _trace_bytes(desk_trace, tmp_path / "ref.csv")
+
+    first = run_closed_loop(world, **run)
+    # the objectives of the run: no sign known, then one per detection
+    known, objectives = set(), []
+    for knew in [()] + [s.detected for s in first.steps if s.resynthesized]:
+        known.update(knew)
+        obj = compile_objective(world.interp, world.sign_links, known)
+        objectives.append((id(desk_abstraction), obj.target, obj.avoid))
+    assert len(set(objectives)) < len(objectives)   # a detection changed nothing
+    assert len(solved) == len(set(solved))
+    assert set(solved) == set(objectives)
+    assert _trace_bytes(first, tmp_path / "first.csv") == reference
+
+    # a second run meets only knowledge states already solved
+    second = run_closed_loop(world, **run)
+    assert len(solved) == len(set(objectives))
+    assert second.resynth_count == first.resynth_count
+    assert _trace_bytes(second, tmp_path / "second.csv") == reference
+
+    # another abstraction object shares the memo but none of its entries
+    other = dataclasses.replace(desk_abstraction)
+    third = run_closed_loop(dataclasses.replace(world, abstraction=other), **run)
+    assert len(solved) == 2 * len(set(objectives))
+    assert all(key[0] == id(other) for key in solved[len(set(objectives)):])
+    assert _trace_bytes(third, tmp_path / "third.csv") == reference
+
+
+def test_each_detection_logs_one_debug_record(desk_scenario, desk_abstraction,
+                                              caplog):
+    world = build_world(desk_scenario, desk_abstraction)
+    with caplog.at_level(logging.DEBUG, logger="kaware"):
+        trace = run_closed_loop(world, seed=desk_scenario.seed,
+                                max_steps=desk_scenario.max_steps)
+    records = [r for r in caplog.records if r.name == "kaware"]
+    flagged = [s for s in trace.steps if s.resynthesized]
+    assert len(records) == len(flagged) >= 2
+    for rec, st in zip(records, flagged):
+        assert rec.levelno == logging.DEBUG
+        assert rec.getMessage().startswith(
+            f"step {st.step}: detected {len(st.detected)} cells "
+            f"({';'.join(map(str, st.detected))}); objective ")
+    first, *later = [r.getMessage() for r in records]
+    assert first.endswith(" s)")
+    assert "objective changed; controller solved (" in first
+    assert any(m.endswith("objective unchanged; controller reused")
+               for m in later)

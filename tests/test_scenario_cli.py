@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kaware.cli import main
 from kaware.errors import ScenarioParseError, ScenarioValidationError
@@ -110,6 +112,25 @@ def test_nonpositive_tau_rejected(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("eta_x", [0.0, 0.3, 0.52]),
+    ("eta_x", [0.3, -0.3, 0.52]),
+    ("eta_u", [0.0]),
+    ("eta_x", [0.3, 0.3]),
+    ("eta_u", [0.26, 0.26]),
+    ("periodic", [False, True]),
+    ("disturbance", [0.0, 0.0, 0.0, 0.0]),
+    ("state_bounds", {"lower": [0.0, 0.0], "upper": [8.0, 8.0, 3.14]}),
+    ("input_bounds", {"lower": [-6.28, 0.0], "upper": [6.28]}),
+])
+def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
+    path = _mutate(DESK_SCENARIO, tmp_path,
+                   lambda raw: raw["system"].update({key: value}))
+    code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
+    assert code == 2
+    assert f"error:validation: system.{key}" in capsys.readouterr().err
+
+
 def test_initial_state_dimension_mismatch(tmp_path):
     path = _mutate(DESK_SCENARIO, tmp_path,
                    lambda raw: raw.update(initial_state=[1.0, 2.0]))
@@ -207,3 +228,49 @@ def test_cli_bad_cache_file_exit_code(tmp_path, capsys):
     code = main(["synthesize", str(DESK_SCENARIO), "--cache", str(bogus),
                  "-o", str(tmp_path / "ctrl.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("system", [{"tau": 0.25}, {"eta_u": [0.261]}])
+def test_cli_cache_for_other_dynamics_exit_code(cli_artifacts, tmp_path,
+                                                capsys, system):
+    # same state grid size as the desk cache, other tau or input grid
+    path = _mutate(DESK_SCENARIO, tmp_path,
+                   lambda raw: raw["system"].update(system))
+    code = main(["synthesize", path, "--cache", str(cli_artifacts["cache"]),
+                 "-o", str(tmp_path / "ctrl.csv")])
+    assert code == 2
+    assert "error:cache:" in capsys.readouterr().err
+
+
+def test_cli_truncated_desk_cache_exit_code(cli_artifacts, tmp_path, capsys):
+    blob = cli_artifacts["cache"].read_bytes()
+    cut = tmp_path / "cut.kaw"
+    cut.write_bytes(blob[:len(blob) // 2])
+    code = main(["synthesize", cli_artifacts["scn"], "--cache", str(cut),
+                 "-o", str(tmp_path / "ctrl.csv")])
+    assert code == 2
+    assert "error:cache:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def coarse_cache(tmp_path_factory):
+    """A coarse desk scenario and its (small) cache."""
+    d = tmp_path_factory.mktemp("coarse")
+    path = _mutate(DESK_SCENARIO, d, lambda raw: raw["system"].update(
+        eta_x=[1.0, 1.0, 1.6], eta_u=[1.6]))
+    cache = d / "coarse.kaw"
+    assert main(["abstract", path, "-o", str(cache)]) == 0
+    return path, cache.read_bytes(), d
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_cache_cut_anywhere_is_a_cache_error(coarse_cache, capsys, data):
+    path, blob, d = coarse_cache
+    cut = d / "cut.kaw"
+    cut.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    code = main(["synthesize", path, "--cache", str(cut),
+                 "-o", str(d / "ctrl.csv")])
+    assert code == 2
+    assert "error:cache:" in capsys.readouterr().err

@@ -1,11 +1,18 @@
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from kaware.abstraction import ExplicitTransitions
-from kaware.ltl import GameObjective
+from kaware.ltl import GameObjective, compile_objective
 from kaware.synthesis import cpre, respected_region, solve_reach_avoid
 
 import oracles
+from conftest import DESK_SCENARIO
+
+REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
 
 def chain(n=5):
@@ -79,7 +86,7 @@ def test_random_graphs_match_bruteforce_oracle():
                                                 replace=False))
         remaining = [s for s in range(n) if s not in target]
         avoid = set(int(s) for s in rng.choice(remaining,
-                                               size=len(remaining) // 5,
+                                               size=max(1, len(remaining) // 5),
                                                replace=False)) \
             if remaining else set()
         ctrl = solve_reach_avoid(ts, GameObjective(frozenset(target),
@@ -89,6 +96,16 @@ def test_random_graphs_match_bruteforce_oracle():
         assert ctrl.winning == win
         for s in win:
             assert ctrl.rank(s) == rank[s]
+        # allowed inputs lead only to strictly lower oracle ranks; the
+        # policy is the lowest of them
+        for s in range(n):
+            expect = [] if s not in win or s in target else [
+                u for u in range(m)
+                if ts.post(s, u).size
+                and all(int(t) in rank and rank[int(t)] < rank[s]
+                        for t in ts.post(s, u))]
+            assert ctrl.allowed(s) == expect
+            assert ctrl.policy_array[s] == (expect[0] if expect else -1)
 
 
 def test_policy_is_rank_decreasing_and_lowest_index():
@@ -188,3 +205,19 @@ def test_export_csv_deterministic(tmp_path):
     assert lines[0] == "cell_index,rank,policy_input_index"
     assert lines[1] == "0,4,0"
     assert lines[-1] == "4,0,-1"
+
+
+@pytest.mark.parametrize("known", ["none", "all"])
+def test_desk_controllers_match_benchmark_references(desk_world, known,
+                                                     tmp_path):
+    """The desk controllers with no sign and with every sign known are
+    byte-identical to the benchmark's references."""
+    key = hashlib.sha256(DESK_SCENARIO.read_bytes()).hexdigest()
+    ref = json.loads(REFS.read_text())[key]
+    signs = set().union(*(c for c, _ in desk_world.sign_links))
+    objective = compile_objective(desk_world.interp, desk_world.sign_links,
+                                  signs if known == "all" else set())
+    path = tmp_path / "ctrl.csv"
+    solve_reach_avoid(desk_world.abstraction, objective).export_csv(str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == ref["controller_all" if known == "all" else "controller"]
