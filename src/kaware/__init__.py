@@ -17,6 +17,10 @@ from .runtime import Outcome, Trace, run_closed_loop
 from .scenario import Scenario, World, build_world, load_scenario
 from .synthesis import Controller, cpre, respected_region, solve_reach_avoid
 
+# the cache no longer uses varint coding; the module stays loaded with the
+# package while the benchmark's per-layer spans still wrap its functions
+from . import varint  # noqa: F401
+
 __all__ = [
     "Abstraction", "ExplicitTransitions", "build_abstraction",
     "ContinuousSystem", "dubins_car", "flow", "reach_over_approx",

@@ -1,39 +1,119 @@
-"""Finite abstraction: sparse transition relation over grid cells.
+"""Finite abstraction: one successor-box row per (heading, input).
 
-Because reach sets are axis-aligned rectangles, the successor set of every
-(state, input) pair is a product of per-dimension index ranges.  We store
-those ranges (plus a blocked flag) instead of explicit lists; ``post``
-materializes the list on demand and ``flat_transitions`` produces the flat
-arrays the fixpoint solver consumes.
+Reach sets are axis-aligned rectangles, so the successor set of every
+(state, input) pair is a product of per-dimension index ranges.  The
+vector field does not read the system's translation-invariant dimensions
+(x1 and x2 for the Dubins car) and the growth bound is the same for every
+cell, so along those dimensions the box is the cell's own index plus a
+fixed offset, and a pair is blocked exactly when the cell lies outside a
+fixed index range.  The abstraction is therefore a table with one row per
+(index on the other dimensions, input) -- per (heading, input) for the
+Dubins car -- holding the box offset and length on every dimension and the
+non-blocked index range on every invariant dimension.
+
+``post`` and ``pair_sizes`` expand the table on demand, ``controllable``
+answers the fixpoint's question from a summed-area table of the goal set,
+and ``flat_transitions`` expands every pair into flat successor lists for
+reference checks.  The cache file stores the table and a fingerprint of
+the dynamics it was built for.
 """
 
 from __future__ import annotations
 
-import os
+import hashlib
+import io
+import itertools
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import varint
 from .dynamics import ContinuousSystem, flow, growth_matrices
 from .errors import CacheFormatError, InvalidCell
 from .grid import Grid, HyperRect
 
 _MAGIC = b"KAW1"
-_VERSION = 1
+_VERSION = 2
 _TOL = 1e-9
+
+
+def _grid_fields(grid: Grid) -> list[np.ndarray]:
+    return [grid.bounds.lower, grid.bounds.upper, grid.eta, grid.periodic,
+            grid.counts]
+
+
+def fingerprint(sys: ContinuousSystem, grid_x: Grid, grid_u: Grid) -> bytes:
+    """SHA-256 of what an abstraction depends on: the model and its Jacobian
+    bound, τ, the disturbance, and both grids (bounds, η, periodicity,
+    counts)."""
+    h = hashlib.sha256(sys.name.encode())
+    for arr in ([sys.tau], sys.lipschitz, sys.dist_halfwidth,
+                *_grid_fields(grid_x), *_grid_fields(grid_u)):
+        h.update(np.asarray(arr, dtype="<f8").tobytes())
+    return h.digest()
+
+
+def _window(start, length, n: int, periodic: bool):
+    """Index window ``[lo, hi)`` of ``[start, start + length)`` on an axis of
+    ``n`` cells.  A periodic window starts in ``[0, n)`` (at 0 when it
+    covers the circle) and may run past ``n``, meaning it wraps.  Another
+    window is clipped to the axis; one that lies past the last cell keeps
+    that cell, where the trailing remainder of the bounds quantizes."""
+    if periodic:
+        lo = np.where(length >= n, 0, np.mod(start, n))
+        return lo, lo + np.minimum(length, n)
+    lo = np.clip(start, 0, n - 1)
+    return lo, np.clip(start + length, lo, n)
+
+
+def _summed(mask: np.ndarray, grid: Grid) -> np.ndarray:
+    """Summed-area table of a cell mask: entry ``[i, j, ...]`` counts the
+    mask's cells below those indices.  Periodic axes are doubled so that
+    wrapping windows are plain ranges."""
+    a = mask.reshape(tuple(grid.counts)).astype(np.int32)
+    for d in np.flatnonzero(grid.periodic):
+        a = np.concatenate((a, a), axis=d)
+    a = np.pad(a, [(1, 0)] * a.ndim)
+    for d in range(a.ndim):
+        np.cumsum(a, axis=d, out=a)
+    return a
+
+
+def _box_counts(summed: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Cells counted in each box ``[lo, hi)`` (index windows, dimension
+    first), by inclusion-exclusion over the box's corners."""
+    flat = summed.ravel()
+    strides = np.array(summed.strides) // summed.itemsize
+    ends = [(a * s, b * s) for a, b, s in zip(lo, hi, strides)]
+    total = np.zeros(lo.shape[1:], dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=len(ends)):
+        at = sum(e[c] for e, c in zip(ends, corner))
+        total += (-1) ** (len(ends) - sum(corner)) * flat[at]
+    return total
 
 
 @dataclass
 class Abstraction:
+    """The table abstraction.
+
+    Row ``kappa * n_inputs + u`` serves every cell whose index on the
+    non-invariant ("keyed") dimensions flattens to ``kappa`` (row-major),
+    under input ``u``.  Such a cell's successor box starts at its own index
+    plus ``offset`` and has ``length`` cells on each dimension, and the grid
+    wraps or clips it (:func:`_window`).  The pair is blocked unless the
+    cell's index on each invariant dimension lies in ``enabled``; a row
+    with length 0 on every dimension is blocked for every cell.
+    """
+
     grid_x: Grid
     grid_u: Grid
     tau: float
-    lo: np.ndarray       # (N, M, d) successor box lower index per dim
-    ln: np.ndarray       # (N, M, d) successor box length per dim
-    blocked: np.ndarray  # (N, M) reach set exits the state space
+    invariant: tuple[int, ...]  # translation-invariant dims of the system
+    offset: np.ndarray          # (rows, d) box start minus the cell index
+    length: np.ndarray          # (rows, d) box length
+    enabled: np.ndarray         # (rows, len(invariant), 2) non-blocked [first, stop)
+    fingerprint: bytes
     _flat: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -44,6 +124,60 @@ class Abstraction:
     def n_inputs(self) -> int:
         return self.grid_u.size
 
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per cell: its index on each dimension ``(d, n_states)`` and its row
+        key ``kappa``.  Per row key: its index on each keyed dimension ``(d,
+        keys)``, zero on the invariant ones."""
+        counts = self.grid_x.counts
+        keyed = [d for d in range(self.grid_x.ndim) if d not in self.invariant]
+        idx = np.indices(tuple(counts)).reshape(self.grid_x.ndim, -1)
+        kappa = np.zeros(self.n_states, dtype=np.int64)
+        for d in keyed:
+            kappa = kappa * counts[d] + idx[d]
+        keys = np.zeros((self.grid_x.ndim, self.length.shape[0] // self.n_inputs),
+                        dtype=np.int64)
+        if keyed:
+            keys[keyed] = np.indices(tuple(counts[keyed])).reshape(len(keyed), -1)
+        return idx, kappa, keys
+
+    def _windows(self, cell, pick, at, offset, length):
+        """Index windows ``(lo, hi)`` of boxes given per table entry (row, or
+        row key): ``offset`` and ``length`` are ``(entries, d)``, ``at`` is
+        each entry's index on the keyed dimensions, ``(d, entries)``, and
+        ``pick`` is the entry of each cell of ``cell`` (indices, ``(d,
+        *pairs)``).  A keyed dimension's window depends only on the entry,
+        so it is computed per entry."""
+        lo = np.empty((self.grid_x.ndim,) + np.shape(pick), dtype=np.int64)
+        hi = np.empty_like(lo)
+        for d, n in enumerate(self.grid_x.counts):
+            periodic = self.grid_x.periodic[d]
+            if d in self.invariant:
+                lo[d], hi[d] = _window(cell[d] + offset[:, d][pick],
+                                       length[:, d][pick], int(n), periodic)
+            else:
+                e_lo, e_hi = _window(at[d] + offset[:, d], length[:, d], int(n),
+                                     periodic)
+                lo[d], hi[d] = e_lo[pick], e_hi[pick]
+        return lo, hi
+
+    def boxes(self, states, inputs) -> tuple[np.ndarray, np.ndarray]:
+        """Successor boxes of the pairs ``(states, inputs)`` (broadcast
+        together): index windows ``[lo, hi)``, each of shape ``(d,
+        *pairs)``.  Periodic windows start in ``[0, n)`` and may run past
+        ``n``, meaning they wrap; a blocked pair's box is empty."""
+        idx, kappa, keys = self._index
+        states = np.asarray(states)
+        row = kappa[states] * self.n_inputs + np.asarray(inputs)
+        cell = [i[states] for i in idx]
+        lo, hi = self._windows(cell, row, np.repeat(keys, self.n_inputs, axis=1),
+                               self.offset, self.length)
+        on = self.length[:, 0][row] > 0
+        for a, d in enumerate(self.invariant):
+            first, stop = self.enabled[:, a].T
+            on &= (first[row] <= cell[d]) & (cell[d] < stop[row])
+        return lo, np.where(on, hi, lo)
+
     def _check_pair(self, state: int, inp: int):
         if not 0 <= state < self.n_states:
             raise InvalidCell(f"state cell {state} out of range")
@@ -53,49 +187,100 @@ class Abstraction:
     def post(self, state: int, inp: int) -> np.ndarray:
         """Sorted successor cells of ``(state, inp)``; empty if blocked."""
         self._check_pair(state, inp)
-        if self.blocked[state, inp]:
-            return np.empty(0, dtype=np.int64)
+        lo, hi = self.boxes(state, inp)
         counts = self.grid_x.counts
-        axes = [
-            np.mod(self.lo[state, inp, d] + np.arange(self.ln[state, inp, d]), counts[d])
-            for d in range(self.grid_x.ndim)
-        ]
+        axes = [np.arange(lo[d], hi[d]) % counts[d]
+                for d in range(self.grid_x.ndim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = np.ravel_multi_index(tuple(m.ravel() for m in mesh), tuple(counts))
         return np.sort(flat)
 
     def pair_sizes(self) -> np.ndarray:
         """Successor count per (state, input) pair, row-major; 0 if blocked."""
-        sizes = np.prod(self.ln, axis=2, dtype=np.int64)
-        sizes[self.blocked] = 0
+        n, m = self.n_states, self.n_inputs
+        states = np.arange(n)
+        sizes = np.empty((n, m), dtype=np.int64)
+        for u in range(m):
+            lo, hi = self.boxes(states, u)
+            sizes[:, u] = np.prod(hi - lo, axis=0)
         return sizes.reshape(-1)
 
     def stats(self) -> dict:
-        sizes = self.pair_sizes()
+        """Sizes read off the table.  Along an invariant dimension a box's
+        length depends only on the cell's index there, so a row's enabled
+        pairs and transitions are products of per-dimension sums."""
+        rows = np.arange(self.length.shape[0])
+        pairs = (self.length[:, 0] > 0).astype(np.int64)
+        transitions = pairs.copy()
+        for d, n in enumerate(self.grid_x.counts):
+            at = np.arange(n) if d in self.invariant \
+                else self._index[2][d][rows // self.n_inputs, None]
+            lo, hi = _window(at + self.offset[:, d, None], self.length[:, d, None],
+                             int(n), self.grid_x.periodic[d])
+            if d in self.invariant:
+                first, stop = self.enabled[:, self.invariant.index(d)].T
+                inside = (first[:, None] <= at) & (at < stop[:, None])
+                pairs *= inside.sum(axis=1)
+                transitions *= ((hi - lo) * inside).sum(axis=1)
+            else:
+                transitions *= (hi - lo)[:, 0]
+        n_pairs = self.n_states * self.n_inputs
         return {
             "n_states": self.n_states,
             "n_inputs": self.n_inputs,
-            "transitions": int(sizes.sum()),
-            "blocked_pairs": int(self.blocked.sum()),
+            "transitions": int(transitions.sum()),
+            "blocked_pairs": n_pairs - int(pairs.sum()),
         }
+
+    def controllable(self, Z: np.ndarray, states: np.ndarray,
+                     fresh: np.ndarray | None = None) -> np.ndarray:
+        """Per state of ``states`` (rows) and input (columns): whether the
+        pair is enabled and all its successors lie in ``Z`` (a cell mask).
+
+        A pair qualifies when its box holds as many cells of ``Z`` as it has
+        cells, read off a summed-area table of ``Z``.  ``fresh`` is the part
+        of ``Z`` added since the previous call, which found none of these
+        pairs controllable; a state none of whose boxes can meet ``fresh``
+        is then skipped, as its answer cannot have changed.
+        """
+        m = self.n_inputs
+        ok = np.zeros((states.size, m), dtype=bool)
+        near = np.arange(states.size)
+        if fresh is not None:
+            # per row key, the window covering the boxes of every input
+            idx, kappa, keys = self._index
+            start = self.offset.reshape(-1, m, self.grid_x.ndim)
+            first = start.min(axis=1)
+            width = (start + self.length.reshape(start.shape)).max(axis=1) - first
+            lo, hi = self._windows([i[states] for i in idx], kappa[states], keys,
+                                   first, width)
+            near = np.flatnonzero(
+                _box_counts(_summed(fresh, self.grid_x), lo, hi) > 0)
+        lo, hi = self.boxes(states[near, None], np.arange(m))
+        size = np.prod(hi - lo, axis=0)
+        ok[near] = (size > 0) & (_box_counts(_summed(Z, self.grid_x), lo, hi) == size)
+        return ok
 
     def flat_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(lens, offsets, flat)`` successor arrays, pairs row-major.
 
         ``flat[offsets[p]:offsets[p+1]]`` are the successors of pair
         ``p = state * n_inputs + input`` (unsorted); blocked pairs are empty.
-        Built once and cached.
+        This expands the whole table (49 M entries at full scale); it is the
+        reference the table's answers are checked against, and the pipeline
+        does not call it.  Built once and cached.
         """
         if self._flat is None:
-            lens = self.pair_sizes()
+            n, m = self.n_states, self.n_inputs
+            lo, hi = self.boxes(np.repeat(np.arange(n), m), np.tile(np.arange(m), n))
+            lo, lnn = lo.T, (hi - lo).T
+            lens = np.prod(lnn, axis=1)
             offsets = np.concatenate(([0], np.cumsum(lens)))
             total = int(offsets[-1])
             pair_of_slot = np.repeat(np.arange(lens.size), lens)
             slot = np.arange(total) - offsets[pair_of_slot]
             d = self.grid_x.ndim
             counts = self.grid_x.counts
-            lo = self.lo.reshape(-1, d)
-            lnn = self.ln.reshape(-1, d)
             ids = np.zeros(total, dtype=np.int64)
             rem = slot
             for dim in range(d - 1, -1, -1):
@@ -111,25 +296,22 @@ class Abstraction:
     # ---- cache file -------------------------------------------------------
 
     def save(self, path: str):
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<Bd", _VERSION, self.tau))
-            _write_grid(fh, self.grid_x)
-            _write_grid(fh, self.grid_u)
-            lens, offsets, ids = self.flat_transitions()
-            # sort successors within each pair, then delta-encode
-            pair_of_slot = np.repeat(np.arange(lens.size), lens)
-            order = np.lexsort((ids, pair_of_slot))
-            sids = ids[order]
-            deltas = np.empty_like(sids)
-            deltas[1:] = sids[1:] - sids[:-1]
-            starts = offsets[:-1][lens > 0]
-            deltas[starts] = sids[starts]
-            fh.write(struct.pack("<QQQ", self.n_states, self.n_inputs, sids.size))
-            fh.write(np.packbits(self.blocked.reshape(-1)).tobytes())
-            for stream in (varint.encode(lens), varint.encode(deltas)):
-                fh.write(struct.pack("<Q", len(stream)))
-                fh.write(stream)
+        fh = io.BytesIO()
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<Bd", _VERSION, self.tau))
+        _write_grid(fh, self.grid_x)
+        _write_grid(fh, self.grid_u)
+        fh.write(self.fingerprint)
+        fh.write(struct.pack("<B", len(self.invariant)))
+        fh.write(bytes(self.invariant))
+        table = np.concatenate((self.offset, self.length,
+                                self.enabled.reshape(len(self.offset), -1)), axis=1)
+        fh.write(table.astype("<i4").tobytes())
+        body = fh.getvalue()
+        with open(path, "wb") as out:
+            # the fingerprint names the dynamics; this digest shows the file
+            # still holds what was built for them
+            out.write(body + hashlib.sha256(body).digest())
 
     @classmethod
     def load(cls, path: str) -> "Abstraction":
@@ -152,83 +334,32 @@ class Abstraction:
         off += struct.calcsize("<Bd")
         if version != _VERSION:
             raise CacheFormatError(f"unsupported cache version {version}")
+        buf, digest = buf[:-32], buf[-32:]
+        if hashlib.sha256(buf).digest() != digest:
+            raise CacheFormatError("checksum mismatch (corrupt or truncated cache)")
         grid_x, off = _read_grid(buf, off)
         grid_u, off = _read_grid(buf, off)
-        n, m, total = struct.unpack_from("<QQQ", buf, off)
-        off += 24
-        if n != grid_x.size or m != grid_u.size:
-            raise CacheFormatError("pair count disagrees with grid descriptors")
-        nbits = n * m
-        nbytes = (nbits + 7) // 8
-        blocked = np.unpackbits(
-            np.frombuffer(buf, np.uint8, nbytes, off), count=nbits
-        ).astype(bool).reshape(n, m)
-        off += nbytes
-        (stream_len,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        lens, _ = varint.decode(buf[off:off + stream_len], nbits)
-        off += stream_len
-        (stream_len,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        deltas, _ = varint.decode(buf[off:off + stream_len], int(total))
-        lens = lens.astype(np.int64)
-        offsets = np.concatenate(([0], np.cumsum(lens)))
-        # undo per-pair delta coding: deltas[start] holds the absolute id,
-        # so each id is the delta sum from its segment start
-        c = np.cumsum(deltas.astype(np.int64))
-        cum0 = np.concatenate(([0], c))
-        starts = offsets[:-1][lens > 0]
-        ids = c - cum0[np.repeat(starts, lens[lens > 0])]
-        lo, ln = _boxes_from_lists(grid_x, ids, lens, offsets, blocked)
-        abs_ = cls(grid_x=grid_x, grid_u=grid_u, tau=tau,
-                   lo=lo, ln=ln, blocked=blocked)
-        abs_._flat = (lens, offsets, ids)
-        return abs_
-
-
-def _boxes_from_lists(grid_x: Grid, ids, lens, offsets, blocked):
-    """Recover per-dimension index ranges from sorted successor lists.
-
-    Each list is a product box; on periodic dimensions it may wrap around
-    the seam, in which case the per-dim extent check fails and the wrapped
-    range is recovered from the gap in the sorted unique indices.
-    """
-    d = grid_x.ndim
-    counts = grid_x.counts
-    npairs = lens.size
-    lo = np.zeros((npairs, d), dtype=np.int32)
-    ln = np.ones((npairs, d), dtype=np.int32)
-    nz = lens > 0
-    starts = offsets[:-1][nz]
-    multi = np.asarray(np.unravel_index(ids, tuple(counts)))
-    mins = np.empty((d, starts.size), dtype=np.int64)
-    maxs = np.empty((d, starts.size), dtype=np.int64)
-    for dim in range(d):
-        mins[dim] = np.minimum.reduceat(multi[dim], starts)
-        maxs[dim] = np.maximum.reduceat(multi[dim], starts)
-    ext = maxs - mins + 1
-    good = np.prod(ext, axis=0) == lens[nz]
-    lo_nz = mins.T.astype(np.int32)
-    ln_nz = ext.T.astype(np.int32)
-    if not good.all():
-        nz_idx = np.flatnonzero(nz)
-        for j in np.flatnonzero(~good):
-            p = nz_idx[j]
-            seg = slice(offsets[p], offsets[p + 1])
-            sub_ln = np.empty(d, dtype=np.int64)
-            sub_lo = np.empty(d, dtype=np.int64)
-            for dim in range(d):
-                vals = np.unique(multi[dim, seg])
-                if vals[-1] - vals[0] + 1 == vals.size:
-                    sub_lo[dim], sub_ln[dim] = vals[0], vals.size
-                else:
-                    gap = int(np.argmax(np.diff(vals))) + 1
-                    sub_lo[dim], sub_ln[dim] = vals[gap], vals.size
-            lo_nz[j], ln_nz[j] = sub_lo, sub_ln
-    lo[nz] = lo_nz
-    ln[nz] = ln_nz
-    return (lo.reshape(grid_x.size, -1, d).astype(np.int32),
-            ln.reshape(grid_x.size, -1, d).astype(np.int32))
+        (dynamics,) = struct.unpack_from("<32s", buf, off)
+        off += 32
+        (k,) = struct.unpack_from("<B", buf, off)
+        off += 1
+        invariant = tuple(struct.unpack_from(f"<{k}B", buf, off))
+        off += k
+        d = grid_x.ndim
+        if list(invariant) != sorted(set(invariant)) or any(a >= d for a in invariant):
+            raise CacheFormatError("bad invariant dimension list")
+        rows = grid_u.size * int(np.prod(
+            [grid_x.counts[a] for a in range(d) if a not in invariant]))
+        width = 2 * d + 2 * k
+        if len(buf) - off != 4 * rows * width:
+            raise CacheFormatError("table size disagrees with the grids")
+        table = np.frombuffer(buf, "<i4", rows * width, off).reshape(rows, width)
+        if (table[:, d:2 * d] < 0).any():
+            raise CacheFormatError("negative box length in the table")
+        return cls(grid_x=grid_x, grid_u=grid_u, tau=tau, invariant=invariant,
+                   offset=table[:, :d].copy(), length=table[:, d:2 * d].copy(),
+                   enabled=table[:, 2 * d:].reshape(rows, k, 2).copy(),
+                   fingerprint=dynamics)
 
 
 def _write_grid(fh, grid: Grid):
@@ -249,87 +380,79 @@ def _read_grid(buf: bytes, off: int) -> tuple[Grid, int]:
     eta = np.frombuffer(buf, "<f8", nd, off).copy(); off += 8 * nd
     periodic = np.frombuffer(buf, np.uint8, nd, off).astype(bool); off += nd
     counts = np.frombuffer(buf, "<u8", nd, off).astype(np.int64); off += 8 * nd
+    if np.any(counts < 1):
+        raise CacheFormatError("grid with an empty dimension")
     grid = Grid(bounds=HyperRect(lower, upper), eta=eta,
                 periodic=periodic, counts=counts)
     return grid, off
 
 
-def _default_workers() -> int:
-    env = os.environ.get("KAW_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
+                      grid_u: Grid) -> Abstraction:
+    """Construct the table of the sampled, disturbed dynamics.
 
-
-def build_abstraction(sys: ContinuousSystem, grid_x: Grid, grid_u: Grid,
-                      workers: int | None = None) -> Abstraction:
-    """Construct the transition system of the sampled, disturbed dynamics.
-
-    For every input, the centers of all state cells are flowed for one
-    sampling period in a single vectorized sweep, the cell radius is dilated
-    by the growth bound, and the resulting rectangle is converted to
-    per-dimension index ranges.  Pairs whose rectangle leaves the state
-    space on a non-periodic dimension are blocked.
+    Each row's reference cell -- index 0 on the invariant dimensions, the
+    row's index on the others -- is flowed for one sampling period under the
+    row's input, all rows in one vectorized call.  The cell radius is
+    dilated by the growth bound, and the resulting rectangle becomes index
+    ranges relative to the reference cell.  On each non-periodic invariant
+    dimension, the cells whose translated rectangle stays inside the bounds
+    form the row's non-blocked range; a rectangle that leaves the bounds on
+    another non-periodic dimension blocks the whole row.
     """
-    n, m, d = grid_x.size, grid_u.size, grid_x.ndim
-    centers = grid_x.centers()
+    m, d = grid_u.size, grid_x.ndim
+    counts, eta = grid_x.counts, grid_x.eta
+    xlo, xhi = grid_x.bounds.lower, grid_x.bounds.upper
+    invariant = sys.invariant_dims
+    keyed = [k for k in range(d) if k not in invariant]
+    ref = np.zeros((int(np.prod(counts[keyed])), d), dtype=np.int64)
+    if keyed:
+        ref[:, keyed] = np.indices(tuple(counts[keyed])).reshape(len(keyed), -1).T
+    ref = np.repeat(ref, m, axis=0)
+    inputs = np.tile(grid_u.centers(), (ref.shape[0] // m, 1))
+    start = xlo + ref * eta
+    c_out = flow(sys, start, inputs, sys.tau)
     eL, iL = growth_matrices(sys.lipschitz, sys.tau)
-    radius = eL @ (grid_x.eta / 2) + iL @ sys.dist_halfwidth
+    radius = eL @ (eta / 2) + iL @ sys.dist_halfwidth
     for dim in sys.angle_dims:
         radius[dim] = min(radius[dim], np.pi)
-    lo = np.zeros((n, m, d), dtype=np.int32)
-    ln = np.zeros((n, m, d), dtype=np.int32)
-    blocked = np.zeros((n, m), dtype=bool)
-    xlo, xhi = grid_x.bounds.lower, grid_x.bounds.upper
-
-    def one_input(j: int):
-        u = grid_u.center(j)
-        c_out = flow(sys, centers, u, sys.tau)
-        r_lo = c_out - radius
-        r_hi = c_out + radius
-        blk = np.zeros(n, dtype=bool)
-        lo_j = np.empty((n, d), dtype=np.int32)
-        ln_j = np.empty((n, d), dtype=np.int32)
-        for dim in range(d):
-            nd_ = int(grid_x.counts[dim])
-            eta = grid_x.eta[dim]
-            t1 = (r_lo[:, dim] - xlo[dim]) / eta
-            t2 = (r_hi[:, dim] - xlo[dim]) / eta
-            k_lo = np.floor(t1 - 0.5 + _TOL).astype(np.int64) + 1
-            k_hi = np.ceil(t2 + 0.5 - _TOL).astype(np.int64) - 1
-            if grid_x.periodic[dim]:
-                length = k_hi - k_lo + 1
-                full = length >= nd_
-                lo_j[:, dim] = np.where(full, 0, np.mod(k_lo, nd_))
-                ln_j[:, dim] = np.minimum(length, nd_)
-            else:
-                blk |= (r_lo[:, dim] < xlo[dim] - _TOL) | (r_hi[:, dim] > xhi[dim] + _TOL)
-                k_lo = np.clip(k_lo, 0, nd_ - 1)
-                k_hi = np.clip(k_hi, 0, nd_ - 1)
-                lo_j[:, dim] = k_lo
-                ln_j[:, dim] = np.maximum(k_hi - k_lo + 1, 0)
-        return j, lo_j, ln_j, blk
-
-    nw = workers if workers is not None else _default_workers()
-    if nw > 1:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            results = list(pool.map(one_input, range(m)))
-    else:
-        results = [one_input(j) for j in range(m)]
-    for j, lo_j, ln_j, blk in results:
-        lo[:, j, :] = lo_j
-        ln[:, j, :] = ln_j
-        blocked[:, j] = blk
+    r_lo, r_hi = c_out - radius, c_out + radius
+    k_lo = np.floor((r_lo - xlo) / eta - 0.5 + _TOL).astype(np.int64) + 1
+    k_hi = np.ceil((r_hi - xlo) / eta + 0.5 - _TOL).astype(np.int64) - 1
+    length = k_hi - k_lo + 1
+    length[:, grid_x.periodic] = np.minimum(length[:, grid_x.periodic],
+                                            counts[grid_x.periodic])
+    enabled = np.zeros((ref.shape[0], len(invariant), 2), dtype=np.int64)
+    for a, dim in enumerate(invariant):
+        n = int(counts[dim])
+        enabled[:, a, 1] = n
+        if grid_x.periodic[dim]:
+            continue
+        # the flow's displacement is the same for every cell of the row
+        moved = (xlo[dim] + np.arange(n) * eta[dim]) \
+            + (c_out[:, dim] - start[:, dim])[:, None]
+        enabled[:, a, 0] = (moved - radius[dim] < xlo[dim] - _TOL).sum(axis=1)
+        enabled[:, a, 1] -= (moved + radius[dim] > xhi[dim] + _TOL).sum(axis=1)
+    blocked = np.zeros(ref.shape[0], dtype=bool)
+    for dim in keyed:
+        if not grid_x.periodic[dim]:
+            blocked |= (r_lo[:, dim] < xlo[dim] - _TOL) | (r_hi[:, dim] > xhi[dim] + _TOL)
+    length[blocked] = 0
     return Abstraction(grid_x=grid_x, grid_u=grid_u, tau=sys.tau,
-                       lo=lo, ln=ln, blocked=blocked)
+                       invariant=invariant,
+                       offset=(k_lo - ref).astype(np.int32),
+                       length=length.astype(np.int32),
+                       enabled=enabled.astype(np.int32),
+                       fingerprint=fingerprint(sys, grid_x, grid_u))
 
 
 class ExplicitTransitions:
     """Arbitrary finite transition system given by successor lists.
 
     Used for hand-built game examples and as the shape the synthesis
-    oracle tests exercise; shares the ``post``/``flat_transitions``
-    surface with :class:`Abstraction`.
+    oracle tests exercise; shares the ``post``/``controllable`` surface
+    with :class:`Abstraction` and answers ``controllable`` from its flat
+    successor arrays.
     """
 
     def __init__(self, n_states: int, n_inputs: int,
@@ -361,3 +484,20 @@ class ExplicitTransitions:
             offsets = np.concatenate(([0], np.cumsum(lens)))
             self._flat = (lens, offsets, flat)
         return self._flat
+
+    def controllable(self, Z: np.ndarray, states: np.ndarray,
+                     fresh: np.ndarray | None = None) -> np.ndarray:
+        """Per state of ``states`` and input: successors nonempty and all in
+        ``Z``.  Checks every pair; ``fresh`` is accepted and not needed."""
+        lens, offsets, flat = self.flat_transitions()
+        m = self.n_inputs
+        pairs = (states[:, None] * m + np.arange(m)).reshape(-1)
+        plens = lens[pairs]
+        ok = np.zeros(pairs.size, dtype=bool)
+        seg = plens[plens > 0]
+        if seg.size:
+            first = np.cumsum(seg) - seg
+            slots = np.repeat(offsets[pairs[plens > 0]] - first, seg) \
+                + np.arange(int(seg.sum()))
+            ok[plens > 0] = np.logical_and.reduceat(Z[flat[slots]], first)
+        return ok.reshape(-1, m)

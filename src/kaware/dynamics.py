@@ -51,6 +51,10 @@ class ContinuousSystem:
     lipschitz: np.ndarray
     dist_halfwidth: np.ndarray  # per-dim half width of W; zeros => W = {0}
     angle_dims: tuple[int, ...] = ()
+    # dimensions the field does not read: translating the start state along
+    # them translates the flow, so the abstraction builds one row for all
+    # cells that differ only there
+    invariant_dims: tuple[int, ...] = ()
     field: Callable = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -64,6 +68,10 @@ class ContinuousSystem:
             raise ValueError("disturbance box must contain the origin")
         object.__setattr__(self, "lipschitz", L)
         object.__setattr__(self, "dist_halfwidth", w)
+        inv = tuple(sorted(set(self.invariant_dims)))
+        if any(not 0 <= d < self.state_dim for d in inv):
+            raise ValueError("invariant dimensions out of range")
+        object.__setattr__(self, "invariant_dims", inv)
         if self.field is None:
             object.__setattr__(self, "field", VECTOR_FIELDS[self.name])
 
@@ -81,6 +89,7 @@ def dubins_car(tau: float = 0.2, dist_halfwidth=None) -> ContinuousSystem:
         lipschitz=DUBINS_LIPSCHITZ,
         dist_halfwidth=w,
         angle_dims=(2,),
+        invariant_dims=(0, 1),
     )
 
 

@@ -181,6 +181,23 @@ def _vector(sysblk, key: str, n: int, dtype=float, default=None) -> np.ndarray:
     return vec
 
 
+def _number(value, where: str, kind=float):
+    """``value`` as a finite number of type ``kind``."""
+    try:
+        num = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioValidationError(where, f"needs a number, got {value!r}") from None
+    if not np.isfinite(num):
+        raise ScenarioValidationError(where, "needs a finite number")
+    return num
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioValidationError(where, "needs an object")
+    return value
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -194,7 +211,7 @@ def load_scenario(path: str) -> Scenario:
     sysblk = _require(raw, "system", "scenario")
     state_bounds = _bounds(sysblk, "state_bounds")
     input_bounds = _bounds(sysblk, "input_bounds")
-    tau = float(_require(sysblk, "tau", "system"))
+    tau = _number(_require(sysblk, "tau", "system"), "system.tau")
     if tau <= 0:
         raise ScenarioValidationError("system.tau", "must be positive")
     nx = state_bounds.ndim
@@ -212,7 +229,11 @@ def load_scenario(path: str) -> Scenario:
 
     mapblk = _require(raw, "map", "scenario")
     regions: dict[str, list[HyperRect]] = {}
-    for name, boxes in _require(mapblk, "regions", "map").items():
+    for name, boxes in _object(_require(mapblk, "regions", "map"),
+                               "map.regions").items():
+        if not isinstance(boxes, list):
+            raise ScenarioValidationError(f"map.regions.{name}",
+                                          "needs a list of boxes")
         regions[name] = [
             _box(b, state_bounds, f"map.regions.{name}[{i}]")
             for i, b in enumerate(boxes)
@@ -229,8 +250,9 @@ def load_scenario(path: str) -> Scenario:
             street_box=_box(s["street"], state_bounds, f"map.signs[{i}].street"),
         ))
 
-    kblk = raw.get("knowledge", {})
-    proximity_range = float(kblk.get("proximity_range", 2.0))
+    kblk = _object(raw.get("knowledge", {}), "knowledge")
+    proximity_range = _number(kblk.get("proximity_range", 2.0),
+                              "knowledge.proximity_range")
     if proximity_range <= 0:
         raise ScenarioValidationError("knowledge.proximity_range",
                                       "must be positive")
@@ -261,10 +283,20 @@ def load_scenario(path: str) -> Scenario:
     except LtlSyntaxError as exc:
         raise ScenarioParseError(f"objective: {exc}") from None
 
-    initial_state = np.asarray(_require(raw, "initial_state", "scenario"),
-                               dtype=float)
-    if initial_state.shape[0] != state_bounds.ndim:
+    try:
+        initial_state = np.asarray(_require(raw, "initial_state", "scenario"),
+                                   dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioValidationError("initial_state", str(exc)) from None
+    if initial_state.shape != (state_bounds.ndim,):
         raise ScenarioValidationError("initial_state", "dimension mismatch")
+    if not np.all(np.isfinite(initial_state)):
+        raise ScenarioValidationError("initial_state", "needs finite numbers")
+    seed = _number(raw.get("seed", 0), "seed", int)
+    max_steps = _number(raw.get("max_steps", 500), "max_steps", int)
+    if seed < 0 or max_steps < 0:
+        raise ScenarioValidationError("seed" if seed < 0 else "max_steps",
+                                      "must not be negative")
     if "Target" not in regions:
         raise ScenarioValidationError("map.regions", "a Target region is required")
 
@@ -285,6 +317,6 @@ def load_scenario(path: str) -> Scenario:
         objective_text=objective_text,
         objective=objective,
         initial_state=initial_state,
-        seed=int(raw.get("seed", 0)),
-        max_steps=int(raw.get("max_steps", 500)),
+        seed=seed,
+        max_steps=max_steps,
     )

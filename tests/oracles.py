@@ -63,6 +63,56 @@ def int_expm_series(A, tau, tol=1e-16):
 
 
 # ---------------------------------------------------------------------------
+# abstraction
+
+
+def per_cell_boxes(sys, grid_x, grid_u, tol=1e-9):
+    """Successor boxes built cell by cell: every cell center is flowed for
+    one period under every input and the growth-bound rectangle is turned
+    into index ranges.
+
+    Returns ``(lo, ln, blocked)``: ``lo`` and ``ln`` are ``(N, M, d)`` box
+    starts and lengths (periodic starts wrapped, 0 when the box covers the
+    circle; other starts and ends clipped to the axis), ``blocked`` is
+    ``(N, M)``: the rectangle leaves the bounds on a non-periodic dimension.
+    This is the construction the table abstraction replaced.
+    """
+    from kaware.dynamics import flow, growth_matrices
+
+    n, m, d = grid_x.size, grid_u.size, grid_x.ndim
+    centers = grid_x.centers()
+    eL, iL = growth_matrices(sys.lipschitz, sys.tau)
+    radius = eL @ (grid_x.eta / 2) + iL @ sys.dist_halfwidth
+    for dim in sys.angle_dims:
+        radius[dim] = min(radius[dim], np.pi)
+    lo = np.zeros((n, m, d), dtype=np.int64)
+    ln = np.zeros((n, m, d), dtype=np.int64)
+    blocked = np.zeros((n, m), dtype=bool)
+    xlo, xhi = grid_x.bounds.lower, grid_x.bounds.upper
+    for j in range(m):
+        c_out = flow(sys, centers, grid_u.center(j), sys.tau)
+        r_lo = c_out - radius
+        r_hi = c_out + radius
+        for dim in range(d):
+            nd_ = int(grid_x.counts[dim])
+            eta = grid_x.eta[dim]
+            k_lo = np.floor((r_lo[:, dim] - xlo[dim]) / eta - 0.5 + tol).astype(np.int64) + 1
+            k_hi = np.ceil((r_hi[:, dim] - xlo[dim]) / eta + 0.5 - tol).astype(np.int64) - 1
+            if grid_x.periodic[dim]:
+                length = k_hi - k_lo + 1
+                lo[:, j, dim] = np.where(length >= nd_, 0, np.mod(k_lo, nd_))
+                ln[:, j, dim] = np.minimum(length, nd_)
+            else:
+                blocked[:, j] |= ((r_lo[:, dim] < xlo[dim] - tol)
+                                  | (r_hi[:, dim] > xhi[dim] + tol))
+                k_lo = np.clip(k_lo, 0, nd_ - 1)
+                k_hi = np.clip(k_hi, 0, nd_ - 1)
+                lo[:, j, dim] = k_lo
+                ln[:, j, dim] = np.maximum(k_hi - k_lo + 1, 0)
+    return lo, ln, blocked
+
+
+# ---------------------------------------------------------------------------
 # grids
 
 
@@ -250,7 +300,8 @@ def mc_soundness(abs_, sys, n_samples, rng, pieces=4):
     while checked < n_samples:
         s = int(rng.integers(0, grid_x.size))
         u_idx = int(rng.integers(0, grid_u.size))
-        if abs_.blocked[s, u_idx]:
+        succ = abs_.post(s, u_idx)
+        if not succ.size:
             continue
         rect = grid_x.cell_rect(s)
         x = rng.uniform(rect.lower, rect.upper)
@@ -265,6 +316,6 @@ def mc_soundness(abs_, sys, n_samples, rng, pieces=4):
         if not inside:
             continue
         checked += 1
-        if grid_x.quantize(x) not in abs_.post(s, u_idx):
+        if grid_x.quantize(x) not in succ:
             violations += 1
     return violations

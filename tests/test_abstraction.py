@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaware.abstraction import (Abstraction, ExplicitTransitions,
                                 build_abstraction)
 from kaware.dynamics import ContinuousSystem, dubins_car
 from kaware.errors import CacheFormatError, InvalidCell
-from kaware.grid import make_grid
+from kaware.grid import HyperRect, make_grid
+from kaware.ltl import GameObjective, compile_objective
+from kaware.synthesis import solve_reach_avoid
 
 import oracles
 
 PI = np.pi
+
+
+def blocked(abs_):
+    """Blocked (state, input) pairs: those with no successor."""
+    return abs_.pair_sizes().reshape(abs_.n_states, abs_.n_inputs) == 0
 
 
 def identity_system(tau=1.0):
@@ -37,7 +46,7 @@ def test_identity_flow_interior_cells_are_self_loops():
         assert abs_.post(cell, 0).tolist() == [cell]
     # the first and last cells' rects poke out of the bounds, so the
     # (conservative) domain-exit rule blocks them
-    assert abs_.blocked[0, 0] and abs_.blocked[grid_x.size - 1, 0]
+    assert blocked(abs_)[:, 0].tolist() == [True, False, False, False, True]
     assert abs_.post(0, 0).size == 0
 
 
@@ -46,7 +55,7 @@ def test_identity_flow_periodic_has_no_edges():
     grid_x = make_grid([-PI], [PI], [PI / 2], periodic=[True])
     grid_u = make_grid([0.0], [0.0], [1.0])
     abs_ = build_abstraction(sys, grid_x, grid_u)
-    assert not abs_.blocked.any()
+    assert not blocked(abs_).any()
     for cell in range(grid_x.size):
         assert abs_.post(cell, 0).tolist() == [cell]
 
@@ -80,7 +89,7 @@ def test_post_matches_reach_rect_bruteforce(small_dubins):
     while checked < 40:
         s = int(rng.integers(0, abs_.n_states))
         u = int(rng.integers(0, abs_.n_inputs))
-        if abs_.blocked[s, u]:
+        if not abs_.post(s, u).size:
             continue
         checked += 1
         c, r = reach_over_approx(sys, grid_x.center(s),
@@ -107,22 +116,142 @@ def test_soundness_monte_carlo(small_dubins):
 
 def test_blocked_pair_has_empty_post(small_dubins):
     _, abs_ = small_dubins
-    blocked_pairs = np.argwhere(abs_.blocked)
+    blocked_pairs = np.argwhere(blocked(abs_))
     assert blocked_pairs.size  # edge cells facing out exist on this map
     s, u = blocked_pairs[0]
     assert abs_.post(int(s), int(u)).size == 0
 
 
-def test_post_matches_flat_segments(small_dubins):
-    _, abs_ = small_dubins
-    lens, offsets, flat = abs_.flat_transitions()
+class FlatTransitions(ExplicitTransitions):
+    """An abstraction's successor lists, expanded by ``flat_transitions``,
+    behind the explicit system's solver path."""
+
+    def __init__(self, abs_):
+        self.n_states, self.n_inputs = abs_.n_states, abs_.n_inputs
+        self.post = abs_.post
+        self._flat = abs_.flat_transitions()
+
+
+def region_cells(grid, lower, upper):
+    return frozenset(grid.cells_intersecting(
+        HyperRect(lower + [-PI], upper + [PI])).tolist())
+
+
+def assert_same_controller(a, b):
+    assert a.sweeps == b.sweeps
+    assert np.array_equal(a.winning_mask, b.winning_mask)
+    assert np.array_equal(a.rank_array, b.rank_array)
+    assert np.array_equal(a.policy_array, b.policy_array)
+    assert all(a.allowed(c) == b.allowed(c) for c in range(a.n_states))
+
+
+def test_table_solve_matches_flat_solve(small_dubins, desk_world):
+    """The expanded successor lists agree with ``post``, and the
+    summed-area answers of the table and the reduceat answers of those
+    lists give the same games: winning set, ranks, policy and allowed
+    inputs, on a small map with and without an avoid region and on desk
+    with no sign and with every sign known."""
+    _, small = small_dubins
+    target = region_cells(small.grid_x, [2.6, 2.6], [3.4, 3.4])
+    wall = region_cells(small.grid_x, [1.2, 0.0], [1.6, 2.8])
+    games = [(small, GameObjective(target, frozenset())),
+             (small, GameObjective(target, wall))]
+    signs = set().union(*(c for c, _ in desk_world.sign_links))
+    for known in (set(), signs):
+        games.append((desk_world.abstraction,
+                      compile_objective(desk_world.interp, desk_world.sign_links,
+                                        known)))
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        s = int(rng.integers(0, abs_.n_states))
-        u = int(rng.integers(0, abs_.n_inputs))
-        p = s * abs_.n_inputs + u
-        seg = np.sort(flat[offsets[p]:offsets[p + 1]])
-        assert abs_.post(s, u).tolist() == seg.tolist()
+    for abs_, objective in games:
+        flat = FlatTransitions(abs_)
+        _, offsets, ids = flat.flat_transitions()
+        for _ in range(100):
+            s, u = int(rng.integers(abs_.n_states)), int(rng.integers(abs_.n_inputs))
+            p = s * abs_.n_inputs + u
+            assert abs_.post(s, u).tolist() == sorted(ids[offsets[p]:offsets[p + 1]])
+        table = solve_reach_avoid(abs_, objective)
+        assert table.winning_mask.sum() > len(objective.target)
+        assert_same_controller(table, solve_reach_avoid(flat, objective))
+
+
+def test_fresh_filter_skips_only_unchanged_states(small_dubins):
+    """Given the cells added to Z since a call that found none of the
+    states' pairs controllable, the table checks only states whose boxes can
+    meet them, and answers as if it had checked them all."""
+    _, abs_ = small_dubins
+    n = abs_.n_states
+    rng = np.random.default_rng(11)
+    gained = 0
+    for _ in range(6):
+        holes = rng.random(n) < 0.05
+        before = ~holes
+        states = np.flatnonzero(~abs_.controllable(before, np.arange(n)).any(axis=1))
+        fresh = holes & (rng.random(n) < 0.5)
+        after = before | fresh
+        want = abs_.controllable(after, states)
+        assert np.array_equal(abs_.controllable(after, states, fresh), want)
+        gained += int(want.any(axis=1).sum())
+    assert gained > 50
+
+
+def expand(lo, ln, counts):
+    axes = [np.mod(lo[d] + np.arange(ln[d]), counts[d]) for d in range(len(counts))]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.sort(np.ravel_multi_index(tuple(m.ravel() for m in mesh),
+                                        tuple(counts))).tolist()
+
+
+def assert_matches_per_cell(sys, abs_, rng, samples=100):
+    """Every pair's box, block and size, the totals, and ``post`` on sampled
+    pairs agree with the per-cell construction."""
+    lo, ln, blk = oracles.per_cell_boxes(sys, abs_.grid_x, abs_.grid_u)
+    n, m = abs_.n_states, abs_.n_inputs
+    sizes = abs_.pair_sizes().reshape(n, m)
+    assert np.array_equal(sizes == 0, blk)
+    assert np.array_equal(sizes, np.where(blk, 0, ln.prod(axis=2)))
+    for u in range(m):
+        t_lo, t_hi = abs_.boxes(np.arange(n), u)
+        on = ~blk[:, u]
+        assert np.array_equal(t_lo.T[on], lo[on, u])
+        assert np.array_equal((t_hi - t_lo).T[on], ln[on, u])
+    stats = abs_.stats()
+    assert stats["transitions"] == int(sizes.sum())
+    assert stats["blocked_pairs"] == int(blk.sum())
+    for _ in range(samples):
+        s, u = int(rng.integers(n)), int(rng.integers(m))
+        want = [] if blk[s, u] else expand(lo[s, u], ln[s, u], abs_.grid_x.counts)
+        assert abs_.post(s, u).tolist() == want
+
+
+def test_table_matches_per_cell_construction_desk(desk_scenario, desk_abstraction):
+    assert desk_abstraction.offset.shape[0] == 12 * 49
+    assert_matches_per_cell(desk_scenario.system(), desk_abstraction,
+                            np.random.default_rng(3))
+
+
+def test_table_matches_per_cell_construction_full(full_scenario):
+    sys = full_scenario.system()
+    abs_ = build_abstraction(sys, full_scenario.state_grid(),
+                             full_scenario.input_grid())
+    assert abs_.offset.shape[0] == 24 * 49
+    assert_matches_per_cell(sys, abs_, np.random.default_rng(4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lower=st.lists(st.floats(-5, 5), min_size=2, max_size=2),
+       span=st.lists(st.floats(0.5, 4.0), min_size=2, max_size=2),
+       eta=st.lists(st.floats(0.15, 1.0), min_size=3, max_size=3),
+       u_max=st.floats(0.0, 4.0), eta_u=st.floats(0.3, 3.0),
+       tau=st.floats(0.05, 1.5),
+       dist=st.lists(st.floats(0.0, 0.2), min_size=3, max_size=3))
+def test_table_matches_per_cell_construction_drawn(lower, span, eta, u_max,
+                                                   eta_u, tau, dist):
+    sys = dubins_car(tau=tau, dist_halfwidth=dist)
+    grid_x = make_grid(lower + [-PI], [lo + s for lo, s in zip(lower, span)] + [PI],
+                       eta, periodic=[False, False, True])
+    grid_u = make_grid([-u_max], [u_max], [eta_u])
+    assert_matches_per_cell(sys, build_abstraction(sys, grid_x, grid_u),
+                            np.random.default_rng(5), samples=20)
 
 
 def test_stats_consistency(small_dubins):
@@ -130,9 +259,9 @@ def test_stats_consistency(small_dubins):
     stats = abs_.stats()
     sizes = abs_.pair_sizes()
     assert stats["transitions"] == int(sizes.sum())
-    assert stats["blocked_pairs"] == int(abs_.blocked.sum())
+    assert stats["blocked_pairs"] == int((sizes == 0).sum())
     assert stats["n_states"] == abs_.grid_x.size
-    assert (sizes[abs_.blocked.reshape(-1)] == 0).all()
+    assert stats["n_inputs"] == abs_.grid_u.size
 
 
 def test_invalid_pair_raises(small_dubins):
@@ -143,23 +272,13 @@ def test_invalid_pair_raises(small_dubins):
         abs_.post(0, -1)
 
 
-def test_build_deterministic_across_worker_counts(small_dubins):
-    sys, abs_ = small_dubins
-    again = build_abstraction(sys, abs_.grid_x, abs_.grid_u, workers=1)
-    assert np.array_equal(abs_.lo, again.lo)
-    assert np.array_equal(abs_.ln, again.ln)
-    assert np.array_equal(abs_.blocked, again.blocked)
-    four = build_abstraction(sys, abs_.grid_x, abs_.grid_u, workers=4)
-    assert np.array_equal(abs_.lo, four.lo)
-
-
 def test_cache_roundtrip(small_dubins, tmp_path):
     _, abs_ = small_dubins
     path = tmp_path / "cache.kaw"
     abs_.save(str(path))
     loaded = Abstraction.load(str(path))
     assert loaded.tau == abs_.tau
-    assert np.array_equal(loaded.blocked, abs_.blocked)
+    assert loaded.fingerprint == abs_.fingerprint
     assert np.array_equal(loaded.grid_x.counts, abs_.grid_x.counts)
     assert np.allclose(loaded.grid_x.eta, abs_.grid_x.eta)
     assert np.array_equal(loaded.grid_u.counts, abs_.grid_u.counts)

@@ -7,24 +7,27 @@ condition, so the suite doubles as a human-readable report:
     pytest tests/test_acceptance.py
 """
 
+import hashlib
 import itertools
 import sys
 import time
 
 import numpy as np
+import pytest
 
 from kaware import (Outcome, build_abstraction, build_world, compile_objective,
                     load_scenario, parse_ltl, run_closed_loop,
                     solve_reach_avoid)
 from kaware.abstraction import ExplicitTransitions
 from kaware.audit import audit_trace
+from kaware.cli import main
 from kaware.dynamics import dubins_car, flow, wrap_angles
 from kaware.grid import make_grid
 from kaware.ltl import GameObjective, check_trace
 from kaware.runtime import write_trace_csv
 
 import oracles
-from conftest import DESK_SCENARIO
+from conftest import DESK_SCENARIO, FULL_SCENARIO
 
 PI = np.pi
 
@@ -199,6 +202,41 @@ def test_criterion_7_end_to_end_urban_run():
             budget_ok,
             f"abstraction {t_abs:.1f} s, synth {t_solve_initial:.1f}/"
             f"{t_solve_full:.1f} s, run {t_run:.1f} s")
+
+
+# SHA-256 of the full-resolution default-seed trace and all-signs controller
+FULL_TRACE = "aaa68a97c35730ba70f8197eb5e87ee1388e275bc9d2eceb285dad564e3ba0fa"
+FULL_CONTROLLER_ALL = \
+    "4795aa7b3fe6ff913d104d4aebdfbfcfda2c283b06070023ac31d7824da8b7e8"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.slow
+def test_criterion_7_full_scale_urban_mission(tmp_path, capsys):
+    """The full-resolution mission through the command line: abstract,
+    simulate, audit, and synthesize with every sign known."""
+    scn = str(FULL_SCENARIO)
+    cache, trace, ctrl = (tmp_path / f for f in ("urban.kaw", "trace.csv",
+                                                 "ctrl.csv"))
+    t0 = time.perf_counter()
+    assert main(["abstract", scn, "-o", str(cache)]) == 0
+    assert main(["simulate", scn, "--cache", str(cache), "-o", str(trace)]) == 0
+    reached = "outcome: ReachedTarget" in capsys.readouterr().out
+    audit_code = main(["check", str(trace), scn])
+    passes = capsys.readouterr().out.count("PASS  ")
+    assert main(["synthesize", scn, "--cache", str(cache), "--known-signs",
+                 "all", "-o", str(ctrl)]) == 0
+    elapsed = time.perf_counter() - t0
+    trace_ok = _sha256(trace) == FULL_TRACE
+    ctrl_ok = _sha256(ctrl) == FULL_CONTROLLER_ALL
+    _report("7f", "full-scale mission: ReachedTarget, audit 10/10, pinned "
+            "trace and all-signs controller",
+            reached and audit_code == 0 and passes == 10 and trace_ok and ctrl_ok,
+            f"reached {reached}, audit {passes}/10, trace {trace_ok}, "
+            f"controller {ctrl_ok}, {elapsed:.1f} s")
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):

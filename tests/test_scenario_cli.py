@@ -131,6 +131,24 @@ def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
     assert f"error:validation: system.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where,mutate", [
+    ("system.tau", lambda raw: raw["system"].update(tau="abc")),
+    ("initial_state", lambda raw: raw.update(initial_state=["a", 1, 2])),
+    ("knowledge.proximity_range",
+     lambda raw: raw["knowledge"].update(proximity_range="x")),
+    ("seed", lambda raw: raw.update(seed="x")),
+    ("max_steps", lambda raw: raw.update(max_steps="x")),
+    ("map.regions", lambda raw: raw["map"].update(regions=[1, 2])),
+    ("seed", lambda raw: raw.update(seed=-1)),
+], ids=["tau", "initial_state", "proximity_range", "seed", "max_steps",
+        "regions", "negative_seed"])
+def test_cli_rejects_ill_typed_scenario_fields(tmp_path, capsys, where, mutate):
+    path = _mutate(DESK_SCENARIO, tmp_path, mutate)
+    code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
+    assert code == 2
+    assert f"error:validation: {where}" in capsys.readouterr().err
+
+
 def test_initial_state_dimension_mismatch(tmp_path):
     path = _mutate(DESK_SCENARIO, tmp_path,
                    lambda raw: raw.update(initial_state=[1.0, 2.0]))
@@ -230,16 +248,30 @@ def test_cli_bad_cache_file_exit_code(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("system", [{"tau": 0.25}, {"eta_u": [0.261]}])
+@pytest.mark.parametrize("system", [{"tau": 0.25}, {"eta_u": [0.261]},
+                                    {"disturbance": [0.01, 0.01, 0.0]}])
 def test_cli_cache_for_other_dynamics_exit_code(cli_artifacts, tmp_path,
                                                 capsys, system):
-    # same state grid size as the desk cache, other tau or input grid
+    # same state grid size as the desk cache, other tau, input grid or
+    # disturbance
     path = _mutate(DESK_SCENARIO, tmp_path,
                    lambda raw: raw["system"].update(system))
     code = main(["synthesize", path, "--cache", str(cli_artifacts["cache"]),
                  "-o", str(tmp_path / "ctrl.csv")])
     assert code == 2
     assert "error:cache:" in capsys.readouterr().err
+
+
+def test_cli_version_1_cache_exit_code(cli_artifacts, tmp_path, capsys):
+    # a cache of the first format: same magic, version byte 1
+    blob = bytearray(cli_artifacts["cache"].read_bytes())
+    blob[4] = 1
+    old = tmp_path / "v1.kaw"
+    old.write_bytes(bytes(blob))
+    code = main(["synthesize", cli_artifacts["scn"], "--cache", str(old),
+                 "-o", str(tmp_path / "ctrl.csv")])
+    assert code == 2
+    assert "error:cache: unsupported cache version 1" in capsys.readouterr().err
 
 
 def test_cli_truncated_desk_cache_exit_code(cli_artifacts, tmp_path, capsys):
@@ -271,6 +303,21 @@ def test_cli_cache_cut_anywhere_is_a_cache_error(coarse_cache, capsys, data):
     cut = d / "cut.kaw"
     cut.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
     code = main(["synthesize", path, "--cache", str(cut),
+                 "-o", str(d / "ctrl.csv")])
+    assert code == 2
+    assert "error:cache:" in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_cache_flipped_byte_is_a_cache_error(coarse_cache, capsys, data):
+    path, blob, d = coarse_cache
+    at = data.draw(st.integers(0, len(blob) - 1))
+    flipped = d / "flipped.kaw"
+    flipped.write_bytes(blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255))])
+                        + blob[at + 1:])
+    code = main(["synthesize", path, "--cache", str(flipped),
                  "-o", str(d / "ctrl.csv")])
     assert code == 2
     assert "error:cache:" in capsys.readouterr().err
