@@ -38,15 +38,13 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     kb = scenario.knowledge_base()
     interp = knowledge.assemble_interpretation(
         kb, scenario.all_regions(), grid_x)
-    obstacle = interp.extent("Obstacle")
-    target = interp.extent("Target")
-    links = []
-    for sign in scenario.signs:
-        links.append((
-            frozenset(grid_x.cells_intersecting(sign.sign_box).tolist()),
-            frozenset(grid_x.cells_intersecting(sign.street_box).tolist()),
-            sign,
-        ))
+    # membership by np.isin: a trace cell outside the grid lies in no set
+    cells = np.array([s.cell for s in trace.steps])
+    in_obstacle = np.isin(cells, np.flatnonzero(interp.extent("Obstacle")))
+    in_target = np.isin(cells, np.flatnonzero(interp.extent("Target")))
+    links = [(grid_x.cells_intersecting(sign.sign_box),
+              grid_x.cells_intersecting(sign.street_box), sign)
+             for sign in scenario.signs]
     results: list[CheckResult] = []
 
     def add(name: str, ok: bool, detail: str = ""):
@@ -60,21 +58,16 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
                 if grid_x.quantize(s.state) != s.cell]
     add("cells match quantized states", not bad_cell, f"bad steps {bad_cell[:5]}")
 
-    # detection bookkeeping
-    known: set[int] = set()
-    mono_ok = True
-    flag_ok = True
-    for s in trace.steps:
-        if set(s.detected) & known:
-            mono_ok = False
-        if s.resynthesized != bool(s.detected):
-            flag_ok = False
-        known.update(s.detected)
-    add("known signs grow monotonically", mono_ok)
-    add("resynth flag iff new detection", flag_ok)
+    # detection bookkeeping: no cell is detected in two steps
+    detected = np.concatenate([np.unique(np.asarray(s.detected, dtype=np.int64))
+                               for s in trace.steps])
+    add("known signs grow monotonically",
+        np.unique(detected).size == detected.size)
+    add("resynth flag iff new detection",
+        all(s.resynthesized == bool(s.detected) for s in trace.steps))
 
     # obstacle avoidance over the whole run
-    hits = [s.step for s in trace.steps if s.cell in obstacle]
+    hits = [s.step for s, hit in zip(trace.steps, in_obstacle) if hit]
     add("no obstacle cell visited", not hits, f"steps {hits[:5]}")
 
     # street avoidance after each sign's first detection
@@ -82,10 +75,10 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     detail = ""
     for sign_cells, street_cells, sign in links:
         det_step = None
-        for s in trace.steps:
-            if det_step is None and set(s.detected) & sign_cells:
+        for s, on_street in zip(trace.steps, np.isin(cells, street_cells)):
+            if det_step is None and np.isin(s.detected, sign_cells).any():
                 det_step = s.step
-            if det_step is not None and s.step >= det_step and s.cell in street_cells:
+            if det_step is not None and s.step >= det_step and on_street:
                 street_ok = False
                 detail = f"{sign.name} street entered at step {s.step}"
                 break
@@ -94,25 +87,23 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     # bounded-LTL audit of the mission objective
     if trace.outcome is Outcome.REACHED_TARGET:
         props = []
-        for s in trace.steps:
+        for obstacle, target in zip(in_obstacle, in_target):
             p = set()
-            if s.cell in obstacle:
+            if obstacle:
                 p.add("Obstacle")
-            if s.cell in target:
+            if target:
                 p.add("Target")
             props.append(p)
         add("objective holds on the trace",
             check_trace(scenario.objective, props))
-        add("final cell is a target cell",
-            trace.steps[-1].cell in target)
+        add("final cell is a target cell", bool(in_target[-1]))
 
     # reroute shape around the first detection
     first_det = next((s for s in trace.steps if s.detected), None)
     if first_det is not None:
-        det_cells = set(first_det.detected)
         street_box = None
         for sign_cells, _, sign in links:
-            if det_cells & sign_cells:
+            if np.isin(first_det.detected, sign_cells).any():
                 street_box = sign.street_box
                 break
         if street_box is not None:

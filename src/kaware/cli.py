@@ -50,11 +50,8 @@ def cmd_synthesize(args) -> int:
     scenario = load_scenario(args.scenario)
     abs_ = _load_cache(args.cache, scenario)
     world = build_world(scenario, abs_)
-    if args.known_signs == "all":
-        known = set().union(*(c for c, _ in world.sign_links)) \
-            if world.sign_links else set()
-    else:
-        known = set()
+    known = [c for cells, _ in world.sign_links for c in cells] \
+        if args.known_signs == "all" else []
     objective = compile_objective(world.interp, world.sign_links, known)
     t0 = time.perf_counter()
     controller = solve_reach_avoid(abs_, objective)

@@ -1,10 +1,13 @@
 """ALC knowledge base evaluated over the single grid interpretation.
 
-Concept extents are sets of state-cell indices.  The built-in ``Proximity``
-role relates two cells when their planar rectangles are within detection
-range ``D`` and the second cell lies ahead of every worst-case heading of
-the first; it is evaluated lazily (materializing all cell pairs is
-infeasible at full grid size).
+A concept extent is a bool mask over the state cells.  The built-in
+``Proximity`` role relates a cell to a target cell when their planar
+rectangles are closer than the detection range and the target lies ahead
+of some heading of the cell by more than the grid's 1e-9 band (at an
+exactly perpendicular heading, "ahead" is a rounding residue).  One
+vectorized kernel, :meth:`ProximityRole.relate`, serves the concepts (once
+per distinct planar target rectangle) and the runtime sensor (once per
+step); the scalar :func:`proximity` is the reference the tests check it by.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import LtlSyntaxError, UndeclaredName
-from .grid import Grid, HyperRect
+from .grid import _TOL, Grid, HyperRect
 
 # ---------------------------------------------------------------------------
 # concept AST
@@ -119,10 +122,9 @@ class KnowledgeBase:
     abox: list = dc_field(default_factory=list)
 
     def check_names(self):
+        """Concept axioms may use declared atoms and roles and the names of
+        earlier concept axioms (they are evaluated in order)."""
         declared = set(self.atomic_concepts)
-        for ax in self.tbox:
-            if isinstance(ax, (Equivalence, TemporalEquivalence)):
-                declared.add(ax.name)
         for ax in self.tbox:
             if isinstance(ax, Equivalence):
                 for name in _atomic_names(ax.concept):
@@ -131,6 +133,7 @@ class KnowledgeBase:
                 for role in _role_names(ax.concept):
                     if role not in self.roles:
                         raise UndeclaredName(role)
+                declared.add(ax.name)
 
 
 def _atomic_names(c: Concept) -> Iterable[str]:
@@ -286,80 +289,88 @@ def directional_max(ra: HyperRect, rb: HyperRect, theta_lo: float,
 
 
 def proximity(grid_x: Grid, cell: int, other: int, max_range: float) -> bool:
-    """Detection relation: ``other`` is within range and ahead of ``cell``."""
+    """Detection relation: ``other`` is within range and ahead of ``cell``;
+    the scalar reference for :meth:`ProximityRole.relate`."""
     ra = grid_x.cell_rect(cell)
     rb = grid_x.cell_rect(other)
     gap = math.hypot(_planar_gap(ra, rb, 0), _planar_gap(ra, rb, 1))
     if gap >= max_range:
         return False
-    return directional_max(ra, rb, ra.lower[2], ra.upper[2]) > 0.0
+    return directional_max(ra, rb, ra.lower[2], ra.upper[2]) > _TOL
 
 
 class ProximityRole:
-    """Lazy Proximity extent over the grid, with a per-source memo table."""
+    """The Proximity relation over the grid, evaluated by one kernel."""
 
     def __init__(self, grid_x: Grid, max_range: float):
         self.grid = grid_x
         self.max_range = float(max_range)
-        self._memo: dict[tuple[int, frozenset], frozenset] = {}
 
-    def holds(self, cell: int, other: int) -> bool:
-        return proximity(self.grid, cell, other, self.max_range)
-
-    def successors_in(self, cell: int, targets: frozenset[int]) -> frozenset[int]:
-        key = (cell, targets)
-        got = self._memo.get(key)
-        if got is None:
-            got = frozenset(t for t in targets if self.holds(cell, t))
-            self._memo[key] = got
-        return got
-
-    def preimage(self, targets: frozenset[int]) -> frozenset[int]:
-        """All cells related to at least one target cell (vectorized)."""
+    def _rects(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of the 1-D ``cells``, one row per
+        dimension.  (numpy 2.4's ``unravel_index`` gets rows of an (N, 1)
+        input wrong past 8 192 of them: broadcast after it, not before.)"""
         grid = self.grid
-        centers = grid.centers()
-        half = grid.eta / 2
-        lo1, hi1 = centers[:, 0] - half[0], centers[:, 0] + half[0]
-        lo2, hi2 = centers[:, 1] - half[1], centers[:, 1] + half[1]
-        th_lo, th_hi = centers[:, 2] - half[2], centers[:, 2] + half[2]
+        k = np.array(np.unravel_index(np.asarray(cells, dtype=np.int64),
+                                      tuple(grid.counts)))
+        centers = grid.bounds.lower[:, None] + k * grid.eta[:, None]
+        half = grid.eta[:, None] / 2
+        return centers - half, centers + half
+
+    def relate(self, sources, targets) -> np.ndarray:
+        """Bool array: ``[i, j]`` when ``targets[j]`` is in proximity of
+        ``sources[i]``."""
+        return self._kernel(self._rects(sources), self._rects(targets))
+
+    def _kernel(self, a, b) -> np.ndarray:
+        """``relate`` on the cells' rects; the heading test runs only on the
+        pairs in range."""
+        (a_lo, a_hi), (b_lo, b_hi) = a, b
+        g1, g2 = (np.maximum(0.0, np.maximum(b_lo[d] - a_hi[d, :, None],
+                                             a_lo[d, :, None] - b_hi[d]))
+                  for d in (0, 1))
+        out = np.hypot(g1, g2) < self.max_range
+        s, t = np.nonzero(out)
+        a_lo, a_hi, b_lo, b_hi = a_lo[:, s], a_hi[:, s], b_lo[:, t], b_hi[:, t]
+        th_lo, th_hi = a_lo[2], a_hi[2]
+        width = th_hi - th_lo
+        # directional_max over the source's headings
+        best = np.full(s.size, -np.inf)
+        for d1 in (b_lo[0] - a_hi[0], b_hi[0] - a_lo[0]):
+            for d2 in (b_lo[1] - a_hi[1], b_hi[1] - a_lo[1]):
+                r = np.hypot(d1, d2)
+                phi = np.arctan2(d2, d1)
+                inside = ((np.mod(phi - th_lo, 2 * np.pi) <= width)
+                          | (width >= 2 * np.pi))
+                cand = r * np.maximum(np.cos(th_lo - phi), np.cos(th_hi - phi))
+                best = np.maximum(best, np.where(inside, r, cand))
+        out[s, t] = best > _TOL
+        return out
+
+    def preimage(self, targets: np.ndarray) -> np.ndarray:
+        """Mask of the cells related to a cell of the ``targets`` mask: one
+        kernel call per distinct planar target rectangle."""
+        grid = self.grid
+        cells = np.flatnonzero(targets)
+        planar = cells // grid.counts[2]   # row-major, heading last
+        every = self._rects(np.arange(grid.size))
         found = np.zeros(grid.size, dtype=bool)
-        for t in sorted(targets):
-            rb = grid.cell_rect(t)
-            g1 = np.maximum(0.0, np.maximum(rb.lower[0] - hi1, lo1 - rb.upper[0]))
-            g2 = np.maximum(0.0, np.maximum(rb.lower[1] - hi2, lo2 - rb.upper[1]))
-            near = ~found & (np.hypot(g1, g2) < self.max_range)
-            if not near.any():
-                continue
-            idx = np.flatnonzero(near)
-            d1s = np.stack([rb.lower[0] - hi1[idx], rb.upper[0] - lo1[idx]])
-            d2s = np.stack([rb.lower[1] - hi2[idx], rb.upper[1] - lo2[idx]])
-            best = np.full(idx.size, -np.inf)
-            for a in range(2):
-                for b in range(2):
-                    d1, d2 = d1s[a], d2s[b]
-                    r = np.hypot(d1, d2)
-                    phi = np.arctan2(d2, d1)
-                    width = th_hi[idx] - th_lo[idx]
-                    rel = np.mod(phi - th_lo[idx], 2 * np.pi)
-                    inside = (rel <= width) | (width >= 2 * np.pi)
-                    cand = r * np.maximum(np.cos(th_lo[idx] - phi),
-                                          np.cos(th_hi[idx] - phi))
-                    best = np.maximum(best, np.where(inside, r, cand))
-            found[idx[best > 0.0]] = True
-        return frozenset(np.flatnonzero(found).tolist())
+        for t in cells[np.unique(planar, return_index=True)[1]]:
+            found |= self._kernel(every, self._rects([t]))[:, 0]
+        return found
 
 
 class ExplicitRole:
     """Role given by an explicit pair set (hand-built interpretations)."""
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
-        self.pairs = frozenset(pairs)
+        self.sources, self.targets = \
+            np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
 
-    def holds(self, cell: int, other: int) -> bool:
-        return (cell, other) in self.pairs
-
-    def preimage(self, targets: frozenset[int]) -> frozenset[int]:
-        return frozenset(a for a, b in self.pairs if b in targets)
+    def preimage(self, targets: np.ndarray) -> np.ndarray:
+        found = np.zeros(targets.size, dtype=bool)
+        found[self.sources[targets[self.targets]]] = True
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +380,26 @@ class ExplicitRole:
 @dataclass
 class Interpretation:
     domain_size: int
-    concept_extents: dict[str, frozenset[int]]
+    concept_extents: dict[str, np.ndarray]
     roles: dict[str, object] = dc_field(default_factory=dict)
 
-    def extent(self, name: str) -> frozenset[int]:
+    def extent(self, name: str) -> np.ndarray:
         try:
             return self.concept_extents[name]
         except KeyError:
             raise UndeclaredName(name) from None
 
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(range(self.domain_size))
 
-
-def eval_concept(interp: Interpretation, concept: Concept) -> frozenset[int]:
+def eval_concept(interp: Interpretation, concept: Concept) -> np.ndarray:
     """Structural concept semantics over the fixed interpretation."""
     if isinstance(concept, Top):
-        return interp.domain
+        return np.ones(interp.domain_size, dtype=bool)
     if isinstance(concept, Bottom):
-        return frozenset()
+        return np.zeros(interp.domain_size, dtype=bool)
     if isinstance(concept, Atomic):
         return interp.extent(concept.name)
     if isinstance(concept, Not):
-        return interp.domain - eval_concept(interp, concept.arg)
+        return ~eval_concept(interp, concept.arg)
     if isinstance(concept, And):
         return eval_concept(interp, concept.left) & eval_concept(interp, concept.right)
     if isinstance(concept, Or):
@@ -403,8 +410,7 @@ def eval_concept(interp: Interpretation, concept: Concept) -> frozenset[int]:
     if isinstance(concept, Forall):
         # forall r.C  ==  not exists r.(not C)
         role = _get_role(interp, concept.role)
-        bad = role.preimage(interp.domain - eval_concept(interp, concept.arg))
-        return interp.domain - bad
+        return ~role.preimage(~eval_concept(interp, concept.arg))
     raise TypeError(f"not a concept: {concept!r}")
 
 
@@ -418,7 +424,7 @@ def _get_role(interp: Interpretation, name: str):
 def assemble_interpretation(kb: KnowledgeBase,
                             regions: Mapping[str, Sequence[HyperRect]],
                             grid_x: Grid) -> Interpretation:
-    """Ground atomic extents from scenario boxes and cache derived concepts.
+    """Ground atomic extents from scenario boxes and evaluate derived concepts.
 
     Non-temporal TBox equivalences are evaluated in declaration order;
     temporal equivalences are left to the synthesis module.
@@ -427,12 +433,12 @@ def assemble_interpretation(kb: KnowledgeBase,
     for name in regions:
         if name not in kb.atomic_concepts:
             raise UndeclaredName(name)
-    extents: dict[str, frozenset[int]] = {}
+    extents: dict[str, np.ndarray] = {}
     for name in kb.atomic_concepts:
-        cells: set[int] = set()
+        mask = np.zeros(grid_x.size, dtype=bool)
         for box in regions.get(name, ()):
-            cells.update(grid_x.cells_intersecting(box).tolist())
-        extents[name] = frozenset(cells)
+            mask[grid_x.cells_intersecting(box)] = True
+        extents[name] = mask
     roles = {name: ProximityRole(grid_x, rng) for name, rng in kb.roles.items()}
     interp = Interpretation(domain_size=grid_x.size,
                             concept_extents=extents, roles=roles)

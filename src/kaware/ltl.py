@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Set
+from typing import Iterable, Sequence, Set
+
+import numpy as np
 
 from .errors import LtlSyntaxError, TargetUnreachableWarning
 
@@ -308,7 +310,10 @@ def check_trace(phi: LtlFormula, trace: Sequence[Set[str]], at: int = 0) -> bool
 
 @dataclass(frozen=True)
 class GameObjective:
-    """Reach the target cells while never visiting the avoid cells."""
+    """Reach the target cells while never visiting the avoid cells.
+
+    Frozensets, so that an objective can key the controller memo.
+    """
 
     target: frozenset[int]
     avoid: frozenset[int]
@@ -319,37 +324,26 @@ class GameObjective:
             raise ValueError(f"target and avoid overlap on {len(overlap)} cells")
 
 
-@dataclass
-class CompositeSpec:
-    """Mission objective conjoined with the time-varying knowledge part."""
-
-    objective: LtlFormula
-    kb_part: LtlFormula
-    game: GameObjective
-
-    def formula(self) -> LtlFormula:
-        if isinstance(self.kb_part, TrueF):
-            return self.objective
-        return AndF(self.kb_part, self.objective)
-
-
-def compile_objective(interp, sign_links: Sequence[tuple[frozenset, frozenset]],
-                      known_signs: Set[int],
+def compile_objective(interp, sign_links: Sequence[tuple[np.ndarray, np.ndarray]],
+                      known_signs: Iterable[int],
                       target_name: str = "Target",
                       obstacle_name: str = "Obstacle") -> GameObjective:
     """Fold the activated invariance obligations into an enlarged avoid set.
 
-    ``sign_links`` pairs each sign's cell set with its linked street cells;
-    a sign is active once any of its cells has been detected.
+    ``sign_links`` pairs each sign's cell indices with its linked street
+    cells; a sign is active once any of its cells is among ``known_signs``.
     """
     target = interp.extent(target_name)
-    avoid = set(interp.extent(obstacle_name))
+    avoid = interp.extent(obstacle_name).copy()
+    known = np.zeros(avoid.size, dtype=bool)
+    known[np.fromiter(known_signs, dtype=np.int64)] = True
     for sign_cells, street_cells in sign_links:
-        if sign_cells & known_signs:
-            avoid |= street_cells
-    if target and target <= avoid:
+        if known[sign_cells].any():
+            avoid[street_cells] = True
+    # target cells swallowed by an obligation stop counting as target
+    reachable = target & ~avoid
+    if target.any() and not reachable.any():
         warnings.warn("avoid set covers the whole target region",
                       TargetUnreachableWarning)
-    # target cells swallowed by an obligation stop counting as target
-    return GameObjective(target=frozenset(target - avoid),
-                         avoid=frozenset(avoid))
+    return GameObjective(target=frozenset(np.flatnonzero(reachable).tolist()),
+                         avoid=frozenset(np.flatnonzero(avoid).tolist()))

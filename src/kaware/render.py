@@ -83,13 +83,11 @@ def render_svg(scenario: Scenario, trace: Trace | None = None) -> str:
     kb = scenario.knowledge_base()
     interp = knowledge.assemble_interpretation(kb, scenario.all_regions(), grid_x)
     detected = interp.concept_extents.get("NoEntrySignDetected")
-    if detected:
-        cols = set()
-        for cell in detected:
-            k = grid_x.multi_index(cell)
-            cols.add((int(k[0]), int(k[1])))
+    if detected is not None:
+        counts = grid_x.counts
+        cols = detected.reshape(counts[0], counts[1], -1).any(axis=2)
         half = grid_x.eta / 2
-        for i1, i2 in sorted(cols):
+        for i1, i2 in np.argwhere(cols):
             c = grid_x.bounds.lower[:2] + np.array([i1, i2]) * grid_x.eta[:2]
             box = type(scenario.state_bounds)(c - half[:2], c + half[:2])
             canvas.rect(box, "#ffb347", 0.35)

@@ -59,14 +59,17 @@ class Trace:
     resynth_count: int
 
 
-def sensor_step(interp, sign_extent: frozenset[int], cell: int,
+def sensor_step(interp, sign_extent: np.ndarray, cell: int,
                 sensor: SensorState, role_name: str = "Proximity",
                 step: int = 0) -> tuple[int, ...]:
-    """Detect sign cells in proximity of the current cell; knowledge only
-    grows.  Returns the newly detected cells, sorted."""
+    """Detect the undetected cells of the ``sign_extent`` mask in proximity
+    of the current cell; knowledge only grows.  Returns the newly detected
+    cells, sorted."""
     role = interp.roles[role_name]
-    candidates = frozenset(sign_extent) - sensor.known_signs
-    newly = tuple(sorted(role.successors_in(cell, candidates)))
+    undetected = sign_extent.copy()
+    undetected[list(sensor.known_signs)] = False
+    candidates = np.flatnonzero(undetected)
+    newly = tuple(candidates[role.relate([cell], candidates)[0]].tolist())
     if newly:
         sensor.known_signs.update(newly)
         sensor.last_detection_step = step
@@ -103,7 +106,8 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
             f"initial state {world.initial_state.tolist()} outside the state space")
     rng = np.random.default_rng(seed)
     sensor = SensorState()
-    sign_extent = world.interp.extent(world.sign_concept) if world.sign_links else frozenset()
+    sign_extent = world.interp.extent("NoEntrySign") if world.sign_links \
+        else np.zeros(grid_x.size, dtype=bool)
     objective = compile_objective(world.interp, world.sign_links,
                                   sensor.known_signs)
     controller, _ = _controller_for(world, objective)

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import knowledge
 from .dynamics import ContinuousSystem, dubins_car
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import (LtlSyntaxError, ScenarioParseError,
+                     ScenarioValidationError, UndeclaredName)
 from .grid import Grid, HyperRect, make_grid
 from .ltl import LtlFormula, parse_ltl
-from .errors import LtlSyntaxError
 
 
 @dataclass
@@ -86,6 +86,7 @@ class Scenario:
 class World:
     """Everything the control loop needs, built once per scenario.
 
+    ``sign_links`` pairs each sign's sorted cell indices with its street's.
     ``controllers`` memoizes solved games by compiled objective ``(target,
     avoid)``, each entry tagged with the abstraction it was solved on.
     ``dataclasses.replace`` copies share it, so a later run that reaches
@@ -98,9 +99,7 @@ class World:
     grid_u: Grid
     abstraction: object
     interp: knowledge.Interpretation
-    sign_links: list[tuple[frozenset, frozenset]]
-    sign_concept: str = "NoEntrySign"
-    street_extents: list[frozenset] = field(default_factory=list)
+    sign_links: list[tuple[np.ndarray, np.ndarray]]
     controllers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -110,19 +109,14 @@ class World:
 
 def build_world(scenario: Scenario, abstraction) -> World:
     grid_x = abstraction.grid_x
-    grid_u = abstraction.grid_u
     kb = scenario.knowledge_base()
     interp = knowledge.assemble_interpretation(kb, scenario.all_regions(), grid_x)
-    links = []
-    streets = []
-    for sign in scenario.signs:
-        sign_cells = frozenset(grid_x.cells_intersecting(sign.sign_box).tolist())
-        street_cells = frozenset(grid_x.cells_intersecting(sign.street_box).tolist())
-        links.append((sign_cells, street_cells))
-        streets.append(street_cells)
+    links = [(grid_x.cells_intersecting(sign.sign_box),
+              grid_x.cells_intersecting(sign.street_box))
+             for sign in scenario.signs]
     return World(scenario=scenario, system=scenario.system(),
-                 grid_x=grid_x, grid_u=grid_u, abstraction=abstraction,
-                 interp=interp, sign_links=links, street_extents=streets)
+                 grid_x=grid_x, grid_u=abstraction.grid_u,
+                 abstraction=abstraction, interp=interp, sign_links=links)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +186,12 @@ def _number(value, where: str, kind=float):
     return num
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioValidationError(where, "needs an object")
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind, where: str):
+    if not isinstance(value, kind):
+        raise ScenarioValidationError(where, f"needs {_KINDS[kind]}")
     return value
 
 
@@ -229,18 +226,15 @@ def load_scenario(path: str) -> Scenario:
 
     mapblk = _require(raw, "map", "scenario")
     regions: dict[str, list[HyperRect]] = {}
-    for name, boxes in _object(_require(mapblk, "regions", "map"),
-                               "map.regions").items():
-        if not isinstance(boxes, list):
-            raise ScenarioValidationError(f"map.regions.{name}",
-                                          "needs a list of boxes")
+    for name, boxes in _typed(_require(mapblk, "regions", "map"), dict,
+                              "map.regions").items():
         regions[name] = [
             _box(b, state_bounds, f"map.regions.{name}[{i}]")
-            for i, b in enumerate(boxes)
+            for i, b in enumerate(_typed(boxes, list, f"map.regions.{name}"))
         ]
     signs = []
-    for i, s in enumerate(mapblk.get("signs", [])):
-        if "street" not in s:
+    for i, s in enumerate(_typed(mapblk.get("signs", []), list, "map.signs")):
+        if "street" not in _typed(s, dict, f"map.signs[{i}]"):
             raise ScenarioValidationError(f"map.signs[{i}]",
                                           "sign must link exactly one street region")
         signs.append(Sign(
@@ -250,34 +244,35 @@ def load_scenario(path: str) -> Scenario:
             street_box=_box(s["street"], state_bounds, f"map.signs[{i}].street"),
         ))
 
-    kblk = _object(raw.get("knowledge", {}), "knowledge")
+    kblk = _typed(raw.get("knowledge", {}), dict, "knowledge")
     proximity_range = _number(kblk.get("proximity_range", 2.0),
                               "knowledge.proximity_range")
     if proximity_range <= 0:
         raise ScenarioValidationError("knowledge.proximity_range",
                                       "must be positive")
     tbox = []
-    for i, ax in enumerate(kblk.get("tbox", [])):
-        name = _require(ax, "define", f"knowledge.tbox[{i}]")
+    for i, ax in enumerate(_typed(kblk.get("tbox", []), list, "knowledge.tbox")):
+        where = f"knowledge.tbox[{i}]"
+        name = _typed(_require(_typed(ax, dict, where), "define", where), str,
+                      f"{where}.define")
         if "concept" in ax:
             try:
-                c = knowledge.parse_concept(ax["concept"])
+                c = knowledge.parse_concept(
+                    _typed(ax["concept"], str, f"{where}.concept"))
             except LtlSyntaxError as exc:
-                raise ScenarioParseError(
-                    f"knowledge.tbox[{i}].concept: {exc}") from None
+                raise ScenarioParseError(f"{where}.concept: {exc}") from None
             tbox.append(knowledge.Equivalence(name, c))
         elif "temporal" in ax:
             try:
-                phi = parse_ltl(ax["temporal"])
+                phi = parse_ltl(_typed(ax["temporal"], str, f"{where}.temporal"))
             except LtlSyntaxError as exc:
-                raise ScenarioParseError(
-                    f"knowledge.tbox[{i}].temporal: {exc}") from None
+                raise ScenarioParseError(f"{where}.temporal: {exc}") from None
             tbox.append(knowledge.TemporalEquivalence(name, phi))
         else:
-            raise ScenarioValidationError(f"knowledge.tbox[{i}]",
-                                          "need 'concept' or 'temporal'")
+            raise ScenarioValidationError(where, "need 'concept' or 'temporal'")
 
-    objective_text = _require(raw, "objective", "scenario")
+    objective_text = _typed(_require(raw, "objective", "scenario"), str,
+                            "objective")
     try:
         objective = parse_ltl(objective_text)
     except LtlSyntaxError as exc:
@@ -300,7 +295,7 @@ def load_scenario(path: str) -> Scenario:
     if "Target" not in regions:
         raise ScenarioValidationError("map.regions", "a Target region is required")
 
-    return Scenario(
+    scenario = Scenario(
         name=raw.get("name", "scenario"),
         model=_require(sysblk, "model", "system"),
         tau=tau,
@@ -320,3 +315,9 @@ def load_scenario(path: str) -> Scenario:
         seed=seed,
         max_steps=max_steps,
     )
+    try:
+        scenario.knowledge_base().check_names()
+    except UndeclaredName as exc:
+        raise ScenarioValidationError(
+            "knowledge.tbox", f"undeclared concept or role {exc}") from None
+    return scenario

@@ -177,14 +177,14 @@ def test_criterion_7_end_to_end_urban_run():
             trace.resynth_count >= 1, f"{trace.resynth_count} events")
 
     obstacle = world.interp.extent("Obstacle")
-    obstacle_hits = [s.step for s in trace.steps if s.cell in obstacle]
+    obstacle_hits = [s.step for s in trace.steps if obstacle[s.cell]]
     street_hits = []
     for sign_cells, street_cells in world.sign_links:
         det = next((s.step for s in trace.steps
-                    if set(s.detected) & sign_cells), None)
+                    if set(s.detected) & set(sign_cells.tolist())), None)
         if det is not None:
             street_hits += [s.step for s in trace.steps
-                            if s.step >= det and s.cell in street_cells]
+                            if s.step >= det and s.cell in street_cells.tolist()]
     _report("7c", "no obstacle cells, no activated street cells",
             not obstacle_hits and not street_hits,
             f"obstacle {obstacle_hits}, street {street_hits}")

@@ -1,12 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaware.errors import LtlSyntaxError, TargetUnreachableWarning
 from kaware.knowledge import Interpretation
-from kaware.ltl import (Always, AndF, CompositeSpec, Eventually, GameObjective,
+from kaware.ltl import (Always, AndF, Eventually, GameObjective,
                         Implies, Next, NotF, OrF, Prop, TrueF, Until,
                         check_trace, compile_objective, desugar, parse_ltl,
                         pretty, propositions)
@@ -192,14 +193,24 @@ def test_game_objective_overlap_rejected():
         GameObjective(target=frozenset({1, 2}), avoid=frozenset({2}))
 
 
+def _mask(cells):
+    m = np.zeros(30, dtype=bool)
+    m[list(cells)] = True
+    return m
+
+
 def _interp(target, obstacle):
     return Interpretation(domain_size=30, concept_extents={
-        "Target": frozenset(target), "Obstacle": frozenset(obstacle)})
+        "Target": _mask(target), "Obstacle": _mask(obstacle)})
+
+
+def _link(sign_cells, street_cells):
+    return np.array(sign_cells), np.array(street_cells)
 
 
 def test_compile_objective_no_known_signs():
     interp = _interp({1, 2}, {5, 6})
-    links = [(frozenset({10}), frozenset({11, 12}))]
+    links = [_link([10], [11, 12])]
     obj = compile_objective(interp, links, set())
     assert obj.target == {1, 2}
     assert obj.avoid == {5, 6}
@@ -207,16 +218,16 @@ def test_compile_objective_no_known_signs():
 
 def test_compile_objective_all_signs_known():
     interp = _interp({1, 2}, {5, 6})
-    links = [(frozenset({10}), frozenset({11, 12})),
-             (frozenset({20}), frozenset({21}))]
+    links = [_link([10], [11, 12]),
+             _link([20], [21])]
     obj = compile_objective(interp, links, {10, 20})
     assert obj.avoid == {5, 6, 11, 12, 21}
 
 
 def test_compile_objective_one_sign_grows_by_its_street():
     interp = _interp({1, 2}, {5, 6})
-    links = [(frozenset({10}), frozenset({11, 12})),
-             (frozenset({20}), frozenset({21}))]
+    links = [_link([10], [11, 12]),
+             _link([20], [21])]
     base = compile_objective(interp, links, set())
     one = compile_objective(interp, links, {10})
     assert one.avoid - base.avoid == {11, 12}
@@ -225,8 +236,8 @@ def test_compile_objective_one_sign_grows_by_its_street():
 
 def test_compile_objective_monotone_in_known_signs():
     interp = _interp({1}, {5})
-    links = [(frozenset({10}), frozenset({11})),
-             (frozenset({20}), frozenset({21, 22}))]
+    links = [_link([10], [11]),
+             _link([20], [21, 22])]
     prev = compile_objective(interp, links, set()).avoid
     for known in ({10}, {10, 20}):
         cur = compile_objective(interp, links, known).avoid
@@ -236,17 +247,7 @@ def test_compile_objective_monotone_in_known_signs():
 
 def test_compile_objective_warns_when_target_swallowed():
     interp = _interp({11}, {5})
-    links = [(frozenset({10}), frozenset({11, 12}))]
+    links = [_link([10], [11, 12])]
     with pytest.warns(TargetUnreachableWarning):
         obj = compile_objective(interp, links, {10})
     assert obj.target == frozenset()
-
-
-def test_composite_spec_formula():
-    obj = parse_ltl("!Obstacle U Target")
-    game = GameObjective(frozenset({1}), frozenset({2}))
-    spec = CompositeSpec(objective=obj, kb_part=TrueF(), game=game)
-    assert spec.formula() == obj
-    kb = parse_ltl("G !Street")
-    spec2 = CompositeSpec(objective=obj, kb_part=kb, game=game)
-    assert spec2.formula() == AndF(kb, obj)

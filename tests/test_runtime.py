@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kaware.runtime
 from kaware import (Outcome, build_abstraction, build_world, compile_objective,
@@ -11,6 +13,7 @@ from kaware import (Outcome, build_abstraction, build_world, compile_objective,
 from kaware.audit import audit_ok, audit_trace
 from kaware.dynamics import reach_over_approx
 from kaware.errors import InitialStateNotWinning, InitialStateOutsideDomain
+from kaware.knowledge import proximity
 from kaware.runtime import (SensorState, read_trace_csv, sensor_step,
                             write_trace_csv)
 
@@ -103,14 +106,16 @@ def test_desk_run_audit_passes(desk_scenario, desk_trace):
 
 def test_audit_catches_inserted_obstacle_visit(desk_scenario, desk_world,
                                                desk_trace):
-    obstacle = desk_world.interp.extent("Obstacle")
+    obstacle = np.flatnonzero(desk_world.interp.extent("Obstacle")).tolist()
     bad_cell = sorted(obstacle)[len(obstacle) // 2]
     steps = [dataclasses.replace(s) for s in desk_trace.steps]
     mid = len(steps) // 2
     state = desk_world.grid_x.center(bad_cell)
     steps[mid] = dataclasses.replace(steps[mid], state=state, cell=bad_cell)
     corrupted = dataclasses.replace(desk_trace, steps=steps)
-    assert not audit_ok(audit_trace(desk_scenario, corrupted))
+    results = audit_trace(desk_scenario, corrupted)
+    assert not audit_ok(results)
+    assert "no obstacle cell visited" in [r.name for r in results if not r.ok]
 
 
 def test_same_seed_reproduces_trace(desk_world, desk_scenario, desk_trace,
@@ -150,6 +155,26 @@ def test_sensor_step_is_monotone(desk_world, desk_trace):
     again = sensor_step(interp, signs, detecting.cell, sensor, step=1)
     assert again == ()
     assert sensor.last_detection_step == 0
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_sensor_step_matches_scalar_proximity(desk_world, data):
+    """One kernel call per step returns exactly the sorted undetected sign
+    cells the scalar relation detects, and adds them to the known signs."""
+    interp, grid = desk_world.interp, desk_world.grid_x
+    signs = np.flatnonzero(interp.extent("NoEntrySign")).tolist()
+    zone = np.flatnonzero(interp.extent("NoEntrySignDetected")).tolist()
+    cell = data.draw(st.one_of(st.integers(0, grid.size - 1),
+                               st.sampled_from(zone)))
+    known = data.draw(st.sets(st.sampled_from(signs)))
+    sensor = SensorState(known_signs=set(known))
+    newly = sensor_step(interp, interp.extent("NoEntrySign"), cell, sensor)
+    rng = desk_world.scenario.proximity_range
+    assert newly == tuple(s for s in signs if s not in known
+                          and proximity(grid, cell, s, rng))
+    assert sensor.known_signs == known | set(newly)
 
 
 def test_trace_csv_roundtrip(desk_trace, tmp_path):

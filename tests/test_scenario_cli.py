@@ -140,8 +140,24 @@ def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
     ("max_steps", lambda raw: raw.update(max_steps="x")),
     ("map.regions", lambda raw: raw["map"].update(regions=[1, 2])),
     ("seed", lambda raw: raw.update(seed=-1)),
+    ("map.signs", lambda raw: raw["map"].update(signs=5)),
+    ("map.signs[0]", lambda raw: raw["map"].update(signs=[1])),
+    ("objective", lambda raw: raw.update(objective=5)),
+    ("knowledge.tbox", lambda raw: raw["knowledge"].update(tbox=5)),
+    ("knowledge.tbox[0].define",
+     lambda raw: raw["knowledge"]["tbox"][0].update(define=5)),
+    ("knowledge.tbox[0].concept",
+     lambda raw: raw["knowledge"]["tbox"][0].update(concept=5)),
+    ("knowledge.tbox[1].temporal",
+     lambda raw: raw["knowledge"]["tbox"][1].update(temporal=["G", "A"])),
+    ("knowledge.tbox", lambda raw: raw["knowledge"]["tbox"][0].update(
+        concept="Nope")),
+    ("knowledge.tbox", lambda raw: raw["knowledge"]["tbox"][0].update(
+        concept="exists Foo.Target")),
 ], ids=["tau", "initial_state", "proximity_range", "seed", "max_steps",
-        "regions", "negative_seed"])
+        "regions", "negative_seed", "signs", "sign_entry", "objective", "tbox",
+        "define", "concept", "temporal", "undeclared_atom",
+        "undeclared_role"])
 def test_cli_rejects_ill_typed_scenario_fields(tmp_path, capsys, where, mutate):
     path = _mutate(DESK_SCENARIO, tmp_path, mutate)
     code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
