@@ -9,13 +9,16 @@ fixed offset, and a pair is blocked exactly when the cell lies outside a
 fixed index range.  The abstraction is therefore a table with one row per
 (index on the other dimensions, input) -- per (heading, input) for the
 Dubins car -- holding the box offset and length on every dimension and the
-non-blocked index range on every invariant dimension.
+non-blocked index range on every invariant dimension.  The state grid's
+periodic dimensions (the heading) wrap: a flowed state is wrapped by the
+grid, and a box on such a dimension may run past the last cell.
 
-``post`` and ``pair_sizes`` expand the table on demand, ``controllable``
-answers the fixpoint's question from a summed-area table of the goal set,
-and ``flat_transitions`` expands every pair into flat successor lists for
-reference checks.  The cache file stores the table and a fingerprint of
-the dynamics it was built for.
+``boxes`` reads the table as index windows, ``controllable`` answers the
+fixpoint's question from a summed-area table of the goal set, and
+``flat_transitions`` expands every pair into flat successor lists.  The
+cache file stores the table and a fingerprint of the dynamics it was built
+for.  The tests check the table against per-pair successor lists and a
+per-cell construction of their own.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import ContinuousSystem, flow, growth_matrices
-from .errors import CacheFormatError, InvalidCell
+from .dynamics import ContinuousSystem, reach_over_approx
+from .errors import CacheFormatError
 from .grid import Grid, HyperRect
 
 _MAGIC = b"KAW1"
@@ -178,33 +181,6 @@ class Abstraction:
             on &= (first[row] <= cell[d]) & (cell[d] < stop[row])
         return lo, np.where(on, hi, lo)
 
-    def _check_pair(self, state: int, inp: int):
-        if not 0 <= state < self.n_states:
-            raise InvalidCell(f"state cell {state} out of range")
-        if not 0 <= inp < self.n_inputs:
-            raise InvalidCell(f"input cell {inp} out of range")
-
-    def post(self, state: int, inp: int) -> np.ndarray:
-        """Sorted successor cells of ``(state, inp)``; empty if blocked."""
-        self._check_pair(state, inp)
-        lo, hi = self.boxes(state, inp)
-        counts = self.grid_x.counts
-        axes = [np.arange(lo[d], hi[d]) % counts[d]
-                for d in range(self.grid_x.ndim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = np.ravel_multi_index(tuple(m.ravel() for m in mesh), tuple(counts))
-        return np.sort(flat)
-
-    def pair_sizes(self) -> np.ndarray:
-        """Successor count per (state, input) pair, row-major; 0 if blocked."""
-        n, m = self.n_states, self.n_inputs
-        states = np.arange(n)
-        sizes = np.empty((n, m), dtype=np.int64)
-        for u in range(m):
-            lo, hi = self.boxes(states, u)
-            sizes[:, u] = np.prod(hi - lo, axis=0)
-        return sizes.reshape(-1)
-
     def stats(self) -> dict:
         """Sizes read off the table.  Along an invariant dimension a box's
         length depends only on the cell's index there, so a row's enabled
@@ -266,9 +242,8 @@ class Abstraction:
 
         ``flat[offsets[p]:offsets[p+1]]`` are the successors of pair
         ``p = state * n_inputs + input`` (unsorted); blocked pairs are empty.
-        This expands the whole table (49 M entries at full scale); it is the
-        reference the table's answers are checked against, and the pipeline
-        does not call it.  Built once and cached.
+        This expands the whole table (49 M entries at full scale); the
+        pipeline does not call it.  Built once and cached.
         """
         if self._flat is None:
             n, m = self.n_states, self.n_inputs
@@ -411,11 +386,8 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
     ref = np.repeat(ref, m, axis=0)
     inputs = np.tile(grid_u.centers(), (ref.shape[0] // m, 1))
     start = xlo + ref * eta
-    c_out = flow(sys, start, inputs, sys.tau)
-    eL, iL = growth_matrices(sys.lipschitz, sys.tau)
-    radius = eL @ (eta / 2) + iL @ sys.dist_halfwidth
-    for dim in sys.angle_dims:
-        radius[dim] = min(radius[dim], np.pi)
+    c_out, radius = reach_over_approx(sys, start, eta / 2, inputs)
+    c_out = grid_x.wrap(c_out)
     r_lo, r_hi = c_out - radius, c_out + radius
     k_lo = np.floor((r_lo - xlo) / eta - 0.5 + _TOL).astype(np.int64) + 1
     k_hi = np.ceil((r_hi - xlo) / eta + 0.5 - _TOL).astype(np.int64) - 1
@@ -445,59 +417,3 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
                        enabled=enabled.astype(np.int32),
                        fingerprint=fingerprint(sys, grid_x, grid_u))
 
-
-class ExplicitTransitions:
-    """Arbitrary finite transition system given by successor lists.
-
-    Used for hand-built game examples and as the shape the synthesis
-    oracle tests exercise; shares the ``post``/``controllable`` surface
-    with :class:`Abstraction` and answers ``controllable`` from its flat
-    successor arrays.
-    """
-
-    def __init__(self, n_states: int, n_inputs: int,
-                 succ: dict[tuple[int, int], list[int]]):
-        self.n_states = n_states
-        self.n_inputs = n_inputs
-        self._succ = {
-            k: np.array(sorted(v), dtype=np.int64) for k, v in succ.items()
-        }
-        self._flat = None
-
-    def post(self, state: int, inp: int) -> np.ndarray:
-        if not (0 <= state < self.n_states and 0 <= inp < self.n_inputs):
-            raise InvalidCell(f"pair ({state}, {inp}) out of range")
-        return self._succ.get((state, inp), np.empty(0, dtype=np.int64))
-
-    def flat_transitions(self):
-        if self._flat is None:
-            lens = np.zeros(self.n_states * self.n_inputs, dtype=np.int64)
-            chunks = []
-            for s in range(self.n_states):
-                for u in range(self.n_inputs):
-                    succ = self._succ.get((s, u))
-                    if succ is not None and succ.size:
-                        lens[s * self.n_inputs + u] = succ.size
-                        chunks.append(succ)
-            flat = (np.concatenate(chunks) if chunks
-                    else np.empty(0, dtype=np.int64))
-            offsets = np.concatenate(([0], np.cumsum(lens)))
-            self._flat = (lens, offsets, flat)
-        return self._flat
-
-    def controllable(self, Z: np.ndarray, states: np.ndarray,
-                     fresh: np.ndarray | None = None) -> np.ndarray:
-        """Per state of ``states`` and input: successors nonempty and all in
-        ``Z``.  Checks every pair; ``fresh`` is accepted and not needed."""
-        lens, offsets, flat = self.flat_transitions()
-        m = self.n_inputs
-        pairs = (states[:, None] * m + np.arange(m)).reshape(-1)
-        plens = lens[pairs]
-        ok = np.zeros(pairs.size, dtype=bool)
-        seg = plens[plens > 0]
-        if seg.size:
-            first = np.cumsum(seg) - seg
-            slots = np.repeat(offsets[pairs[plens > 0]] - first, seg) \
-                + np.arange(int(seg.sum()))
-            ok[plens > 0] = np.logical_and.reduceat(Z[flat[slots]], first)
-        return ok.reshape(-1, m)

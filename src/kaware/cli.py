@@ -10,7 +10,7 @@ import time
 from .abstraction import Abstraction, build_abstraction, fingerprint
 from .audit import audit_ok, audit_trace
 from .errors import (CacheFormatError, KawareError, ScenarioParseError,
-                     ScenarioValidationError)
+                     ScenarioValidationError, TraceFormatError)
 from .ltl import compile_objective
 from .render import render_svg
 from .runtime import read_trace_csv, run_closed_loop, write_trace_csv
@@ -68,9 +68,11 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
+    seed = scenario.seed if args.seed is None else args.seed
+    if seed < 0:
+        raise ScenarioValidationError("--seed", "must not be negative")
     abs_ = _load_cache(args.cache, scenario)
     world = build_world(scenario, abs_)
-    seed = scenario.seed if args.seed is None else args.seed
     trace = run_closed_loop(world, seed=seed, max_steps=scenario.max_steps)
     write_trace_csv(trace, args.output)
     print(f"outcome: {trace.outcome.value}")
@@ -146,7 +148,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
-    except ScenarioParseError as exc:
+    except (ScenarioParseError, TraceFormatError) as exc:
         print(f"error:parse: {exc}", file=sys.stderr)
         return 2
     except ScenarioValidationError as exc:
@@ -155,7 +157,9 @@ def main(argv=None) -> int:
     except CacheFormatError as exc:
         print(f"error:cache: {exc}", file=sys.stderr)
         return 2
-    except KawareError as exc:
+    except (KawareError, OSError) as exc:
+        # every input is read behind a typed error, so an OSError here is
+        # an output that could not be written
         print(f"error:runtime: {exc}", file=sys.stderr)
         return 3
 

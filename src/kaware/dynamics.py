@@ -4,7 +4,10 @@ The disturbed system is the differential inclusion
 ``xdot in f(x, u) + W`` with ``W`` an origin-centered box.  Reach sets are
 over-approximated by rectangles using the linear growth bound
 ``r' = exp(L*tau) r + (int_0^tau exp(L*s) ds) w`` where ``L`` bounds the
-Jacobian of ``f`` entrywise over the domain.
+Jacobian of ``f`` entrywise over the domain; :func:`reach_over_approx` is
+the one place that bound is computed.  Flows are not wrapped: which
+coordinates are angles is the state grid's ``periodic`` mask, and callers
+pass flowed states through ``Grid.wrap``.
 """
 
 from __future__ import annotations
@@ -46,11 +49,9 @@ class ContinuousSystem:
 
     name: str
     state_dim: int
-    input_dim: int
     tau: float
     lipschitz: np.ndarray
     dist_halfwidth: np.ndarray  # per-dim half width of W; zeros => W = {0}
-    angle_dims: tuple[int, ...] = ()
     # dimensions the field does not read: translating the start state along
     # them translates the flow, so the abstraction builds one row for all
     # cells that differ only there
@@ -84,28 +85,20 @@ def dubins_car(tau: float = 0.2, dist_halfwidth=None) -> ContinuousSystem:
     return ContinuousSystem(
         name="dubins_car",
         state_dim=3,
-        input_dim=1,
         tau=tau,
         lipschitz=DUBINS_LIPSCHITZ,
         dist_halfwidth=w,
-        angle_dims=(2,),
         invariant_dims=(0, 1),
     )
 
 
-def wrap_angles(sys: ContinuousSystem, x: np.ndarray) -> np.ndarray:
-    x = np.array(x, dtype=float, copy=True)
-    for d in sys.angle_dims:
-        x[..., d] = np.mod(x[..., d] + np.pi, 2 * np.pi) - np.pi
-    return x
+_SUBSTEPS = 8  # RK4 steps per call of flow
 
 
-def flow(sys: ContinuousSystem, x0, u, t: float, substeps: int = 8,
-         disturbance=None) -> np.ndarray:
+def flow(sys: ContinuousSystem, x0, u, t: float, disturbance=None) -> np.ndarray:
     """RK4 integration of ``xdot = f(x, u) + w`` with constant ``u`` and ``w``.
 
-    ``x0`` may carry leading batch axes.  Angle components are wrapped to
-    ``[-pi, pi)`` at the end.
+    ``x0`` may carry leading batch axes.  The result is not wrapped.
     """
     x = np.asarray(x0, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -117,14 +110,14 @@ def flow(sys: ContinuousSystem, x0, u, t: float, substeps: int = 8,
         def g(x_, u_):
             return sys.f(x_, u_) + w
 
-    h = t / substeps
-    for _ in range(substeps):
+    h = t / _SUBSTEPS
+    for _ in range(_SUBSTEPS):
         k1 = g(x, u)
         k2 = g(x + 0.5 * h * k1, u)
         k3 = g(x + 0.5 * h * k2, u)
         k4 = g(x + h * k3, u)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return wrap_angles(sys, x)
+    return x
 
 
 def growth_matrices(L: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -141,19 +134,15 @@ def growth_matrices(L: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return E[:n, :n], E[:n, n:]
 
 
-def reach_over_approx(sys: ContinuousSystem, center, radius, u,
-                      tau: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def reach_over_approx(sys: ContinuousSystem, center, radius,
+                      u) -> tuple[np.ndarray, np.ndarray]:
     """Rectangular over-approximation of ``Sol(cell, u, tau)``.
 
-    Returns ``(center', radius')`` with ``center' = flow(center, u, tau)`` and
-    ``radius' = exp(L tau) radius + int_0^tau exp(L s) ds * w``.  Angle radii
-    saturate at pi (full circle).  ``center`` may be batched.
+    Returns ``(center', radius')`` with ``center' = flow(center, u, tau)``
+    (unwrapped) and ``radius' = exp(L tau) radius + int_0^tau exp(L s) ds *
+    w``.  ``center`` may be batched.
     """
-    tau = sys.tau if tau is None else tau
-    eL, iL = growth_matrices(sys.lipschitz, tau)
+    eL, iL = growth_matrices(sys.lipschitz, sys.tau)
     radius = np.asarray(radius, dtype=float)
     r_out = radius @ eL.T + sys.dist_halfwidth @ iL.T
-    for d in sys.angle_dims:
-        r_out[..., d] = np.minimum(r_out[..., d], np.pi)
-    c_out = flow(sys, center, u, tau)
-    return c_out, r_out
+    return flow(sys, center, u, sys.tau), r_out

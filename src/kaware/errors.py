@@ -43,6 +43,10 @@ class ScenarioValidationError(KawareError):
         self.field = field
 
 
+class TraceFormatError(KawareError):
+    """A trace file cannot be read or is not a trace the simulator writes."""
+
+
 class CacheFormatError(KawareError):
     """An abstraction cache file cannot be read, is corrupt, or was built
     for another discretization."""

@@ -51,10 +51,6 @@ class HyperRect:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    @property
-    def halfwidth(self) -> np.ndarray:
-        return 0.5 * (self.upper - self.lower)
-
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
@@ -124,14 +120,6 @@ class Grid:
         k = np.ceil(t - 0.5).astype(np.int64)
         k = np.where(self.periodic, np.mod(k, self.counts), np.clip(k, 0, self.counts - 1))
         return self.flat_index(k)
-
-    def quantize_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`quantize` over rows of ``xs`` (no domain check)."""
-        xs = self.wrap(np.asarray(xs, dtype=float))
-        t = (xs - self.bounds.lower) / self.eta
-        k = np.ceil(t - 0.5).astype(np.int64)
-        k = np.where(self.periodic, np.mod(k, self.counts), np.clip(k, 0, self.counts - 1))
-        return np.ravel_multi_index(tuple(k.T), tuple(self.counts))
 
     def center(self, cell: int) -> np.ndarray:
         k = self.multi_index(cell)

@@ -7,12 +7,13 @@ of some heading of the cell by more than the grid's 1e-9 band (at an
 exactly perpendicular heading, "ahead" is a rounding residue).  One
 vectorized kernel, :meth:`ProximityRole.relate`, serves the concepts (once
 per distinct planar target rectangle) and the runtime sensor (once per
-step); the scalar :func:`proximity` is the reference the tests check it by.
+step).  The tests check it against a scalar reference of the relation and
+evaluate concepts over hand-built roles of their own; a role is any object
+with a ``preimage`` of a cell mask.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import LtlSyntaxError, UndeclaredName
 from .grid import _TOL, Grid, HyperRect
+from .ltl import _tokenize
 
 # ---------------------------------------------------------------------------
 # concept AST
@@ -74,14 +76,7 @@ class Forall(Concept):
 
 
 # ---------------------------------------------------------------------------
-# TBox / ABox
-
-
-@dataclass(frozen=True)
-class Inclusion:
-    """C is subsumed by D."""
-    left: Concept
-    right: Concept
+# TBox
 
 
 @dataclass(frozen=True)
@@ -102,24 +97,11 @@ class TemporalEquivalence:
     formula: object
 
 
-@dataclass(frozen=True)
-class ConceptAssertion:
-    instance: int
-    concept: str
-
-
-@dataclass(frozen=True)
-class RoleAssertion:
-    pair: tuple[int, int]
-    role: str
-
-
 @dataclass
 class KnowledgeBase:
     atomic_concepts: set[str]
     roles: dict[str, float]  # role name -> detection range D
     tbox: list = dc_field(default_factory=list)
-    abox: list = dc_field(default_factory=list)
 
     def check_names(self):
         """Concept axioms may use declared atoms and roles and the names of
@@ -127,45 +109,32 @@ class KnowledgeBase:
         declared = set(self.atomic_concepts)
         for ax in self.tbox:
             if isinstance(ax, Equivalence):
-                for name in _atomic_names(ax.concept):
-                    if name not in declared:
+                for is_role, name in _names(ax.concept):
+                    if name not in (self.roles if is_role else declared):
                         raise UndeclaredName(name)
-                for role in _role_names(ax.concept):
-                    if role not in self.roles:
-                        raise UndeclaredName(role)
                 declared.add(ax.name)
 
 
-def _atomic_names(c: Concept) -> Iterable[str]:
+def _names(c: Concept) -> Iterable[tuple[bool, str]]:
+    """``(is_role, name)`` of every atom and role ``c`` mentions."""
     if isinstance(c, Atomic):
-        yield c.name
-    elif isinstance(c, Not):
-        yield from _atomic_names(c.arg)
-    elif isinstance(c, (And, Or)):
-        yield from _atomic_names(c.left)
-        yield from _atomic_names(c.right)
-    elif isinstance(c, (Exists, Forall)):
-        yield from _atomic_names(c.arg)
-
-
-def _role_names(c: Concept) -> Iterable[str]:
-    if isinstance(c, Not):
-        yield from _role_names(c.arg)
-    elif isinstance(c, (And, Or)):
-        yield from _role_names(c.left)
-        yield from _role_names(c.right)
-    elif isinstance(c, (Exists, Forall)):
-        yield c.role
-        yield from _role_names(c.arg)
+        yield False, c.name
+    if isinstance(c, (Exists, Forall)):
+        yield True, c.role
+    for f in ("arg", "left", "right"):
+        child = getattr(c, f, None)
+        if child is not None:
+            yield from _names(child)
 
 
 # ---------------------------------------------------------------------------
 # concept concrete syntax: atoms, `top`, `bottom`, `!C`, `C & D`, `C | D`,
-# `exists r.C`, `forall r.C`, parentheses.  Precedence: ! > & > |.
+# `exists r.C`, `forall r.C`, parentheses.  Precedence: ! > & > |.  The
+# tokens are those of the LTL syntax.
 
 
 def parse_concept(text: str) -> Concept:
-    tokens = _tokenize_concept(text)
+    tokens = _tokenize(text)
     pos = [0]
 
     def peek():
@@ -224,79 +193,8 @@ def parse_concept(text: str) -> Concept:
     return c
 
 
-def _tokenize_concept(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()!&|.":
-            tokens.append((ch, i))
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-        else:
-            raise LtlSyntaxError(f"bad character {ch!r}", i)
-    return tokens
-
-
 # ---------------------------------------------------------------------------
 # Proximity geometry
-
-
-def _planar_gap(ra: HyperRect, rb: HyperRect, dim: int) -> float:
-    return max(0.0, rb.lower[dim] - ra.upper[dim], ra.lower[dim] - rb.upper[dim])
-
-
-def _angle_in_interval(phi: float, lo: float, hi: float) -> bool:
-    """Membership of phi in the wrapped closed interval [lo, hi]."""
-    width = hi - lo
-    if width >= 2 * np.pi:
-        return True
-    rel = (phi - lo) % (2 * np.pi)
-    return rel <= width
-
-
-def directional_max(ra: HyperRect, rb: HyperRect, theta_lo: float,
-                    theta_hi: float) -> float:
-    """Max of ``(x1'-x1) cos t + (x2'-x2) sin t`` over both rects and headings.
-
-    The planar offsets range over corner intervals; for fixed offsets the
-    heading maximum of ``R cos(t - phi)`` is at an interval endpoint or at
-    the critical heading ``phi = atan2(d2, d1)`` when it lies inside.
-    """
-    d1s = (rb.lower[0] - ra.upper[0], rb.upper[0] - ra.lower[0])
-    d2s = (rb.lower[1] - ra.upper[1], rb.upper[1] - ra.lower[1])
-    best = -np.inf
-    for d1 in d1s:
-        for d2 in d2s:
-            r = math.hypot(d1, d2)
-            if r == 0.0:
-                best = max(best, 0.0)
-                continue
-            phi = math.atan2(d2, d1)
-            if _angle_in_interval(phi, theta_lo, theta_hi):
-                cand = r
-            else:
-                cand = r * max(math.cos(theta_lo - phi), math.cos(theta_hi - phi))
-            best = max(best, cand)
-    return best
-
-
-def proximity(grid_x: Grid, cell: int, other: int, max_range: float) -> bool:
-    """Detection relation: ``other`` is within range and ahead of ``cell``;
-    the scalar reference for :meth:`ProximityRole.relate`."""
-    ra = grid_x.cell_rect(cell)
-    rb = grid_x.cell_rect(other)
-    gap = math.hypot(_planar_gap(ra, rb, 0), _planar_gap(ra, rb, 1))
-    if gap >= max_range:
-        return False
-    return directional_max(ra, rb, ra.lower[2], ra.upper[2]) > _TOL
 
 
 class ProximityRole:
@@ -357,19 +255,6 @@ class ProximityRole:
         found = np.zeros(grid.size, dtype=bool)
         for t in cells[np.unique(planar, return_index=True)[1]]:
             found |= self._kernel(every, self._rects([t]))[:, 0]
-        return found
-
-
-class ExplicitRole:
-    """Role given by an explicit pair set (hand-built interpretations)."""
-
-    def __init__(self, pairs: Iterable[tuple[int, int]]):
-        self.sources, self.targets = \
-            np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
-
-    def preimage(self, targets: np.ndarray) -> np.ndarray:
-        found = np.zeros(targets.size, dtype=bool)
-        found[self.sources[targets[self.targets]]] = True
         return found
 
 

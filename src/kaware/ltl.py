@@ -83,30 +83,6 @@ class Always(LtlFormula):
     arg: LtlFormula
 
 
-def desugar(phi: LtlFormula) -> LtlFormula:
-    """Rewrite into the core true/prop/not/and/next/until fragment
-    (plus Or, kept primitive for readability)."""
-    if isinstance(phi, (TrueF, Prop)):
-        return phi
-    if isinstance(phi, NotF):
-        return NotF(desugar(phi.arg))
-    if isinstance(phi, AndF):
-        return AndF(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, OrF):
-        return OrF(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Implies):
-        return OrF(NotF(desugar(phi.left)), desugar(phi.right))
-    if isinstance(phi, Next):
-        return Next(desugar(phi.arg))
-    if isinstance(phi, Until):
-        return Until(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Eventually):
-        return Until(TrueF(), desugar(phi.arg))
-    if isinstance(phi, Always):
-        return NotF(Until(TrueF(), NotF(desugar(phi.arg))))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 def propositions(phi: LtlFormula) -> frozenset[str]:
     if isinstance(phi, Prop):
         return frozenset({phi.name})
@@ -125,13 +101,16 @@ _UNARY = {"X": Next, "F": Eventually, "G": Always}
 
 
 def _tokenize(text: str):
+    """``(token, position)`` pairs of an LTL formula or a concept: the two
+    syntaxes share identifiers and punctuation, ``->`` is LTL's and ``.``
+    the concepts'; each parser rejects the other's as an unexpected token."""
     tokens = []
     i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch in "()!&|":
+        elif ch in "()!&|.":
             tokens.append((ch, i))
             i += 1
         elif ch == "-":
@@ -325,16 +304,14 @@ class GameObjective:
 
 
 def compile_objective(interp, sign_links: Sequence[tuple[np.ndarray, np.ndarray]],
-                      known_signs: Iterable[int],
-                      target_name: str = "Target",
-                      obstacle_name: str = "Obstacle") -> GameObjective:
+                      known_signs: Iterable[int]) -> GameObjective:
     """Fold the activated invariance obligations into an enlarged avoid set.
 
     ``sign_links`` pairs each sign's cell indices with its linked street
     cells; a sign is active once any of its cells is among ``known_signs``.
     """
-    target = interp.extent(target_name)
-    avoid = interp.extent(obstacle_name).copy()
+    target = interp.extent("Target")
+    avoid = interp.extent("Obstacle").copy()
     known = np.zeros(avoid.size, dtype=bool)
     known[np.fromiter(known_signs, dtype=np.int64)] = True
     for sign_cells, street_cells in sign_links:

@@ -3,10 +3,11 @@
 Each sampling step quantizes the concrete state, runs the detection
 relation against the undetected sign cells, and on a new detection
 recompiles the objective and re-solves the game, unless the world has
-already solved that objective.  It then applies the policy input and
-integrates the disturbed dynamics for one period.  The disturbance
-realization is piecewise constant per period, drawn uniformly from W by a
-seeded generator, so runs are bit-reproducible.
+already solved that objective.  It then applies the policy input,
+integrates the disturbed dynamics for one period, and wraps the state on
+the grid's periodic dimensions.  The disturbance realization is piecewise
+constant per period, drawn uniformly from W by a seeded generator, so runs
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import flow
-from .errors import InitialStateNotWinning, InitialStateOutsideDomain
+from .errors import (InitialStateNotWinning, InitialStateOutsideDomain,
+                     TraceFormatError)
 from .ltl import compile_objective
 from .synthesis import solve_reach_avoid
 
@@ -60,12 +62,11 @@ class Trace:
 
 
 def sensor_step(interp, sign_extent: np.ndarray, cell: int,
-                sensor: SensorState, role_name: str = "Proximity",
-                step: int = 0) -> tuple[int, ...]:
+                sensor: SensorState, step: int = 0) -> tuple[int, ...]:
     """Detect the undetected cells of the ``sign_extent`` mask in proximity
     of the current cell; knowledge only grows.  Returns the newly detected
     cells, sorted."""
-    role = interp.roles[role_name]
+    role = interp.roles["Proximity"]
     undetected = sign_extent.copy()
     undetected[list(sensor.known_signs)] = False
     candidates = np.flatnonzero(undetected)
@@ -161,7 +162,7 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
         w = rng.uniform(-sys.dist_halfwidth, sys.dist_halfwidth)
         steps.append(TraceStep(i, i * sys.tau, x, cell, u_idx, float(u[0]),
                                newly, resynth))
-        x = flow(sys, x, u, sys.tau, disturbance=w)
+        x = grid_x.wrap(flow(sys, x, u, sys.tau, disturbance=w))
 
     return Trace(seed=seed, steps=steps, outcome=outcome,
                  resynth_count=resynth_count)
@@ -171,6 +172,7 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
 # trace CSV
 
 _COLUMNS = "step,time,x1,x2,x3,cell,input_index,u_value,detected,resynth,outcome_at_end"
+_N_FIELDS = _COLUMNS.count(",") + 1
 
 
 def _fmt(x: float) -> str:
@@ -194,28 +196,37 @@ def write_trace_csv(trace: Trace, path: str):
 
 
 def read_trace_csv(path: str) -> Trace:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    seed = -1
-    if lines and lines[0].startswith("# seed="):
-        seed = int(lines[0].split("=", 1)[1])
-        lines = lines[1:]
-    if not lines or lines[0] != _COLUMNS:
-        raise ValueError("missing or unexpected trace header row")
-    steps = []
-    outcome = None
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        detected = tuple(int(c) for c in parts[8].split(";") if c)
-        steps.append(TraceStep(
-            step=int(parts[0]), time=float(parts[1]),
-            state=np.array([float(parts[2]), float(parts[3]), float(parts[4])]),
-            cell=int(parts[5]), input_index=int(parts[6]),
-            input_value=float(parts[7]), detected=detected,
-            resynthesized=parts[9] == "1"))
-        if parts[10]:
-            outcome = Outcome(parts[10])
+    """Read a trace written by :func:`write_trace_csv`; anything else
+    raises :class:`TraceFormatError`."""
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except (OSError, ValueError) as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
+    seed, steps, outcome = -1, [], None
+    where = "seed line"
+    try:
+        if lines and lines[0].startswith("# seed="):
+            seed = int(lines.pop(0).split("=", 1)[1])
+        if not lines or lines[0] != _COLUMNS:
+            raise TraceFormatError(f"{path}: missing or unexpected trace header row")
+        for row, ln in enumerate(lines[1:], 1):
+            where = f"row {row}"
+            parts = ln.split(",")
+            if len(parts) != _N_FIELDS:
+                raise ValueError(f"{len(parts)} fields, expected {_N_FIELDS}")
+            detected = tuple(int(c) for c in parts[8].split(";") if c)
+            steps.append(TraceStep(
+                step=int(parts[0]), time=float(parts[1]),
+                state=np.array([float(parts[2]), float(parts[3]), float(parts[4])]),
+                cell=int(parts[5]), input_index=int(parts[6]),
+                input_value=float(parts[7]), detected=detected,
+                resynthesized=parts[9] == "1"))
+            if parts[10]:
+                outcome = Outcome(parts[10])
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: {where}: {exc}") from None
     if outcome is None:
-        raise ValueError("trace has no outcome marker")
+        raise TraceFormatError(f"{path}: trace has no outcome marker")
     return Trace(seed=seed, steps=steps, outcome=outcome,
                  resynth_count=sum(1 for s in steps if s.resynthesized))

@@ -1,14 +1,14 @@
 """Two-player game solving on the finite abstraction.
 
 The controlled predecessor treats abstraction nondeterminism (disturbance
-plus quantization) adversarially: an input counts only if every listed
-successor lands in the goal set.  Reach-avoid is the least fixpoint of
-CPre seeded with the target; the safety region of a forbidden set is the
-greatest fixpoint.  One fixpoint loop serves every transition system: it
-asks the system's ``controllable`` hook which pairs of the undecided
-states have all their successors in the goal set.  The table abstraction
-answers from a summed-area table of the goal set, an explicit system from
-its flat successor lists.
+plus quantization) adversarially: an input counts only if every successor
+lands in the goal set.  Reach-avoid is the least fixpoint of CPre seeded
+with the target; the safety region of a forbidden set is the greatest
+fixpoint.  Both loops ask the transition system's ``controllable`` hook
+which pairs of the given states have all their successors in the goal
+set; the table abstraction answers from a summed-area table of the goal
+set.  Any object with ``n_states``, ``n_inputs`` and that hook can be
+solved, which is how the tests solve their reference systems.
 """
 
 from __future__ import annotations
@@ -32,24 +32,15 @@ def _as_bool_mask(n: int, cells) -> np.ndarray:
     return mask
 
 
-def cpre(ts, Z, avoid=()) -> np.ndarray:
-    """Controlled predecessor: states outside ``avoid`` with an input whose
-    successors all lie in ``Z``.  Returns a boolean mask over states."""
-    n = ts.n_states
-    Zm = _as_bool_mask(n, Z)
-    Am = _as_bool_mask(n, avoid)
-    return ts.controllable(Zm, np.arange(n)).any(axis=1) & ~Am
-
-
 @dataclass
 class Controller:
     """Winning region, fixpoint ranks, and the extracted feedback map.
 
-    ``rank`` is the iteration at which a cell entered the winning set
-    (0 = target).  ``allowed`` lists every input whose successors all have
-    strictly smaller rank, that is, every input controllable in the sweep
-    that won the cell; ``policy`` is its lowest-index member, -1 for target
-    cells and losing cells.
+    ``rank_array`` holds the iteration at which a cell entered the winning
+    set (0 = target).  ``allowed_mask`` marks every input whose successors
+    all have strictly smaller rank, that is, every input controllable in the
+    sweep that won the cell; ``policy_array`` is its lowest-index member, -1
+    for target cells and losing cells.
     """
 
     n_states: int
@@ -59,24 +50,11 @@ class Controller:
     allowed_mask: np.ndarray       # bool (n_states, n_inputs)
     sweeps: int = 0                # fixpoint sweeps, the last one adds nothing
 
-    @property
-    def winning(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.winning_mask).tolist())
-
-    def rank(self, cell: int) -> int:
-        r = int(self.rank_array[cell])
-        if r == _NO_RANK:
-            raise KeyError(f"cell {cell} is not winning")
-        return r
-
     def policy(self, cell: int) -> int:
         p = int(self.policy_array[cell])
         if p < 0:
             raise KeyError(f"cell {cell} has no policy input")
         return p
-
-    def allowed(self, cell: int) -> list[int]:
-        return np.flatnonzero(self.allowed_mask[cell]).tolist()
 
     def export_csv(self, path: str):
         """Winning cells with their rank and chosen input (-1 at target)."""
@@ -90,7 +68,7 @@ class Controller:
 
 def solve_reach_avoid(ts, objective) -> Controller:
     """Least-fixpoint reach-avoid game: Z0 = target,
-    Z(k+1) = target | cpre(Zk, avoid).
+    Z(k+1) = target | (CPre(Zk) minus avoid).
 
     Z only grows, so each sweep asks ``ts.controllable`` about the pairs of
     the undecided states only, passing the cells the last sweep added; a
@@ -135,7 +113,7 @@ def respected_region(ts, forbidden) -> frozenset[int]:
     n = ts.n_states
     Z = ~_as_bool_mask(n, forbidden)
     while True:
-        nxt = Z & cpre(ts, Z)
+        nxt = Z & ts.controllable(Z, np.arange(n)).any(axis=1)
         if (nxt == Z).all():
             return frozenset(np.flatnonzero(Z).tolist())
         Z = nxt

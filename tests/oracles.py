@@ -1,9 +1,14 @@
 """Independent reference implementations used to pin expected values.
 
-Everything in here is deliberately naive (plain loops, sets, Taylor
-series) so that agreement with the library is evidence, not tautology.
-Nothing imports from the modules under test except where a converter has
-to pattern-match AST node types.
+Most of it is deliberately naive (plain loops, sets, Taylor series) so
+that agreement with the library is evidence, not tautology.  It also holds
+the reference systems the library's solvers and concept evaluation run
+on in the tests -- an explicit transition system given by successor lists
+and an explicit role given by its pairs -- the per-pair successor lists of
+the table abstraction, and the scalar Proximity relation that the
+vectorized kernel is checked against.  Imports from the library are
+limited to the flow, the growth bound, a table's ``boxes``, and the AST
+node types a converter has to pattern-match.
 """
 
 from __future__ import annotations
@@ -83,8 +88,6 @@ def per_cell_boxes(sys, grid_x, grid_u, tol=1e-9):
     centers = grid_x.centers()
     eL, iL = growth_matrices(sys.lipschitz, sys.tau)
     radius = eL @ (grid_x.eta / 2) + iL @ sys.dist_halfwidth
-    for dim in sys.angle_dims:
-        radius[dim] = min(radius[dim], np.pi)
     lo = np.zeros((n, m, d), dtype=np.int64)
     ln = np.zeros((n, m, d), dtype=np.int64)
     blocked = np.zeros((n, m), dtype=bool)
@@ -112,6 +115,27 @@ def per_cell_boxes(sys, grid_x, grid_u, tol=1e-9):
     return lo, ln, blocked
 
 
+def post(abs_, state, inp):
+    """Sorted successor cells of the pair, expanded from the table's box;
+    empty if the pair is blocked."""
+    lo, hi = abs_.boxes(state, inp)
+    counts = abs_.grid_x.counts
+    axes = [np.arange(lo[d], hi[d]) % counts[d] for d in range(len(counts))]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.sort(np.ravel_multi_index(tuple(m.ravel() for m in mesh),
+                                        tuple(counts)))
+
+
+def pair_sizes(abs_):
+    """Successor count per (state, input) pair, row-major; 0 if blocked."""
+    states = np.arange(abs_.n_states)
+    sizes = []
+    for u in range(abs_.n_inputs):
+        lo, hi = abs_.boxes(states, u)
+        sizes.append(np.prod(hi - lo, axis=0))
+    return np.stack(sizes, axis=1).reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # grids
 
@@ -135,6 +159,62 @@ def cells_overlapping_bruteforce(grid, region_lo, region_hi):
 
 # ---------------------------------------------------------------------------
 # games
+
+
+class ExplicitTransitions:
+    """Finite transition system given by successor lists: the reference
+    system the synthesis tests solve.  Answers the solvers'
+    ``controllable`` hook from its flat successor arrays."""
+
+    def __init__(self, n_states, n_inputs, succ):
+        self.n_states = n_states
+        self.n_inputs = n_inputs
+        self._succ = {k: np.array(sorted(v), dtype=np.int64)
+                      for k, v in succ.items()}
+        self._flat = None
+
+    def post(self, state, inp):
+        return self._succ.get((state, inp), np.empty(0, dtype=np.int64))
+
+    def flat_transitions(self):
+        """``(lens, offsets, flat)`` successor arrays, pairs row-major."""
+        if self._flat is None:
+            lens = np.zeros(self.n_states * self.n_inputs, dtype=np.int64)
+            chunks = []
+            for (s, u), succ in sorted(self._succ.items()):
+                lens[s * self.n_inputs + u] = succ.size
+                chunks.append(succ)
+            flat = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+            self._flat = (lens, np.concatenate(([0], np.cumsum(lens))), flat)
+        return self._flat
+
+    def controllable(self, Z, states, fresh=None):
+        """Per state of ``states`` and input: successors nonempty and all in
+        ``Z``.  Checks every pair; ``fresh`` is accepted and not needed."""
+        lens, offsets, flat = self.flat_transitions()
+        m = self.n_inputs
+        pairs = (states[:, None] * m + np.arange(m)).reshape(-1)
+        plens = lens[pairs]
+        ok = np.zeros(pairs.size, dtype=bool)
+        seg = plens[plens > 0]
+        if seg.size:
+            first = np.cumsum(seg) - seg
+            slots = np.repeat(offsets[pairs[plens > 0]] - first, seg) \
+                + np.arange(int(seg.sum()))
+            ok[plens > 0] = np.logical_and.reduceat(Z[flat[slots]], first)
+        return ok.reshape(-1, m)
+
+
+def cpre(ts, Z, avoid=()):
+    """Controlled predecessor as the solvers compute it: states outside
+    ``avoid`` with an input whose successors all lie in ``Z`` (cell sets);
+    a bool mask over states."""
+    n = ts.n_states
+    Zm = np.zeros(n, dtype=bool)
+    Zm[list(Z)] = True
+    out = ts.controllable(Zm, np.arange(n)).any(axis=1)
+    out[list(avoid)] = False
+    return out
 
 
 def reach_avoid_bruteforce(n_states, n_inputs, post, target, avoid):
@@ -253,7 +333,66 @@ def to_tuple_formula(phi):
 
 
 # ---------------------------------------------------------------------------
-# proximity by dense sampling
+# proximity: the scalar relation, and dense sampling
+
+
+class ExplicitRole:
+    """Role given by an explicit pair set (hand-built interpretations)."""
+
+    def __init__(self, pairs):
+        self.sources, self.targets = \
+            np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+
+    def preimage(self, targets):
+        found = np.zeros(targets.size, dtype=bool)
+        found[self.sources[targets[self.targets]]] = True
+        return found
+
+
+def planar_gap(ra, rb, dim):
+    return max(0.0, rb.lower[dim] - ra.upper[dim], ra.lower[dim] - rb.upper[dim])
+
+
+def _angle_in_interval(phi, lo, hi):
+    """Membership of phi in the wrapped closed interval [lo, hi]."""
+    width = hi - lo
+    if width >= 2 * np.pi:
+        return True
+    return (phi - lo) % (2 * np.pi) <= width
+
+
+def directional_max(ra, rb, theta_lo, theta_hi):
+    """Max of ``(x1'-x1) cos t + (x2'-x2) sin t`` over both rects and headings.
+
+    The planar offsets range over corner intervals; for fixed offsets the
+    heading maximum of ``R cos(t - phi)`` is at an interval endpoint or at
+    the critical heading ``phi = atan2(d2, d1)`` when it lies inside.
+    """
+    best = -np.inf
+    for d1 in (rb.lower[0] - ra.upper[0], rb.upper[0] - ra.lower[0]):
+        for d2 in (rb.lower[1] - ra.upper[1], rb.upper[1] - ra.lower[1]):
+            r = math.hypot(d1, d2)
+            if r == 0.0:
+                best = max(best, 0.0)
+                continue
+            phi = math.atan2(d2, d1)
+            if _angle_in_interval(phi, theta_lo, theta_hi):
+                cand = r
+            else:
+                cand = r * max(math.cos(theta_lo - phi), math.cos(theta_hi - phi))
+            best = max(best, cand)
+    return best
+
+
+def proximity(grid_x, cell, other, max_range):
+    """Detection relation, one pair at a time: ``other`` is within range
+    and ahead of ``cell`` by more than the grid's 1e-9 band."""
+    ra = grid_x.cell_rect(cell)
+    rb = grid_x.cell_rect(other)
+    gap = math.hypot(planar_gap(ra, rb, 0), planar_gap(ra, rb, 1))
+    if gap >= max_range:
+        return False
+    return directional_max(ra, rb, ra.lower[2], ra.upper[2]) > 1e-9
 
 
 def proximity_sampled(grid, a, b, max_range, samples=5):
@@ -300,7 +439,7 @@ def mc_soundness(abs_, sys, n_samples, rng, pieces=4):
     while checked < n_samples:
         s = int(rng.integers(0, grid_x.size))
         u_idx = int(rng.integers(0, grid_u.size))
-        succ = abs_.post(s, u_idx)
+        succ = post(abs_, s, u_idx)
         if not succ.size:
             continue
         rect = grid_x.cell_rect(s)

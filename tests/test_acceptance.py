@@ -18,16 +18,16 @@ import pytest
 from kaware import (Outcome, build_abstraction, build_world, compile_objective,
                     load_scenario, parse_ltl, run_closed_loop,
                     solve_reach_avoid)
-from kaware.abstraction import ExplicitTransitions
 from kaware.audit import audit_trace
 from kaware.cli import main
-from kaware.dynamics import dubins_car, flow, wrap_angles
+from kaware.dynamics import dubins_car, flow
 from kaware.grid import make_grid
 from kaware.ltl import GameObjective, check_trace
 from kaware.runtime import write_trace_csv
 
 import oracles
 from conftest import DESK_SCENARIO, FULL_SCENARIO
+from oracles import ExplicitTransitions
 
 PI = np.pi
 
@@ -89,7 +89,8 @@ def test_criterion_4_fixpoint_oracle_equivalence():
                                                    frozenset(avoid)))
         win, rank = oracles.reach_avoid_bruteforce(n, m, ts.post, target,
                                                    avoid)
-        if ctrl.winning != win or any(ctrl.rank(s) != rank[s] for s in win):
+        if set(np.flatnonzero(ctrl.winning_mask).tolist()) != win \
+                or any(ctrl.rank_array[s] != rank[s] for s in win):
             mismatches += 1
         from kaware.synthesis import respected_region
         forbidden = avoid | target if rng.random() < 0.3 else avoid
@@ -138,9 +139,8 @@ def test_criterion_6_dynamics_accuracy():
         x0 = rng.uniform([0, 0, -PI], [8, 11, PI])
         u = rng.uniform(-2 * PI, 2 * PI)
         got = flow(sys, x0, [u], 0.2)
-        exp = wrap_angles(sys, oracles.dubins_arc(x0, u, 0.2))
+        exp = oracles.dubins_arc(x0, u, 0.2)
         d = np.abs(got - exp)
-        d[2] = min(d[2], 2 * PI - d[2])
         worst = max(worst, float(d.max()))
     _report(6, "integrator vs closed-form arc, inf-norm error < 1e-6",
             worst < 1e-6, f"worst {worst:.2e}")
@@ -277,22 +277,22 @@ def test_criterion_9_monotonicity_suite(desk_world, desk_trace):
                                                      size=(n - 1) // 6 or 1,
                                                      replace=False))
         w1 = solve_reach_avoid(ts, GameObjective(frozenset({0}),
-                                                 frozenset(small))).winning
+                                                 frozenset(small))).winning_mask
         w2 = solve_reach_avoid(ts, GameObjective(frozenset({0}),
-                                                 frozenset(big))).winning
-        if not w2 <= w1:
+                                                 frozenset(big))).winning_mask
+        if (w2 & ~w1).any():
             graph_ok = False
 
     all_signs = set().union(*(c for c, _ in desk_world.sign_links))
     w_none = solve_reach_avoid(
         desk_world.abstraction,
         compile_objective(desk_world.interp, desk_world.sign_links,
-                          set())).winning
+                          set())).winning_mask
     w_all = solve_reach_avoid(
         desk_world.abstraction,
         compile_objective(desk_world.interp, desk_world.sign_links,
-                          all_signs)).winning
-    signs_ok = w_all <= w_none
+                          all_signs)).winning_mask
+    signs_ok = not (w_all & ~w_none).any()
 
     known = set()
     trace_ok = True

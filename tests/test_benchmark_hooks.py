@@ -2,19 +2,21 @@
 
 ``perfbench/tracer.py`` wraps kaware functions by name and reads a few
 fields of their results; a renamed function or a changed result type
-silently drops per-layer metrics.  These tests read ``perfbench/`` and
-change nothing in it.
+silently drops per-layer metrics.  ``perfbench/missions.py`` looks names up
+on the ``kaware`` package; one that leaves the namespace fails every
+mission.  These tests read ``perfbench/`` and change nothing in it.
 """
 
+import ast
 import importlib
 import importlib.util
 import pathlib
 
-import numpy as np
 
 from kaware import compile_objective
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer_targets():
@@ -37,6 +39,24 @@ def test_every_tracer_target_resolves_to_a_kaware_function():
         if not callable(raw):
             missing.append(span)
     assert missing == []
+
+
+def test_every_kaware_name_the_missions_look_up_resolves():
+    """``kaware.<name>`` lookups and ``from kaware.<module> import <name>``
+    imports of ``perfbench/missions.py``, read from its syntax tree."""
+    tree = ast.parse((PERFBENCH / "missions.py").read_text())
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "kaware"}
+    assert names == {"load_scenario", "build_abstraction", "Abstraction",
+                     "build_world", "compile_objective", "solve_reach_avoid",
+                     "run_closed_loop", "Outcome"}
+    kaware = importlib.import_module("kaware")
+    assert [n for n in sorted(names) if not hasattr(kaware, n)] == []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("kaware"):
+            module = importlib.import_module(node.module)
+            assert all(hasattr(module, a.name) for a in node.names)
 
 
 def test_compiled_objective_fields_the_tracer_reads(desk_world):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from kaware.abstraction import build_abstraction
 from kaware.dynamics import (DUBINS_LIPSCHITZ, ContinuousSystem, dubins_car,
-                             flow, growth_matrices, reach_over_approx,
-                             wrap_angles)
+                             flow, growth_matrices, reach_over_approx)
+from kaware.grid import make_grid
 
 import oracles
 
@@ -37,7 +38,7 @@ def test_flow_vs_closed_form_random():
         x0 = rng.uniform([0, 0, -np.pi], [8, 11, np.pi])
         u = rng.uniform(-2 * np.pi, 2 * np.pi)
         got = flow(sys, x0, [u], 0.2)
-        exp = wrap_angles(sys, oracles.dubins_arc(x0, u, 0.2))
+        exp = oracles.dubins_arc(x0, u, 0.2)
         assert np.abs(got - exp).max() < 1e-6
 
 
@@ -51,10 +52,16 @@ def test_flow_batched_equals_loop():
 
 
 def test_wrap_angles():
-    sys = dubins_car()
-    x = wrap_angles(sys, [0.0, 0.0, 3 * np.pi])
-    assert x[2] == pytest.approx(-np.pi)
-    assert wrap_angles(sys, [0, 0, 0.5])[2] == pytest.approx(0.5)
+    """The state grid wraps the heading; the flow does not."""
+    sys = dubins_car(tau=0.2)
+    grid = make_grid([0, 0, -np.pi], [8, 11, np.pi], [0.2, 0.2, 0.26],
+                     periodic=[False, False, True])
+    x = flow(sys, [1.0, 1.0, np.pi - 0.05], [1.0], 0.2)
+    assert x[2] == pytest.approx(np.pi + 0.15)   # flow does not wrap
+    assert grid.wrap(x)[2] == pytest.approx(-np.pi + 0.15)
+    assert grid.wrap(x)[:2].tolist() == x[:2].tolist()
+    assert grid.wrap([0.0, 0.0, 3 * np.pi])[2] == pytest.approx(-np.pi)
+    assert grid.wrap([0, 0, 0.5])[2] == pytest.approx(0.5)
 
 
 def test_growth_matrices_match_series_oracle():
@@ -110,10 +117,23 @@ def test_reach_monotone_in_radius():
         assert np.all(out2 >= out1 - 1e-12)
 
 
-def test_reach_angle_radius_saturates_at_pi():
+def test_heading_radius_past_pi_covers_the_circle():
+    """The heading radius is not clamped: a box wider than the circle is
+    cut to the full circle by the grid, starting at cell 0."""
     sys = dubins_car(tau=2.0)
     _, r = reach_over_approx(sys, [0, 0, 0], [0.0, 0.0, 4.0], [0.0])
-    assert r[2] == np.pi
+    assert r[2] == 4.0
+    grid_x = make_grid([0, 0, -np.pi], [20, 20, np.pi], [1.0, 1.0, 0.5],
+                       periodic=[False, False, True])
+    wide = ContinuousSystem(name="dubins_car", state_dim=3, tau=2.0,
+                            lipschitz=DUBINS_LIPSCHITZ,
+                            dist_halfwidth=[0.0, 0.0, 2.0],
+                            invariant_dims=(0, 1))
+    abs_ = build_abstraction(wide, grid_x, make_grid([-1], [1], [1.0]))
+    lo, hi = abs_.boxes(np.arange(grid_x.size), 1)
+    on = (hi > lo).all(axis=0)
+    assert on.any()
+    assert (lo[2][on] == 0).all() and (hi[2][on] == grid_x.counts[2]).all()
 
 
 def test_reach_containment_monte_carlo():
@@ -137,7 +157,7 @@ def test_system_validation():
     with pytest.raises(ValueError):
         dubins_car(tau=-1.0)
     with pytest.raises(ValueError):
-        ContinuousSystem(name="dubins_car", state_dim=3, input_dim=1, tau=0.2,
+        ContinuousSystem(name="dubins_car", state_dim=3, tau=0.2,
                          lipschitz=-np.ones((3, 3)), dist_halfwidth=np.zeros(3))
     with pytest.raises(ValueError):
         dubins_car(dist_halfwidth=[-0.1, 0, 0])

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from kaware.errors import LtlSyntaxError, UndeclaredName
 from kaware.grid import HyperRect, make_grid
 from kaware.knowledge import (And, Atomic, Bottom, Equivalence, Exists,
-                              ExplicitRole, Forall, Interpretation,
-                              KnowledgeBase, Not, Or, ProximityRole, Top,
-                              assemble_interpretation, eval_concept,
-                              parse_concept, proximity)
+                              Forall, Interpretation, KnowledgeBase, Not, Or,
+                              ProximityRole, Top, assemble_interpretation,
+                              eval_concept, parse_concept)
 
 import oracles
+from oracles import ExplicitRole, proximity
 
 PI = np.pi
 
@@ -39,7 +39,8 @@ def test_parse_role_restrictions():
     assert parse_concept("!exists r.A") == Not(Exists("r", Atomic("A")))
 
 
-@pytest.mark.parametrize("text", ["", "A &", "exists r A", "A B", "(A", "&A"])
+@pytest.mark.parametrize("text", ["", "A &", "exists r A", "A B", "(A", "&A",
+                                  "A -> B"])
 def test_parse_errors(text):
     with pytest.raises(LtlSyntaxError):
         parse_concept(text)
@@ -183,7 +184,6 @@ def test_proximity_out_of_range(coarse_grid):
 
 
 def test_proximity_matches_sampling_oracle(coarse_grid):
-    from kaware.knowledge import _planar_gap, directional_max
     import math
 
     g = coarse_grid
@@ -195,8 +195,9 @@ def test_proximity_matches_sampling_oracle(coarse_grid):
         a = int(rng.integers(0, g.size))
         b = int(rng.integers(0, g.size))
         ra, rb = g.cell_rect(a), g.cell_rect(b)
-        gap = math.hypot(_planar_gap(ra, rb, 0), _planar_gap(ra, rb, 1))
-        dmax = directional_max(ra, rb, ra.lower[2], ra.upper[2])
+        gap = math.hypot(oracles.planar_gap(ra, rb, 0),
+                         oracles.planar_gap(ra, rb, 1))
+        dmax = oracles.directional_max(ra, rb, ra.lower[2], ra.upper[2])
         # margin bands: distance ties, and directional maxima too small for
         # the 5-sample heading resolution to certify the sign
         far_corner = math.hypot(

@@ -9,8 +9,8 @@ from kaware.errors import LtlSyntaxError, TargetUnreachableWarning
 from kaware.knowledge import Interpretation
 from kaware.ltl import (Always, AndF, Eventually, GameObjective,
                         Implies, Next, NotF, OrF, Prop, TrueF, Until,
-                        check_trace, compile_objective, desugar, parse_ltl,
-                        pretty, propositions)
+                        check_trace, compile_objective, parse_ltl, pretty,
+                        propositions)
 
 import oracles
 
@@ -63,6 +63,7 @@ def test_precedence_ladder():
     ("a b", 2),
     ("a -", 2),
     ("a # b", 2),
+    ("a . b", 2),
 ])
 def test_parse_errors_carry_position(text, pos):
     with pytest.raises(LtlSyntaxError) as exc:
@@ -115,27 +116,6 @@ def test_pretty_roundtrip(phi):
 def test_pretty_examples():
     assert pretty(parse_ltl("!Obstacle U Target")) == "!Obstacle U Target"
     assert pretty(parse_ltl("G (a -> G !b)")) == "G (a -> G !b)"
-
-
-# ---------------------------------------------------------------------------
-# desugaring
-
-
-def test_desugar_sugar_forms():
-    assert desugar(Eventually(Prop("a"))) == Until(TrueF(), Prop("a"))
-    assert desugar(Always(Prop("a"))) == \
-        NotF(Until(TrueF(), NotF(Prop("a"))))
-    assert desugar(Implies(Prop("a"), Prop("b"))) == \
-        OrF(NotF(Prop("a")), Prop("b"))
-
-
-@settings(max_examples=150)
-@given(formulas(depth=4))
-def test_desugar_preserves_finite_trace_semantics(phi):
-    core = desugar(phi)
-    for trace in itertools.product([set(), {"a"}, {"b"}, {"a", "b"}],
-                                   repeat=3):
-        assert check_trace(phi, list(trace)) == check_trace(core, list(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ from kaware import (Outcome, build_abstraction, build_world, compile_objective,
                     load_scenario, run_closed_loop, solve_reach_avoid)
 from kaware.audit import audit_ok, audit_trace
 from kaware.dynamics import reach_over_approx
-from kaware.errors import InitialStateNotWinning, InitialStateOutsideDomain
-from kaware.knowledge import proximity
+from kaware.errors import (InitialStateNotWinning, InitialStateOutsideDomain,
+                           TraceFormatError)
 from kaware.runtime import (SensorState, read_trace_csv, sensor_step,
                             write_trace_csv)
+
+from oracles import proximity
 
 PI = np.pi
 
@@ -200,7 +202,7 @@ def test_trace_csv_roundtrip(desk_trace, tmp_path):
 def test_trace_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nonsense\n1,2,3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(TraceFormatError):
         read_trace_csv(str(path))
 
 
@@ -210,7 +212,7 @@ def test_trace_csv_rejects_missing_outcome(desk_trace, tmp_path):
     lines = path.read_text().splitlines()
     lines[-1] = lines[-1].rsplit(",", 1)[0] + ","
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(TraceFormatError):
         read_trace_csv(str(path))
 
 

@@ -230,6 +230,65 @@ def test_cli_render(cli_artifacts, tmp_path):
     assert "polyline" in svg
 
 
+def _two_field_row(lines):
+    lines[3] = "1,2"
+    return lines
+
+
+def _non_numeric(lines):
+    parts = lines[3].split(",")
+    parts[2] = "abc"
+    lines[3] = ",".join(parts)
+    return lines
+
+
+# edits of a genuine trace (seed line, header, rows); None: no file at all
+TRACE_DEFECTS = {
+    "missing_file": None,
+    "row_with_two_fields": _two_field_row,
+    "cut_after_two_rows": lambda lines: lines[:4],
+    "non_numeric_field": _non_numeric,
+    "bad_header": lambda lines: [lines[0], "step,time"] + lines[2:],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(TRACE_DEFECTS))
+@pytest.mark.parametrize("command", ["check", "render"])
+def test_cli_trace_format_error_exit_code(cli_artifacts, tmp_path, capsys,
+                                          command, defect):
+    trace = tmp_path / "trace.csv"
+    edit = TRACE_DEFECTS[defect]
+    if edit is not None:
+        lines = cli_artifacts["trace"].read_text().splitlines()
+        trace.write_text("\n".join(edit(lines)) + "\n")
+    argv = [command, str(trace), cli_artifacts["scn"]]
+    if command == "render":
+        argv += ["-o", str(tmp_path / "trace.svg")]
+    assert main(argv) == 2
+    assert "error:parse:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,code,kind", [
+    ("abstract", 3, "runtime"), ("synthesize", 3, "runtime"),
+    ("simulate", 3, "runtime"), ("render", 3, "runtime"),
+    ("simulate --seed -1", 2, "validation"),
+])
+def test_cli_output_and_seed_errors_exit_code(cli_artifacts, tmp_path, capsys,
+                                              command, code, kind):
+    scn, cache = cli_artifacts["scn"], str(cli_artifacts["cache"])
+    out = str(tmp_path / "no" / "such" / "dir" / "out")
+    argv = {
+        "abstract": ["abstract", scn, "-o", out],
+        "synthesize": ["synthesize", scn, "--cache", cache, "-o", out],
+        "simulate": ["simulate", scn, "--cache", cache, "-o", out],
+        "render": ["render", str(cli_artifacts["trace"]), scn, "-o", out],
+        "simulate --seed -1": ["simulate", scn, "--cache", cache, "--seed", "-1",
+                               "-o", str(tmp_path / "trace.csv")],
+    }[command]
+    assert main(argv) == code
+    assert f"error:{kind}:" in capsys.readouterr().err
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.scn.json"
     bad.write_text("{")

@@ -5,14 +5,22 @@ import pathlib
 import numpy as np
 import pytest
 
-from kaware.abstraction import ExplicitTransitions
 from kaware.ltl import GameObjective, compile_objective
-from kaware.synthesis import cpre, respected_region, solve_reach_avoid
+from kaware.synthesis import respected_region, solve_reach_avoid
 
 import oracles
 from conftest import DESK_SCENARIO
+from oracles import ExplicitTransitions, cpre
 
 REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
+
+
+def won(ctrl):
+    return set(np.flatnonzero(ctrl.winning_mask).tolist())
+
+
+def allowed(ctrl, cell):
+    return np.flatnonzero(ctrl.allowed_mask[cell]).tolist()
 
 
 def chain(n=5):
@@ -51,8 +59,8 @@ def test_cpre_hand_graph_with_nondeterminism():
 def test_chain_ranks():
     ts = chain(5)
     ctrl = solve_reach_avoid(ts, GameObjective(frozenset({4}), frozenset()))
-    assert [ctrl.rank(i) for i in range(5)] == [4, 3, 2, 1, 0]
-    assert ctrl.winning == {0, 1, 2, 3, 4}
+    assert [ctrl.rank_array[i] for i in range(5)] == [4, 3, 2, 1, 0]
+    assert won(ctrl) == {0, 1, 2, 3, 4}
     for i in range(4):
         assert ctrl.policy(i) == 0
 
@@ -61,15 +69,15 @@ def test_target_everything():
     ts = chain(4)
     ctrl = solve_reach_avoid(ts, GameObjective(frozenset(range(4)),
                                                frozenset()))
-    assert ctrl.winning == set(range(4))
-    assert all(ctrl.rank(i) == 0 for i in range(4))
+    assert won(ctrl) == set(range(4))
+    assert all(ctrl.rank_array[i] == 0 for i in range(4))
 
 
 def test_avoid_cuts_the_chain():
     ts = chain(5)
     ctrl = solve_reach_avoid(ts, GameObjective(frozenset({4}),
                                                frozenset({2})))
-    assert ctrl.winning == {3, 4}
+    assert won(ctrl) == {3, 4}
 
 
 def test_overlapping_objective_rejected():
@@ -93,9 +101,9 @@ def test_random_graphs_match_bruteforce_oracle():
                                                    frozenset(avoid)))
         win, rank = oracles.reach_avoid_bruteforce(
             n, m, ts.post, target, avoid)
-        assert ctrl.winning == win
+        assert won(ctrl) == win
         for s in win:
-            assert ctrl.rank(s) == rank[s]
+            assert ctrl.rank_array[s] == rank[s]
         # allowed inputs lead only to strictly lower oracle ranks; the
         # policy is the lowest of them
         for s in range(n):
@@ -104,7 +112,7 @@ def test_random_graphs_match_bruteforce_oracle():
                 if ts.post(s, u).size
                 and all(int(t) in rank and rank[int(t)] < rank[s]
                         for t in ts.post(s, u))]
-            assert ctrl.allowed(s) == expect
+            assert allowed(ctrl, s) == expect
             assert ctrl.policy_array[s] == (expect[0] if expect else -1)
 
 
@@ -116,14 +124,13 @@ def test_policy_is_rank_decreasing_and_lowest_index():
         target = {0}
         ctrl = solve_reach_avoid(ts, GameObjective(frozenset(target),
                                                    frozenset()))
-        for s in ctrl.winning - target:
-            allowed = ctrl.allowed(s)
-            p = ctrl.policy(s)
-            assert p == min(allowed)
-            for u in allowed:
+        for s in won(ctrl) - target:
+            inputs = allowed(ctrl, s)
+            assert ctrl.policy(s) == min(inputs)
+            for u in inputs:
                 succs = ts.post(s, u)
                 assert succs.size
-                assert all(ctrl.rank(int(t)) < ctrl.rank(s) for t in succs)
+                assert all(ctrl.rank_array[t] < ctrl.rank_array[s] for t in succs)
 
 
 def test_adversarial_rollout_reaches_target_within_rank():
@@ -136,15 +143,15 @@ def test_adversarial_rollout_reaches_target_within_rank():
         avoid = {n - 1} - target
         ctrl = solve_reach_avoid(ts, GameObjective(frozenset(target),
                                                    frozenset(avoid)))
-        for start in ctrl.winning - target:
+        for start in won(ctrl) - target:
             s = start
-            for _ in range(ctrl.rank(start)):
+            for _ in range(ctrl.rank_array[start]):
                 if s in target:
                     break
                 assert s not in avoid
                 succs = ts.post(s, ctrl.policy(s))
                 # adversary picks the worst (highest-rank) successor
-                s = max(succs, key=lambda t: ctrl.rank(int(t)))
+                s = max(succs, key=lambda t: ctrl.rank_array[int(t)])
             assert s in target
 
 
@@ -161,10 +168,10 @@ def test_winning_shrinks_when_avoid_grows():
                                                size=(n - 1) // 6 or 1,
                                                replace=False))
         big = small | extra
-        w_small = solve_reach_avoid(
-            ts, GameObjective(frozenset(target), frozenset(small))).winning
-        w_big = solve_reach_avoid(
-            ts, GameObjective(frozenset(target), frozenset(big))).winning
+        w_small = won(solve_reach_avoid(
+            ts, GameObjective(frozenset(target), frozenset(small))))
+        w_big = won(solve_reach_avoid(
+            ts, GameObjective(frozenset(target), frozenset(big))))
         assert w_big <= w_small
 
 
