@@ -11,8 +11,7 @@ from .dynamics import ContinuousSystem, dubins_car, flow, reach_over_approx
 from .grid import Grid, HyperRect, make_grid
 from .knowledge import (KnowledgeBase, Interpretation, assemble_interpretation,
                         eval_concept, parse_concept)
-from .ltl import (GameObjective, check_trace, compile_objective, parse_ltl,
-                  pretty)
+from .ltl import GameObjective, check_trace, compile_objective, parse_ltl
 from .runtime import Outcome, Trace, run_closed_loop
 from .scenario import Scenario, World, build_world, load_scenario
 from .synthesis import Controller, respected_region, solve_reach_avoid
@@ -27,7 +26,7 @@ __all__ = [
     "Grid", "HyperRect", "make_grid",
     "KnowledgeBase", "Interpretation", "assemble_interpretation",
     "eval_concept", "parse_concept",
-    "GameObjective", "check_trace", "compile_objective", "parse_ltl", "pretty",
+    "GameObjective", "check_trace", "compile_objective", "parse_ltl",
     "Outcome", "Trace", "run_closed_loop",
     "Scenario", "World", "build_world", "load_scenario",
     "Controller", "respected_region", "solve_reach_avoid",

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import knowledge
-from .ltl import check_trace
+from .grid import _TOL
+from .ltl import check_trace, propositions
 from .runtime import Outcome, Trace
 from .scenario import Scenario
 
@@ -54,8 +55,10 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     bad_time = [s.step for s in trace.steps
                 if abs(s.time - s.step * scenario.tau) > 1e-6]
     add("times are step*tau", not bad_time, f"bad steps {bad_time[:5]}")
+    # a state outside the state space matches no cell
     bad_cell = [s.step for s in trace.steps
-                if grid_x.quantize(s.state) != s.cell]
+                if not grid_x.bounds.contains(grid_x.wrap(s.state), tol=_TOL)
+                or grid_x.quantize(s.state) != s.cell]
     add("cells match quantized states", not bad_cell, f"bad steps {bad_cell[:5]}")
 
     # detection bookkeeping: no cell is detected in two steps
@@ -86,14 +89,11 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
 
     # bounded-LTL audit of the mission objective
     if trace.outcome is Outcome.REACHED_TARGET:
-        props = []
-        for obstacle, target in zip(in_obstacle, in_target):
-            p = set()
-            if obstacle:
-                p.add("Obstacle")
-            if target:
-                p.add("Target")
-            props.append(p)
+        props = [set() for _ in trace.steps]
+        for name in propositions(scenario.objective):
+            inside = np.isin(cells, np.flatnonzero(interp.extent(name)))
+            for p in np.flatnonzero(inside):
+                props[p].add(name)
         add("objective holds on the trace",
             check_trace(scenario.objective, props))
         add("final cell is a target cell", bool(in_target[-1]))

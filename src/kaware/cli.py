@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 import time
 
@@ -143,10 +144,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str):
+    """Raise the ``OSError`` that writing ``path`` would raise, before any
+    work is done; the file is neither created nor truncated."""
+    try:
+        os.close(os.open(path, os.O_WRONLY))
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or "."
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=args.log_level.upper())
     try:
+        if "output" in args:
+            _check_writable(args.output)
         return args.func(args)
     except (ScenarioParseError, TraceFormatError) as exc:
         print(f"error:parse: {exc}", file=sys.stderr)

@@ -5,7 +5,10 @@ The disturbed system is the differential inclusion
 over-approximated by rectangles using the linear growth bound
 ``r' = exp(L*tau) r + (int_0^tau exp(L*s) ds) w`` where ``L`` bounds the
 Jacobian of ``f`` entrywise over the domain; :func:`reach_over_approx` is
-the one place that bound is computed.  Flows are not wrapped: which
+the one place that bound is computed.  ``L`` must be nilpotent (``L^n = 0``,
+as for the Dubins car), so both matrices are finite power series in ``L``
+and :func:`growth_matrices` sums them exactly, with no truncation or
+scaling step.  Flows are not wrapped: which
 coordinates are angles is the state grid's ``periodic`` mask, and callers
 pass flowed states through ``Grid.wrap``.
 """
@@ -16,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 
 def dubins_field(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -30,40 +32,33 @@ def dubins_field(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def zero_field(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-VECTOR_FIELDS: dict[str, Callable] = {
-    "dubins_car": dubins_field,
-    "zero": zero_field,
-}
-
 # entrywise Jacobian bounds: |sin|, |cos| <= 1
 DUBINS_LIPSCHITZ = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)
 class ContinuousSystem:
-    """System description ``(X, U, W, f)`` plus sampling time and bounds."""
+    """System description ``(X, U, W, f)`` plus sampling time and bounds;
+    ``name`` is hashed into the abstraction cache's fingerprint."""
 
     name: str
     state_dim: int
     tau: float
     lipschitz: np.ndarray
     dist_halfwidth: np.ndarray  # per-dim half width of W; zeros => W = {0}
+    field: Callable = field(repr=False)
     # dimensions the field does not read: translating the start state along
     # them translates the flow, so the abstraction builds one row for all
     # cells that differ only there
     invariant_dims: tuple[int, ...] = ()
-    field: Callable = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         L = np.asarray(self.lipschitz, dtype=float)
-        if np.any(L < 0):
+        if not np.all(L >= 0):
             raise ValueError("lipschitz matrix must be non-negative")
+        growth_matrices(L, self.tau)  # refuses a bound that is not nilpotent
         w = np.asarray(self.dist_halfwidth, dtype=float)
         if np.any(w < 0):
             raise ValueError("disturbance box must contain the origin")
@@ -73,11 +68,6 @@ class ContinuousSystem:
         if any(not 0 <= d < self.state_dim for d in inv):
             raise ValueError("invariant dimensions out of range")
         object.__setattr__(self, "invariant_dims", inv)
-        if self.field is None:
-            object.__setattr__(self, "field", VECTOR_FIELDS[self.name])
-
-    def f(self, x, u):
-        return self.field(x, u)
 
 
 def dubins_car(tau: float = 0.2, dist_halfwidth=None) -> ContinuousSystem:
@@ -88,6 +78,7 @@ def dubins_car(tau: float = 0.2, dist_halfwidth=None) -> ContinuousSystem:
         tau=tau,
         lipschitz=DUBINS_LIPSCHITZ,
         dist_halfwidth=w,
+        field=dubins_field,
         invariant_dims=(0, 1),
     )
 
@@ -103,12 +94,12 @@ def flow(sys: ContinuousSystem, x0, u, t: float, disturbance=None) -> np.ndarray
     x = np.asarray(x0, dtype=float)
     u = np.asarray(u, dtype=float)
     if disturbance is None:
-        g = sys.f
+        g = sys.field
     else:
         w = np.asarray(disturbance, dtype=float)
 
         def g(x_, u_):
-            return sys.f(x_, u_) + w
+            return sys.field(x_, u_) + w
 
     h = t / _SUBSTEPS
     for _ in range(_SUBSTEPS):
@@ -121,17 +112,23 @@ def flow(sys: ContinuousSystem, x0, u, t: float, disturbance=None) -> np.ndarray
 
 
 def growth_matrices(L: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(exp(L tau), int_0^tau exp(L s) ds)`` via one augmented exponential.
+    """``(exp(L tau), int_0^tau exp(L s) ds)``, the upper blocks of
+    ``exp(M)`` for ``M = [[L, I], [0, 0]] * tau``.
 
-    ``expm([[L, I], [0, 0]] * tau)`` has the integral in its upper-right
-    block; for the nilpotent Dubins bound both blocks are exact polynomials.
+    ``M^k = tau^k [[L^k, L^(k-1)], [0, 0]]``, so for a nilpotent ``L``
+    ``M^(n+1) = 0`` and ``sum_{k<=n} M^k / k!`` is the exponential itself.
+    A bound that is not nilpotent raises ``ValueError``; for a non-negative
+    ``L`` the test on its nonzero pattern is exact.
     """
     n = L.shape[0]
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = L
-    aug[:n, n:] = np.eye(n)
-    E = expm(aug * tau)
-    return E[:n, :n], E[:n, n:]
+    if np.linalg.matrix_power((L != 0).astype(float), n).any():
+        raise ValueError("the growth bound must be nilpotent (L^n = 0)")
+    m = np.block([[L, np.eye(n)], [np.zeros((n, 2 * n))]]) * tau
+    term = total = np.eye(2 * n)
+    for k in range(1, n + 1):
+        term = term @ m / k
+        total = total + term
+    return total[:n, :n], total[:n, n:]
 
 
 def reach_over_approx(sys: ContinuousSystem, center, radius,

@@ -14,7 +14,12 @@ class InvalidCell(KawareError):
 
 
 class UndeclaredName(KawareError):
-    """A concept or role name is used without being declared."""
+    """A concept or role name is used without being declared; ``axiom`` is
+    the index of the TBox axiom that uses it, if one does."""
+
+    def __init__(self, name: str, axiom: int | None = None):
+        super().__init__(name)
+        self.axiom = axiom
 
 
 class LtlSyntaxError(KawareError):

@@ -28,7 +28,7 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class HyperRect:
-    """Axis-aligned box ``[lower, upper]``."""
+    """Axis-aligned box ``[lower, upper]`` with finite corners."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -38,6 +38,8 @@ class HyperRect:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("lower and upper must have the same length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("lower and upper must be finite numbers")
         if np.any(lo > hi):
             raise ValueError("lower must not exceed upper")
         object.__setattr__(self, "lower", lo)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import LtlSyntaxError, UndeclaredName
 from .grid import _TOL, Grid, HyperRect
-from .ltl import _tokenize
+from .ltl import _tokenize, propositions
 
 # ---------------------------------------------------------------------------
 # concept AST
@@ -103,16 +103,21 @@ class KnowledgeBase:
     roles: dict[str, float]  # role name -> detection range D
     tbox: list = dc_field(default_factory=list)
 
-    def check_names(self):
-        """Concept axioms may use declared atoms and roles and the names of
-        earlier concept axioms (they are evaluated in order)."""
-        declared = set(self.atomic_concepts)
-        for ax in self.tbox:
+    def check_names(self) -> set[str]:
+        """Axioms may use declared atoms and roles and the names of earlier
+        concept axioms; a concept axiom's name replaces an atom of that name.
+        Returns the concept names an interpretation gives an extent."""
+        defined = {ax.name for ax in self.tbox if isinstance(ax, Equivalence)}
+        declared = set(self.atomic_concepts) - defined
+        for i, ax in enumerate(self.tbox):
+            names = (_names(ax.concept) if isinstance(ax, Equivalence)
+                     else ((False, p) for p in propositions(ax.formula)))
+            for is_role, name in names:
+                if name not in (self.roles if is_role else declared):
+                    raise UndeclaredName(name, axiom=i)
             if isinstance(ax, Equivalence):
-                for is_role, name in _names(ax.concept):
-                    if name not in (self.roles if is_role else declared):
-                        raise UndeclaredName(name)
                 declared.add(ax.name)
+        return declared
 
 
 def _names(c: Concept) -> Iterable[tuple[bool, str]]:
@@ -264,15 +269,21 @@ class ProximityRole:
 
 @dataclass
 class Interpretation:
+    """Concept extents as cell masks, and the roles.  A defined concept's
+    mask is evaluated from ``definitions`` the first time :meth:`extent`
+    asks for it, and then kept."""
+
     domain_size: int
     concept_extents: dict[str, np.ndarray]
     roles: dict[str, object] = dc_field(default_factory=dict)
+    definitions: dict[str, Concept] = dc_field(default_factory=dict)
 
     def extent(self, name: str) -> np.ndarray:
-        try:
-            return self.concept_extents[name]
-        except KeyError:
-            raise UndeclaredName(name) from None
+        if name not in self.concept_extents:
+            if name not in self.definitions:
+                raise UndeclaredName(name)
+            self.concept_extents[name] = eval_concept(self, self.definitions[name])
+        return self.concept_extents[name]
 
 
 def eval_concept(interp: Interpretation, concept: Concept) -> np.ndarray:
@@ -309,25 +320,23 @@ def _get_role(interp: Interpretation, name: str):
 def assemble_interpretation(kb: KnowledgeBase,
                             regions: Mapping[str, Sequence[HyperRect]],
                             grid_x: Grid) -> Interpretation:
-    """Ground atomic extents from scenario boxes and evaluate derived concepts.
+    """Ground atomic extents from scenario boxes and keep the definitions.
 
-    Non-temporal TBox equivalences are evaluated in declaration order;
-    temporal equivalences are left to the synthesis module.
+    A non-temporal TBox equivalence is evaluated when its extent is first
+    asked for; temporal equivalences are left to the synthesis module.
     """
     kb.check_names()
     for name in regions:
         if name not in kb.atomic_concepts:
             raise UndeclaredName(name)
+    definitions = {ax.name: ax.concept for ax in kb.tbox
+                   if isinstance(ax, Equivalence)}
     extents: dict[str, np.ndarray] = {}
-    for name in kb.atomic_concepts:
+    for name in kb.atomic_concepts - definitions.keys():
         mask = np.zeros(grid_x.size, dtype=bool)
         for box in regions.get(name, ()):
             mask[grid_x.cells_intersecting(box)] = True
         extents[name] = mask
     roles = {name: ProximityRole(grid_x, rng) for name, rng in kb.roles.items()}
-    interp = Interpretation(domain_size=grid_x.size,
-                            concept_extents=extents, roles=roles)
-    for ax in kb.tbox:
-        if isinstance(ax, Equivalence):
-            interp.concept_extents[ax.name] = eval_concept(interp, ax.concept)
-    return interp
+    return Interpretation(domain_size=grid_x.size, concept_extents=extents,
+                          roles=roles, definitions=definitions)

@@ -25,9 +25,6 @@ from .errors import LtlSyntaxError, TargetUnreachableWarning
 class LtlFormula:
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class TrueF(LtlFormula):
@@ -201,50 +198,6 @@ def parse_ltl(text: str) -> LtlFormula:
     if peek() is not None:
         raise LtlSyntaxError(f"trailing input {peek()!r}", here())
     return phi
-
-
-_PREC = {
-    Implies: 1, OrF: 2, AndF: 3, Until: 4,
-    Next: 5, Eventually: 5, Always: 5, NotF: 6,
-    TrueF: 7, Prop: 7,
-}
-
-
-def pretty(phi: LtlFormula) -> str:
-    """Minimal-parenthesis printer; ``parse_ltl(pretty(phi)) == phi``."""
-
-    def wrap(child: LtlFormula, level: int) -> str:
-        s = pretty(child)
-        return f"({s})" if _PREC[type(child)] < level else s
-
-    if isinstance(phi, TrueF):
-        return "true"
-    if isinstance(phi, Prop):
-        return phi.name
-    if isinstance(phi, NotF):
-        return "!" + wrap(phi.arg, 6)
-    if isinstance(phi, Next):
-        return "X " + wrap(phi.arg, 5)
-    if isinstance(phi, Eventually):
-        return "F " + wrap(phi.arg, 5)
-    if isinstance(phi, Always):
-        return "G " + wrap(phi.arg, 5)
-    if isinstance(phi, Until):
-        # right-associative: left child needs parens at equal precedence
-        left = pretty(phi.left)
-        if _PREC[type(phi.left)] <= 4:
-            left = f"({left})"
-        return f"{left} U {wrap(phi.right, 4)}"
-    if isinstance(phi, AndF):
-        return f"{wrap(phi.left, 3)} & {wrap(phi.right, 4)}"
-    if isinstance(phi, OrF):
-        return f"{wrap(phi.left, 2)} | {wrap(phi.right, 3)}"
-    if isinstance(phi, Implies):
-        left = pretty(phi.left)
-        if _PREC[type(phi.left)] <= 1:
-            left = f"({left})"
-        return f"{left} -> {wrap(phi.right, 1)}"
-    raise TypeError(f"not a formula: {phi!r}")
 
 
 # ---------------------------------------------------------------------------

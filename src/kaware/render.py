@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import knowledge
+from .errors import UndeclaredName
 from .runtime import Trace
 from .scenario import Scenario
 
@@ -82,15 +83,17 @@ def render_svg(scenario: Scenario, trace: Trace | None = None) -> str:
     # detection zone: planar projection of the derived detection concept
     kb = scenario.knowledge_base()
     interp = knowledge.assemble_interpretation(kb, scenario.all_regions(), grid_x)
-    detected = interp.concept_extents.get("NoEntrySignDetected")
-    if detected is not None:
-        counts = grid_x.counts
-        cols = detected.reshape(counts[0], counts[1], -1).any(axis=2)
-        half = grid_x.eta / 2
-        for i1, i2 in np.argwhere(cols):
-            c = grid_x.bounds.lower[:2] + np.array([i1, i2]) * grid_x.eta[:2]
-            box = type(scenario.state_bounds)(c - half[:2], c + half[:2])
-            canvas.rect(box, "#ffb347", 0.35)
+    try:
+        detected = interp.extent("NoEntrySignDetected")
+    except UndeclaredName:  # a scenario without the concept has no zone
+        detected = np.zeros(grid_x.size, dtype=bool)
+    counts = grid_x.counts
+    cols = detected.reshape(counts[0], counts[1], -1).any(axis=2)
+    half = grid_x.eta / 2
+    for i1, i2 in np.argwhere(cols):
+        c = grid_x.bounds.lower[:2] + np.array([i1, i2]) * grid_x.eta[:2]
+        box = type(scenario.state_bounds)(c - half[:2], c + half[:2])
+        canvas.rect(box, "#ffb347", 0.35)
 
     if trace is not None:
         pts = [(s.state[0], s.state[1]) for s in trace.steps]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +33,6 @@ class Outcome(enum.Enum):
     ENTERED_AVOID = "EnteredAvoid"
     SYNTHESIS_FAILED = "SynthesisFailed"
     STEP_LIMIT = "StepLimit"
-
-
-@dataclass
-class SensorState:
-    known_signs: set[int] = field(default_factory=set)
-    last_detection_step: int = -1
 
 
 @dataclass
@@ -62,18 +56,16 @@ class Trace:
 
 
 def sensor_step(interp, sign_extent: np.ndarray, cell: int,
-                sensor: SensorState, step: int = 0) -> tuple[int, ...]:
-    """Detect the undetected cells of the ``sign_extent`` mask in proximity
-    of the current cell; knowledge only grows.  Returns the newly detected
-    cells, sorted."""
+                known: set[int]) -> tuple[int, ...]:
+    """Detect the cells of the ``sign_extent`` mask not yet in ``known``
+    that are in proximity of the current cell, and add them to ``known``;
+    knowledge only grows.  Returns the newly detected cells, sorted."""
     role = interp.roles["Proximity"]
     undetected = sign_extent.copy()
-    undetected[list(sensor.known_signs)] = False
+    undetected[list(known)] = False
     candidates = np.flatnonzero(undetected)
     newly = tuple(candidates[role.relate([cell], candidates)[0]].tolist())
-    if newly:
-        sensor.known_signs.update(newly)
-        sensor.last_detection_step = step
+    known.update(newly)
     return newly
 
 
@@ -106,11 +98,10 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
         raise InitialStateOutsideDomain(
             f"initial state {world.initial_state.tolist()} outside the state space")
     rng = np.random.default_rng(seed)
-    sensor = SensorState()
+    known: set[int] = set()
     sign_extent = world.interp.extent("NoEntrySign") if world.sign_links \
         else np.zeros(grid_x.size, dtype=bool)
-    objective = compile_objective(world.interp, world.sign_links,
-                                  sensor.known_signs)
+    objective = compile_objective(world.interp, world.sign_links, known)
     controller, _ = _controller_for(world, objective)
     target = objective.target
     avoid = objective.avoid
@@ -129,12 +120,11 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
             steps.append(TraceStep(i, i * sys.tau, x, cell, -1, 0.0, (), False))
             outcome = Outcome.REACHED_TARGET
             break
-        newly = sensor_step(world.interp, sign_extent, cell, sensor, step=i)
+        newly = sensor_step(world.interp, sign_extent, cell, known)
         resynth = bool(newly)
         if resynth:
             previous = objective
-            objective = compile_objective(world.interp, world.sign_links,
-                                          sensor.known_signs)
+            objective = compile_objective(world.interp, world.sign_links, known)
             controller, solve_s = _controller_for(world, objective)
             target = objective.target
             avoid = objective.avoid
@@ -216,12 +206,16 @@ def read_trace_csv(path: str) -> Trace:
             if len(parts) != _N_FIELDS:
                 raise ValueError(f"{len(parts)} fields, expected {_N_FIELDS}")
             detected = tuple(int(c) for c in parts[8].split(";") if c)
+            step, cell, u_idx = (int(parts[i]) for i in (0, 5, 6))
+            reals = [float(parts[i]) for i in (1, 2, 3, 4, 7)]
+            # every number must fit the int64 and float64 arrays it feeds
+            if (not np.all(np.isfinite(reals))
+                    or max(map(abs, (step, cell, u_idx) + detected)) >= 2**63):
+                raise ValueError("number out of range")
             steps.append(TraceStep(
-                step=int(parts[0]), time=float(parts[1]),
-                state=np.array([float(parts[2]), float(parts[3]), float(parts[4])]),
-                cell=int(parts[5]), input_index=int(parts[6]),
-                input_value=float(parts[7]), detected=detected,
-                resynthesized=parts[9] == "1"))
+                step=step, time=reals[0], state=np.array(reals[1:4]),
+                cell=cell, input_index=u_idx, input_value=reals[4],
+                detected=detected, resynthesized=parts[9] == "1"))
             if parts[10]:
                 outcome = Outcome(parts[10])
     except ValueError as exc:

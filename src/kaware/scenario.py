@@ -20,7 +20,7 @@ from .dynamics import ContinuousSystem, dubins_car
 from .errors import (LtlSyntaxError, ScenarioParseError,
                      ScenarioValidationError, UndeclaredName)
 from .grid import Grid, HyperRect, make_grid
-from .ltl import LtlFormula, parse_ltl
+from .ltl import LtlFormula, parse_ltl, propositions
 
 
 @dataclass
@@ -33,7 +33,6 @@ class Sign:
 @dataclass
 class Scenario:
     name: str
-    model: str
     tau: float
     state_bounds: HyperRect
     input_bounds: HyperRect
@@ -45,7 +44,6 @@ class Scenario:
     signs: list[Sign]
     proximity_range: float
     tbox: list
-    objective_text: str
     objective: LtlFormula
     initial_state: np.ndarray
     seed: int
@@ -62,9 +60,6 @@ class Scenario:
                          self.eta_u)
 
     def system(self) -> ContinuousSystem:
-        if self.model != "dubins_car":
-            raise ScenarioValidationError("system.model",
-                                          f"unknown model {self.model!r}")
         return dubins_car(tau=self.tau, dist_halfwidth=self.disturbance)
 
     def knowledge_base(self) -> knowledge.KnowledgeBase:
@@ -127,7 +122,7 @@ def _box(entry, bounds: HyperRect, where: str) -> HyperRect:
     try:
         lo = [float(v) for v in entry["lower"]]
         hi = [float(v) for v in entry["upper"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioValidationError(where, f"bad box: {exc}") from None
     if len(lo) != len(hi):
         raise ScenarioValidationError(where, "lower/upper length mismatch")
@@ -137,7 +132,10 @@ def _box(entry, bounds: HyperRect, where: str) -> HyperRect:
     for d in range(len(lo), bounds.ndim):
         lo.append(float(bounds.lower[d]))
         hi.append(float(bounds.upper[d]))
-    rect = HyperRect(lo, hi)
+    try:
+        rect = HyperRect(lo, hi)
+    except ValueError as exc:
+        raise ScenarioValidationError(where, str(exc)) from None
     if not rect.intersects(bounds) and not np.array_equal(rect.lower, rect.upper):
         raise ScenarioValidationError(where, "box does not intersect the state bounds")
     return rect
@@ -150,14 +148,17 @@ def _require(mapping, key, where):
         raise ScenarioValidationError(f"{where}.{key}", "missing field") from None
 
 
-def _bounds(sysblk, key: str) -> HyperRect:
+def _bounds(sysblk, key: str, ndim: int) -> HyperRect:
     where = f"system.{key}"
     blk = _require(sysblk, key, "system")
     try:
-        return HyperRect(_require(blk, "lower", where),
+        rect = HyperRect(_require(blk, "lower", where),
                          _require(blk, "upper", where))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioValidationError(where, str(exc)) from None
+    if rect.ndim != ndim:
+        raise ScenarioValidationError(where, f"the model needs {ndim}-dimensional bounds")
+    return rect
 
 
 def _vector(sysblk, key: str, n: int, dtype=float, default=None) -> np.ndarray:
@@ -168,10 +169,12 @@ def _vector(sysblk, key: str, n: int, dtype=float, default=None) -> np.ndarray:
              else sysblk.get(key, default))
     try:
         vec = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioValidationError(where, str(exc)) from None
     if vec.shape != (n,):
         raise ScenarioValidationError(where, f"needs {n} entries, one per dimension")
+    if not np.all(np.isfinite(vec)):
+        raise ScenarioValidationError(where, "needs finite numbers")
     return vec
 
 
@@ -206,8 +209,11 @@ def load_scenario(path: str) -> Scenario:
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
     sysblk = _require(raw, "system", "scenario")
-    state_bounds = _bounds(sysblk, "state_bounds")
-    input_bounds = _bounds(sysblk, "input_bounds")
+    model = _require(sysblk, "model", "system")
+    if model != "dubins_car":
+        raise ScenarioValidationError("system.model", f"unknown model {model!r}")
+    state_bounds = _bounds(sysblk, "state_bounds", 3)
+    input_bounds = _bounds(sysblk, "input_bounds", 1)
     tau = _number(_require(sysblk, "tau", "system"), "system.tau")
     if tau <= 0:
         raise ScenarioValidationError("system.tau", "must be positive")
@@ -255,6 +261,9 @@ def load_scenario(path: str) -> Scenario:
         where = f"knowledge.tbox[{i}]"
         name = _typed(_require(_typed(ax, dict, where), "define", where), str,
                       f"{where}.define")
+        if any(name == earlier.name for earlier in tbox):
+            raise ScenarioValidationError(f"{where}.define",
+                                          f"{name} is already defined")
         if "concept" in ax:
             try:
                 c = knowledge.parse_concept(
@@ -271,10 +280,9 @@ def load_scenario(path: str) -> Scenario:
         else:
             raise ScenarioValidationError(where, "need 'concept' or 'temporal'")
 
-    objective_text = _typed(_require(raw, "objective", "scenario"), str,
-                            "objective")
     try:
-        objective = parse_ltl(objective_text)
+        objective = parse_ltl(_typed(_require(raw, "objective", "scenario"),
+                                     str, "objective"))
     except LtlSyntaxError as exc:
         raise ScenarioParseError(f"objective: {exc}") from None
 
@@ -297,7 +305,6 @@ def load_scenario(path: str) -> Scenario:
 
     scenario = Scenario(
         name=raw.get("name", "scenario"),
-        model=_require(sysblk, "model", "system"),
         tau=tau,
         state_bounds=state_bounds,
         input_bounds=input_bounds,
@@ -309,15 +316,25 @@ def load_scenario(path: str) -> Scenario:
         signs=signs,
         proximity_range=proximity_range,
         tbox=tbox,
-        objective_text=objective_text,
         objective=objective,
         initial_state=initial_state,
         seed=seed,
         max_steps=max_steps,
     )
+    for key, grid_of in (("eta_x", scenario.state_grid),
+                         ("eta_u", scenario.input_grid)):
+        try:
+            grid_of()
+        except (ValueError, OverflowError) as exc:
+            raise ScenarioValidationError(f"system.{key}",
+                                          f"no grid fits the bounds: {exc}") from None
     try:
-        scenario.knowledge_base().check_names()
+        concepts = scenario.knowledge_base().check_names()
     except UndeclaredName as exc:
-        raise ScenarioValidationError(
-            "knowledge.tbox", f"undeclared concept or role {exc}") from None
+        raise ScenarioValidationError(f"knowledge.tbox[{exc.axiom}]",
+                                      f"undeclared concept or role {exc}") from None
+    undeclared = sorted(propositions(objective) - concepts)
+    if undeclared:
+        raise ScenarioValidationError("objective",
+                                      f"undeclared concept {undeclared[0]}")
     return scenario

@@ -332,6 +332,43 @@ def to_tuple_formula(phi):
     raise TypeError(phi)
 
 
+def pretty(phi) -> str:
+    """Minimal-parenthesis printer of a library formula, so that
+    ``parse_ltl(pretty(phi)) == phi``; it exercises the parser's precedence
+    and associativity."""
+    from kaware import ltl as m
+
+    prec = {m.Implies: 1, m.OrF: 2, m.AndF: 3, m.Until: 4, m.Next: 5,
+            m.Eventually: 5, m.Always: 5, m.NotF: 6, m.TrueF: 7, m.Prop: 7}
+
+    def wrap(child, level: int) -> str:
+        s = pretty(child)
+        return f"({s})" if prec[type(child)] < level else s
+
+    if isinstance(phi, m.TrueF):
+        return "true"
+    if isinstance(phi, m.Prop):
+        return phi.name
+    if isinstance(phi, m.NotF):
+        return "!" + wrap(phi.arg, 6)
+    if isinstance(phi, m.Next):
+        return "X " + wrap(phi.arg, 5)
+    if isinstance(phi, m.Eventually):
+        return "F " + wrap(phi.arg, 5)
+    if isinstance(phi, m.Always):
+        return "G " + wrap(phi.arg, 5)
+    if isinstance(phi, m.Until):
+        # right-associative: the left child needs parens at equal precedence
+        return f"{wrap(phi.left, 5)} U {wrap(phi.right, 4)}"
+    if isinstance(phi, m.AndF):
+        return f"{wrap(phi.left, 3)} & {wrap(phi.right, 4)}"
+    if isinstance(phi, m.OrF):
+        return f"{wrap(phi.left, 2)} | {wrap(phi.right, 3)}"
+    if isinstance(phi, m.Implies):
+        return f"{wrap(phi.left, 2)} -> {wrap(phi.right, 1)}"
+    raise TypeError(phi)
+
+
 # ---------------------------------------------------------------------------
 # proximity: the scalar relation, and dense sampling
 

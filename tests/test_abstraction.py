@@ -24,7 +24,8 @@ def blocked(abs_):
 def identity_system(tau=1.0):
     return ContinuousSystem(name="zero", state_dim=1, tau=tau,
                             lipschitz=np.zeros((1, 1)),
-                            dist_halfwidth=np.zeros(1))
+                            dist_halfwidth=np.zeros(1),
+                            field=lambda x, u: np.zeros_like(x))
 
 
 @pytest.fixture(scope="module")

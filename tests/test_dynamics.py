@@ -1,9 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from kaware.abstraction import build_abstraction
 from kaware.dynamics import (DUBINS_LIPSCHITZ, ContinuousSystem, dubins_car,
-                             flow, growth_matrices, reach_over_approx)
+                             dubins_field, flow, growth_matrices,
+                             reach_over_approx)
 from kaware.grid import make_grid
 
 import oracles
@@ -76,13 +82,21 @@ def test_growth_matrices_match_series_oracle():
 
 
 def test_growth_matrices_random_matrices():
+    """Nilpotent bounds (a permuted strictly upper triangle) match the
+    scaled-and-squared Taylor oracle; a bound with a cycle is refused."""
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        L = rng.uniform(0, 1.5, size=(3, 3))
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        L = np.triu(rng.uniform(0, 1.5, size=(n, n)), 1)
+        L *= rng.random((n, n)) < 0.7
+        perm = rng.permutation(n)
+        L = L[perm][:, perm]
         tau = rng.uniform(0.05, 0.8)
         eL, iL = growth_matrices(L, tau)
         assert np.allclose(eL, oracles.expm_series(L * tau), atol=1e-10)
         assert np.allclose(iL, oracles.int_expm_series(L, tau), atol=1e-10)
+    with pytest.raises(ValueError, match="nilpotent"):
+        growth_matrices(rng.uniform(0, 1.5, size=(3, 3)), 0.2)
 
 
 def test_reach_point_set_no_disturbance():
@@ -128,7 +142,7 @@ def test_heading_radius_past_pi_covers_the_circle():
     wide = ContinuousSystem(name="dubins_car", state_dim=3, tau=2.0,
                             lipschitz=DUBINS_LIPSCHITZ,
                             dist_halfwidth=[0.0, 0.0, 2.0],
-                            invariant_dims=(0, 1))
+                            field=dubins_field, invariant_dims=(0, 1))
     abs_ = build_abstraction(wide, grid_x, make_grid([-1], [1], [1.0]))
     lo, hi = abs_.boxes(np.arange(grid_x.size), 1)
     on = (hi > lo).all(axis=0)
@@ -158,6 +172,28 @@ def test_system_validation():
         dubins_car(tau=-1.0)
     with pytest.raises(ValueError):
         ContinuousSystem(name="dubins_car", state_dim=3, tau=0.2,
-                         lipschitz=-np.ones((3, 3)), dist_halfwidth=np.zeros(3))
+                         lipschitz=-np.ones((3, 3)), dist_halfwidth=np.zeros(3),
+                         field=dubins_field)
+    # a dense bound is not nilpotent: its exponential is no finite series
+    with pytest.raises(ValueError, match="nilpotent"):
+        ContinuousSystem(name="dubins_car", state_dim=3, tau=0.2,
+                         lipschitz=np.ones((3, 3)), dist_halfwidth=np.zeros(3),
+                         field=dubins_field)
     with pytest.raises(ValueError):
         dubins_car(dist_halfwidth=[-0.1, 0, 0])
+
+
+def test_the_cli_imports_numpy_alone():
+    """The growth bound is a finite numpy series: beyond the standard
+    library, importing the CLI in a fresh process loads only numpy."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys\n"
+            "def tops(): return {m.split('.')[0] for m in sys.modules}\n"
+            "before = tops()\n"
+            "import kaware.cli\n"
+            "print(sorted(tops() - before - set(sys.stdlib_module_names)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['kaware', 'numpy']"

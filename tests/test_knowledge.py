@@ -7,8 +7,10 @@ from kaware.errors import LtlSyntaxError, UndeclaredName
 from kaware.grid import HyperRect, make_grid
 from kaware.knowledge import (And, Atomic, Bottom, Equivalence, Exists,
                               Forall, Interpretation, KnowledgeBase, Not, Or,
-                              ProximityRole, Top, assemble_interpretation,
-                              eval_concept, parse_concept)
+                              ProximityRole, TemporalEquivalence, Top,
+                              assemble_interpretation, eval_concept,
+                              parse_concept)
+from kaware.ltl import parse_ltl
 
 import oracles
 from oracles import ExplicitRole, proximity
@@ -322,3 +324,29 @@ def test_kb_name_check():
     kb.atomic_concepts.add("Detected")
     with pytest.raises(UndeclaredName):
         kb.check_names()
+
+
+def test_kb_name_check_covers_temporal_axioms():
+    """A temporal axiom may use declared atoms and earlier definitions; the
+    check names the axiom and returns the names an objective may use."""
+    detected = Equivalence("Detected", parse_concept("exists Proximity.NoEntrySign"))
+    kb = small_kb([detected, TemporalEquivalence(
+        "Respected", parse_ltl("G (Detected -> G !NoEntrySign)"))])
+    assert kb.check_names() == {"Target", "Obstacle", "NoEntrySign", "Detected"}
+    kb = small_kb([TemporalEquivalence("Respected", parse_ltl("G !Detected")),
+                   detected])
+    with pytest.raises(UndeclaredName) as exc:
+        kb.check_names()
+    assert exc.value.axiom == 0
+
+
+def test_derived_concept_is_evaluated_on_first_use(desk_scenario):
+    interp = assemble_interpretation(desk_scenario.knowledge_base(),
+                                     desk_scenario.all_regions(),
+                                     desk_scenario.state_grid())
+    assert "NoEntrySignDetected" not in interp.concept_extents
+    zone = interp.extent("NoEntrySignDetected")
+    assert interp.extent("NoEntrySignDetected") is zone
+    assert np.array_equal(zone, eval_concept(
+        interp, parse_concept("exists Proximity.NoEntrySign")))
+    assert zone.any()

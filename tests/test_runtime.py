@@ -14,8 +14,8 @@ from kaware.audit import audit_ok, audit_trace
 from kaware.dynamics import reach_over_approx
 from kaware.errors import (InitialStateNotWinning, InitialStateOutsideDomain,
                            TraceFormatError)
-from kaware.runtime import (SensorState, read_trace_csv, sensor_step,
-                            write_trace_csv)
+from kaware.ltl import parse_ltl
+from kaware.runtime import read_trace_csv, sensor_step, write_trace_csv
 
 from oracles import proximity
 
@@ -120,6 +120,20 @@ def test_audit_catches_inserted_obstacle_visit(desk_scenario, desk_world,
     assert "no obstacle cell visited" in [r.name for r in results if not r.ok]
 
 
+@pytest.mark.parametrize("objective,holds", [
+    ("!NoEntrySignDetected U Target", False),
+    ("F NoEntrySignDetected & F Target", True),
+    ("!Obstacle U Target", True),
+])
+def test_audit_labels_every_objective_atom(desk_scenario, desk_trace,
+                                           objective, holds):
+    """The run detects signs, so it passes through the derived detection
+    zone: the audit labels the steps with every atom the objective names."""
+    scenario = dataclasses.replace(desk_scenario, objective=parse_ltl(objective))
+    results = {r.name: r.ok for r in audit_trace(scenario, desk_trace)}
+    assert results["objective holds on the trace"] is holds
+
+
 def test_same_seed_reproduces_trace(desk_world, desk_scenario, desk_trace,
                                     tmp_path):
     again = run_closed_loop(desk_world, seed=desk_scenario.seed,
@@ -150,13 +164,11 @@ def test_sensor_step_is_monotone(desk_world, desk_trace):
     interp = desk_world.interp
     signs = interp.extent("NoEntrySign")
     detecting = next(s for s in desk_trace.steps if s.detected)
-    sensor = SensorState()
-    newly = sensor_step(interp, signs, detecting.cell, sensor, step=0)
+    known = set()
+    newly = sensor_step(interp, signs, detecting.cell, known)
     assert newly == detecting.detected
-    assert sensor.last_detection_step == 0
-    again = sensor_step(interp, signs, detecting.cell, sensor, step=1)
+    again = sensor_step(interp, signs, detecting.cell, known)
     assert again == ()
-    assert sensor.last_detection_step == 0
 
 
 @settings(max_examples=60, deadline=None,
@@ -171,12 +183,12 @@ def test_sensor_step_matches_scalar_proximity(desk_world, data):
     cell = data.draw(st.one_of(st.integers(0, grid.size - 1),
                                st.sampled_from(zone)))
     known = data.draw(st.sets(st.sampled_from(signs)))
-    sensor = SensorState(known_signs=set(known))
-    newly = sensor_step(interp, interp.extent("NoEntrySign"), cell, sensor)
+    grown = set(known)
+    newly = sensor_step(interp, interp.extent("NoEntrySign"), cell, grown)
     rng = desk_world.scenario.proximity_range
     assert newly == tuple(s for s in signs if s not in known
                           and proximity(grid, cell, s, rng))
-    assert sensor.known_signs == known | set(newly)
+    assert grown == known | set(newly)
 
 
 def test_trace_csv_roundtrip(desk_trace, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from kaware.cli import main
 from kaware.errors import ScenarioParseError, ScenarioValidationError
+from kaware.ltl import parse_ltl
 from kaware.scenario import load_scenario
 
 from conftest import DESK_SCENARIO, FULL_SCENARIO
@@ -27,7 +29,7 @@ def test_bundled_urban_scenario_loads(full_scenario):
     assert sc.input_grid().size == 49
     assert len(sc.signs) == 2
     assert {s.name for s in sc.signs} == {"mid_street", "left_street"}
-    assert sc.objective_text == "!Obstacle U Target"
+    assert sc.objective == parse_ltl("!Obstacle U Target")
 
 
 def test_bundled_desk_scenario_loads(desk_scenario):
@@ -44,10 +46,12 @@ def test_planar_boxes_get_full_heading_range(full_scenario):
 
 
 def _mutate(base_path, tmp_path, mutate):
+    """Write an edited copy of a scenario; the string ``"1e400"`` is written
+    as that number literal, which JSON reads as infinity."""
     raw = json.loads(base_path.read_text())
     mutate(raw)
     out = tmp_path / "mutant.scn.json"
-    out.write_text(json.dumps(raw))
+    out.write_text(json.dumps(raw).replace('"1e400"', "1e400"))
     return str(out)
 
 
@@ -122,6 +126,10 @@ def test_nonpositive_tau_rejected(tmp_path):
     ("disturbance", [0.0, 0.0, 0.0, 0.0]),
     ("state_bounds", {"lower": [0.0, 0.0], "upper": [8.0, 8.0, 3.14]}),
     ("input_bounds", {"lower": [-6.28, 0.0], "upper": [6.28]}),
+    ("state_bounds", {"lower": [0.0, 0.0], "upper": [8.0, 11.0]}),
+    ("input_bounds", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}),
+    ("eta_x", [0.3, 0.3, 100.0]),
+    ("eta_u", [1e-300]),
 ])
 def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
     path = _mutate(DESK_SCENARIO, tmp_path,
@@ -154,15 +162,40 @@ def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
         concept="Nope")),
     ("knowledge.tbox", lambda raw: raw["knowledge"]["tbox"][0].update(
         concept="exists Foo.Target")),
+    ("system.state_bounds",
+     lambda raw: raw["system"]["state_bounds"]["upper"].__setitem__(2, "1e400")),
+    ("system.input_bounds",
+     lambda raw: raw["system"]["input_bounds"]["lower"].__setitem__(0, float("nan"))),
+    ("map.regions.Target[0]",
+     lambda raw: raw["map"]["regions"]["Target"][0]["lower"].__setitem__(0, 6.0)),
+    ("map.signs[0].street",
+     lambda raw: raw["map"]["signs"][0]["street"]["upper"].__setitem__(1, "1e400")),
+    ("system.disturbance",
+     lambda raw: raw["system"].update(disturbance=[0.0, "1e400", 0.0])),
+    ("objective", lambda raw: raw.update(objective="!Nowhere U Target")),
+    ("knowledge.tbox[1]", lambda raw: raw["knowledge"]["tbox"][1].update(
+        temporal="G (Nowhere -> G !NoEntrySign)")),
+    ("knowledge.tbox[1].define", lambda raw: raw["knowledge"]["tbox"][1].update(
+        define="NoEntrySignDetected")),
 ], ids=["tau", "initial_state", "proximity_range", "seed", "max_steps",
         "regions", "negative_seed", "signs", "sign_entry", "objective", "tbox",
         "define", "concept", "temporal", "undeclared_atom",
-        "undeclared_role"])
+        "undeclared_role", "infinite_state_bound", "nan_input_bound",
+        "inverted_target", "infinite_street", "infinite_disturbance",
+        "undeclared_objective_atom", "undeclared_temporal_atom",
+        "defined_twice"])
 def test_cli_rejects_ill_typed_scenario_fields(tmp_path, capsys, where, mutate):
     path = _mutate(DESK_SCENARIO, tmp_path, mutate)
     code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
     assert code == 2
     assert f"error:validation: {where}" in capsys.readouterr().err
+
+
+def test_objective_may_name_a_defined_concept(tmp_path):
+    path = _mutate(DESK_SCENARIO, tmp_path, lambda raw: raw.update(
+        objective="!Obstacle U (Target & !NoEntrySignDetected)"))
+    assert load_scenario(path).objective == parse_ltl(
+        "!Obstacle U (Target & !NoEntrySignDetected)")
 
 
 def test_initial_state_dimension_mismatch(tmp_path):
@@ -235,11 +268,23 @@ def _two_field_row(lines):
     return lines
 
 
-def _non_numeric(lines):
-    parts = lines[3].split(",")
-    parts[2] = "abc"
-    lines[3] = ",".join(parts)
-    return lines
+def _field(at, value):
+    """An edit that sets field ``at`` of the second step row to ``value``."""
+    def edit(lines):
+        parts = lines[3].split(",")
+        parts[at] = value
+        lines[3] = ",".join(parts)
+        return lines
+    return edit
+
+
+def test_cli_check_fails_a_state_outside_the_state_space(cli_artifacts, tmp_path,
+                                                         capsys):
+    lines = _field(2, "100")(cli_artifacts["trace"].read_text().splitlines())
+    trace = tmp_path / "outside.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(trace), cli_artifacts["scn"]]) == 1
+    assert "FAIL  cells match quantized states" in capsys.readouterr().out
 
 
 # edits of a genuine trace (seed line, header, rows); None: no file at all
@@ -247,7 +292,10 @@ TRACE_DEFECTS = {
     "missing_file": None,
     "row_with_two_fields": _two_field_row,
     "cut_after_two_rows": lambda lines: lines[:4],
-    "non_numeric_field": _non_numeric,
+    "non_numeric_field": _field(2, "abc"),
+    "infinite_state": _field(3, "inf"),
+    "nan_state": _field(3, "nan"),
+    "detected_cell_past_int64": _field(8, "99999999999999999999999"),
     "bad_header": lambda lines: [lines[0], "step,time"] + lines[2:],
 }
 
@@ -272,21 +320,31 @@ def test_cli_trace_format_error_exit_code(cli_artifacts, tmp_path, capsys,
     ("abstract", 3, "runtime"), ("synthesize", 3, "runtime"),
     ("simulate", 3, "runtime"), ("render", 3, "runtime"),
     ("simulate --seed -1", 2, "validation"),
+    # a missing cache or trace is not read: the output is checked first
+    ("synthesize no cache", 3, "runtime"), ("simulate no cache", 3, "runtime"),
+    ("render no trace", 3, "runtime"),
 ])
 def test_cli_output_and_seed_errors_exit_code(cli_artifacts, tmp_path, capsys,
                                               command, code, kind):
     scn, cache = cli_artifacts["scn"], str(cli_artifacts["cache"])
     out = str(tmp_path / "no" / "such" / "dir" / "out")
+    missing = str(tmp_path / "missing")
     argv = {
         "abstract": ["abstract", scn, "-o", out],
         "synthesize": ["synthesize", scn, "--cache", cache, "-o", out],
         "simulate": ["simulate", scn, "--cache", cache, "-o", out],
         "render": ["render", str(cli_artifacts["trace"]), scn, "-o", out],
+        "synthesize no cache": ["synthesize", scn, "--cache", missing, "-o", out],
+        "simulate no cache": ["simulate", scn, "--cache", missing, "-o", out],
+        "render no trace": ["render", missing, scn, "-o", out],
         "simulate --seed -1": ["simulate", scn, "--cache", cache, "--seed", "-1",
                                "-o", str(tmp_path / "trace.csv")],
     }[command]
     assert main(argv) == code
-    assert f"error:{kind}:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"error:{kind}:" in captured.err
+    # the output is checked before the cache is loaded or a game solved
+    assert captured.out == ""
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
@@ -308,11 +366,16 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
 
 def test_cli_cache_mismatch_exit_code(cli_artifacts, tmp_path, capsys):
     # the desk cache does not fit the full-resolution scenario
-    code = main(["synthesize", str(FULL_SCENARIO),
-                 "--cache", str(cli_artifacts["cache"]),
-                 "-o", str(tmp_path / "ctrl.csv")])
-    assert code == 2
-    assert "error:cache:" in capsys.readouterr().err
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_text("earlier output\n")
+    for out in (kept, absent):
+        code = main(["synthesize", str(FULL_SCENARIO),
+                     "--cache", str(cli_artifacts["cache"]), "-o", str(out)])
+        assert code == 2
+        assert "error:cache:" in capsys.readouterr().err
+    # a run that fails neither truncates nor creates its output
+    assert kept.read_text() == "earlier output\n"
+    assert not absent.exists()
 
 
 def test_cli_bad_cache_file_exit_code(tmp_path, capsys):
@@ -396,3 +459,122 @@ def test_cli_cache_flipped_byte_is_a_cache_error(coarse_cache, capsys, data):
                  "-o", str(d / "ctrl.csv")])
     assert code == 2
     assert "error:cache:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under fuzzed scenarios and traces: exit 0 or 2, and
+# exit 1 only from `check` after a FAIL line; an exception escaping `main`
+# fails the test
+
+
+def _allowed(command, code, out):
+    return code in (0, 2) or (command == "check" and code == 1
+                              and "\nFAIL" in "\n" + out)
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert _allowed(argv[0], code, out), (argv[0], code, out)
+    return code
+
+
+# JSON retypes, and scale factors for a number (inf * 0 gives NaN)
+_RETYPES = [None, True, 0, -1, 0.5, "x", "", [], {}, [1.0, "a"], {"lower": [1]}]
+_SCALES = [0.0, -1.0, 0.5, 1.1, 2.0, float("inf"), float("-inf"), float("nan")]
+_TEXTS = ["Target", "Nowhere", "!Target", "G Obstacle", "exists Proximity.Nowhere",
+          "(", "NoEntrySignDetected", "NoEntrySignRespected"]
+
+
+def _nodes(node, path=()):
+    """Paths to every value below the JSON ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def scenario_mutants(draw, raw):
+    """Drop, retype or perturb one to three values of the scenario."""
+    raw = copy.deepcopy(raw)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_nodes(raw))))
+        owner = raw
+        for key in path[:-1]:
+            owner = owner[key]
+        key, value = path[-1], owner[path[-1]]
+        action = draw(st.sampled_from(["drop", "retype", "perturb"]))
+        if action == "drop":
+            del owner[key]
+        elif action == "retype":
+            owner[key] = copy.deepcopy(draw(st.sampled_from(_RETYPES)))
+        elif isinstance(value, bool):
+            owner[key] = not value
+        elif isinstance(value, (int, float)):
+            owner[key] = value * draw(st.sampled_from(_SCALES))
+        elif isinstance(value, str):
+            owner[key] = draw(st.sampled_from(_TEXTS + [value[:-1], value + "x"]))
+        elif isinstance(value, list) and value:
+            del value[draw(st.integers(0, len(value) - 1))]
+    return raw
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzzed_scenario_keeps_the_exit_code_contract(coarse_cache,
+                                                          cli_artifacts,
+                                                          capsys, data):
+    path, _, d = coarse_cache
+    with open(path) as fh:
+        raw = data.draw(scenario_mutants(json.load(fh)))
+    mutant = d / "fuzzed.scn.json"
+    mutant.write_text(json.dumps(raw))
+    cache = str(d / "fuzzed.kaw")
+    if _run(capsys, ["abstract", str(mutant), "-o", cache]) == 0:
+        _run(capsys, ["synthesize", str(mutant), "--cache", cache,
+                      "-o", str(d / "ctrl.csv")])
+    trace = str(cli_artifacts["trace"])
+    _run(capsys, ["check", trace, str(mutant)])
+    _run(capsys, ["render", trace, str(mutant), "-o", str(d / "fuzzed.svg")])
+
+
+# replacements for one field of a trace row
+_FIELDS = ["", "x", "-1", "0", "1.5", "-0", "1e400", "inf", "nan", "-inf",
+           "99999999999999999999999", "1;2", "1;x", ";", "ReachedTarget",
+           "EnteredAvoid", "Nope", "1", "12000", "-12000"]
+
+
+@st.composite
+def trace_mutants(draw, text):
+    """Cut the trace, drop rows, or garble one field."""
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["cut", "drop", "garble"]))
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text)))]
+    if kind == "drop":
+        keep = draw(st.lists(st.booleans(), min_size=len(lines),
+                             max_size=len(lines)))
+        lines = [ln for ln, k in zip(lines, keep) if k]
+    else:
+        row = draw(st.integers(0, len(lines) - 1))
+        fields = lines[row].split(",")
+        at = draw(st.integers(0, len(fields) - 1))
+        fields[at] = draw(st.sampled_from(_FIELDS) | st.integers().map(str)
+                          | st.floats().map(repr))
+        lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzzed_trace_keeps_the_exit_code_contract(cli_artifacts, tmp_path,
+                                                       capsys, data):
+    trace = tmp_path / "mutant.csv"
+    trace.write_text(data.draw(trace_mutants(cli_artifacts["trace"].read_text())))
+    scn = cli_artifacts["scn"]
+    _run(capsys, ["check", str(trace), scn])
+    _run(capsys, ["render", str(trace), scn, "-o", str(tmp_path / "t.svg")])
