@@ -389,8 +389,15 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
     c_out, radius = reach_over_approx(sys, start, eta / 2, inputs)
     c_out = grid_x.wrap(c_out)
     r_lo, r_hi = c_out - radius, c_out + radius
-    k_lo = np.floor((r_lo - xlo) / eta - 0.5 + _TOL).astype(np.int64) + 1
-    k_hi = np.ceil((r_hi - xlo) / eta + 0.5 - _TOL).astype(np.int64) - 1
+    k_lo = np.floor((r_lo - xlo) / eta - 0.5 + _TOL) + 1
+    k_hi = np.ceil((r_hi - xlo) / eta + 0.5 - _TOL) - 1
+    # index bounds within +-2**30 keep every offset, length and enabled
+    # bound of a grid under 2**30 cells inside int32; a huge tau gives
+    # bounds past that, or NaN, which the casts below would wrap silently
+    if not (np.all(np.abs(k_lo) < 2**30) and np.all(np.abs(k_hi) < 2**30)):
+        raise OverflowError("a reach set of one sampling period lies beyond "
+                            "the table's int32 index range")
+    k_lo, k_hi = k_lo.astype(np.int64), k_hi.astype(np.int64)
     length = k_hi - k_lo + 1
     length[:, grid_x.periodic] = np.minimum(length[:, grid_x.periodic],
                                             counts[grid_x.periodic])

@@ -34,8 +34,11 @@ def _load_cache(path: str, scenario) -> Abstraction:
 def cmd_abstract(args) -> int:
     scenario = load_scenario(args.scenario)
     t0 = time.perf_counter()
-    abs_ = build_abstraction(scenario.system(), scenario.state_grid(),
-                             scenario.input_grid())
+    try:
+        abs_ = build_abstraction(scenario.system(), scenario.state_grid(),
+                                 scenario.input_grid())
+    except OverflowError as exc:
+        raise ScenarioValidationError("system.tau", str(exc)) from None
     built = time.perf_counter() - t0
     abs_.save(args.output)
     stats = abs_.stats()
@@ -175,6 +178,9 @@ def main(argv=None) -> int:
         # every input is read behind a typed error, so an OSError here is
         # an output that could not be written
         print(f"error:runtime: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error:runtime: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

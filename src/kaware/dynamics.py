@@ -125,9 +125,11 @@ def growth_matrices(L: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("the growth bound must be nilpotent (L^n = 0)")
     m = np.block([[L, np.eye(n)], [np.zeros((n, 2 * n))]]) * tau
     term = total = np.eye(2 * n)
-    for k in range(1, n + 1):
-        term = term @ m / k
-        total = total + term
+    # a huge tau overflows to inf and NaN, which build_abstraction rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            term = term @ m / k
+            total = total + term
     return total[:n, :n], total[:n, n:]
 
 

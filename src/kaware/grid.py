@@ -17,6 +17,7 @@ Conventions (also documented in the README):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts.tolist())
 
     @property
     def span(self) -> np.ndarray:

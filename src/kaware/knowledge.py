@@ -15,65 +15,14 @@ with a ``preimage`` of a cell mask.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import LtlSyntaxError, UndeclaredName
+from .errors import UndeclaredName
 from .grid import _TOL, Grid, HyperRect
-from .ltl import _tokenize, propositions
-
-# ---------------------------------------------------------------------------
-# concept AST
-
-
-class Concept:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Top(Concept):
-    pass
-
-
-@dataclass(frozen=True)
-class Bottom(Concept):
-    pass
-
-
-@dataclass(frozen=True)
-class Atomic(Concept):
-    name: str
-
-
-@dataclass(frozen=True)
-class Not(Concept):
-    arg: Concept
-
-
-@dataclass(frozen=True)
-class And(Concept):
-    left: Concept
-    right: Concept
-
-
-@dataclass(frozen=True)
-class Or(Concept):
-    left: Concept
-    right: Concept
-
-
-@dataclass(frozen=True)
-class Exists(Concept):
-    role: str
-    arg: Concept
-
-
-@dataclass(frozen=True)
-class Forall(Concept):
-    role: str
-    arg: Concept
-
+from .ltl import (And, Atomic, Bottom, Exists, Forall, Formula, Not, Or, Top,
+                  mentions)
 
 # ---------------------------------------------------------------------------
 # TBox
@@ -83,18 +32,18 @@ class Forall(Concept):
 class Equivalence:
     """Fresh atomic name defined by a (non-temporal) concept."""
     name: str
-    concept: Concept
+    concept: Formula
 
 
 @dataclass(frozen=True)
 class TemporalEquivalence:
     """Fresh atomic name defined by a temporal formula over concepts.
 
-    The formula is kept opaque here; the synthesis module gives it meaning
-    as a safety winning region.
+    Only :meth:`KnowledgeBase.check_names` reads it; nothing compiles it
+    into the game.
     """
     name: str
-    formula: object
+    formula: Formula
 
 
 @dataclass
@@ -110,92 +59,13 @@ class KnowledgeBase:
         defined = {ax.name for ax in self.tbox if isinstance(ax, Equivalence)}
         declared = set(self.atomic_concepts) - defined
         for i, ax in enumerate(self.tbox):
-            names = (_names(ax.concept) if isinstance(ax, Equivalence)
-                     else ((False, p) for p in propositions(ax.formula)))
-            for is_role, name in names:
+            body = ax.concept if isinstance(ax, Equivalence) else ax.formula
+            for is_role, name in mentions(body):
                 if name not in (self.roles if is_role else declared):
                     raise UndeclaredName(name, axiom=i)
             if isinstance(ax, Equivalence):
                 declared.add(ax.name)
         return declared
-
-
-def _names(c: Concept) -> Iterable[tuple[bool, str]]:
-    """``(is_role, name)`` of every atom and role ``c`` mentions."""
-    if isinstance(c, Atomic):
-        yield False, c.name
-    if isinstance(c, (Exists, Forall)):
-        yield True, c.role
-    for f in ("arg", "left", "right"):
-        child = getattr(c, f, None)
-        if child is not None:
-            yield from _names(child)
-
-
-# ---------------------------------------------------------------------------
-# concept concrete syntax: atoms, `top`, `bottom`, `!C`, `C & D`, `C | D`,
-# `exists r.C`, `forall r.C`, parentheses.  Precedence: ! > & > |.  The
-# tokens are those of the LTL syntax.
-
-
-def parse_concept(text: str) -> Concept:
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else (None, len(text))
-
-    def take(expected=None):
-        tok, at = peek()
-        if tok is None:
-            raise LtlSyntaxError("unexpected end of concept", at)
-        if expected is not None and tok != expected:
-            raise LtlSyntaxError(f"expected {expected!r}, found {tok!r}", at)
-        pos[0] += 1
-        return tok, at
-
-    def atom() -> Concept:
-        tok, at = take()
-        if tok == "(":
-            c = disj()
-            take(")")
-            return c
-        if tok == "!":
-            return Not(atom())
-        if tok in ("exists", "forall"):
-            role, _ = take()
-            if not role.isidentifier():
-                raise LtlSyntaxError("expected role name", at)
-            take(".")
-            c = atom()
-            return Exists(role, c) if tok == "exists" else Forall(role, c)
-        if tok == "top":
-            return Top()
-        if tok == "bottom":
-            return Bottom()
-        if tok.isidentifier():
-            return Atomic(tok)
-        raise LtlSyntaxError(f"unexpected token {tok!r}", at)
-
-    def conj() -> Concept:
-        c = atom()
-        while peek()[0] == "&":
-            take()
-            c = And(c, atom())
-        return c
-
-    def disj() -> Concept:
-        c = conj()
-        while peek()[0] == "|":
-            take()
-            c = Or(c, conj())
-        return c
-
-    c = disj()
-    tok, at = peek()
-    if tok is not None:
-        raise LtlSyntaxError(f"trailing input {tok!r}", at)
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +139,14 @@ class ProximityRole:
 
 @dataclass
 class Interpretation:
-    """Concept extents as cell masks, and the roles.  A defined concept's
-    mask is evaluated from ``definitions`` the first time :meth:`extent`
-    asks for it, and then kept."""
+    """The extents of the concepts as cell masks, and the roles.  A defined
+    concept's mask is evaluated from ``definitions`` the first time
+    :meth:`extent` asks for it, and then kept."""
 
     domain_size: int
     concept_extents: dict[str, np.ndarray]
     roles: dict[str, object] = dc_field(default_factory=dict)
-    definitions: dict[str, Concept] = dc_field(default_factory=dict)
+    definitions: dict[str, Formula] = dc_field(default_factory=dict)
 
     def extent(self, name: str) -> np.ndarray:
         if name not in self.concept_extents:
@@ -286,7 +156,7 @@ class Interpretation:
         return self.concept_extents[name]
 
 
-def eval_concept(interp: Interpretation, concept: Concept) -> np.ndarray:
+def eval_concept(interp: Interpretation, concept: Formula) -> np.ndarray:
     """Structural concept semantics over the fixed interpretation."""
     if isinstance(concept, Top):
         return np.ones(interp.domain_size, dtype=bool)
@@ -323,7 +193,7 @@ def assemble_interpretation(kb: KnowledgeBase,
     """Ground atomic extents from scenario boxes and keep the definitions.
 
     A non-temporal TBox equivalence is evaluated when its extent is first
-    asked for; temporal equivalences are left to the synthesis module.
+    asked for; a temporal equivalence is not evaluated.
     """
     kb.check_names()
     for name in regions:

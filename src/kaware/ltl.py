@@ -1,9 +1,13 @@
-"""LTL fragment: AST, concrete-syntax parser, finite-trace checker, and
-reach-avoid game objective assembly.
+"""Formulas: one node set and one parser for concepts and LTL, the
+finite-trace checker, and the reach-avoid game objective.
 
-Concrete syntax: atoms are identifiers, `true` is a literal; operators
-`!`, `&`, `|`, `->`, `X`, `U`, `F`, `G` with precedence
+An LTL atom is a concept name, so both syntaxes share the nodes `Top`,
+`Atomic`, `Not`, `And` and `Or` and the operators `!`, `&`, `|` and
+parentheses (`&` binds tighter; both associate left).  A concept adds
+`top`, `bottom` and `exists r.C`/`forall r.C`, which bind like `!`.  An
+LTL formula adds `true`, `X`, `F`, `G`, `U` and `->`, with precedence
 `!` > `X`/`F`/`G` > `U` > `&` > `|` > `->`; `U` and `->` associate right.
+A keyword of one syntax is an atom in the other.
 
 The trace checker uses bounded (finite-trace) semantics: an Until needs
 its witness inside the trace, Next at the last position is false, Always
@@ -15,92 +19,113 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Set
+from typing import Iterable, Iterator, Sequence, Set
 
 import numpy as np
 
 from .errors import LtlSyntaxError, TargetUnreachableWarning
 
 
-class LtlFormula:
+class Formula:
     __slots__ = ()
 
 
 @dataclass(frozen=True)
-class TrueF(LtlFormula):
+class Top(Formula):
     pass
 
 
 @dataclass(frozen=True)
-class Prop(LtlFormula):
+class Bottom(Formula):
+    pass
+
+
+@dataclass(frozen=True)
+class Atomic(Formula):
     name: str
 
 
 @dataclass(frozen=True)
-class NotF(LtlFormula):
-    arg: LtlFormula
+class Not(Formula):
+    arg: Formula
 
 
 @dataclass(frozen=True)
-class AndF(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+class And(Formula):
+    left: Formula
+    right: Formula
 
 
 @dataclass(frozen=True)
-class OrF(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+class Or(Formula):
+    left: Formula
+    right: Formula
 
 
 @dataclass(frozen=True)
-class Implies(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+class Exists(Formula):
+    role: str
+    arg: Formula
 
 
 @dataclass(frozen=True)
-class Next(LtlFormula):
-    arg: LtlFormula
+class Forall(Formula):
+    role: str
+    arg: Formula
 
 
 @dataclass(frozen=True)
-class Until(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+class Implies(Formula):
+    left: Formula
+    right: Formula
 
 
 @dataclass(frozen=True)
-class Eventually(LtlFormula):
-    arg: LtlFormula
+class Next(Formula):
+    arg: Formula
 
 
 @dataclass(frozen=True)
-class Always(LtlFormula):
-    arg: LtlFormula
+class Until(Formula):
+    left: Formula
+    right: Formula
 
 
-def propositions(phi: LtlFormula) -> frozenset[str]:
-    if isinstance(phi, Prop):
-        return frozenset({phi.name})
-    out: set[str] = set()
+@dataclass(frozen=True)
+class Eventually(Formula):
+    arg: Formula
+
+
+@dataclass(frozen=True)
+class Always(Formula):
+    arg: Formula
+
+
+def mentions(phi: Formula) -> Iterator[tuple[bool, str]]:
+    """``(is_role, name)`` of every atom and role ``phi`` mentions, in
+    reading order."""
+    if isinstance(phi, Atomic):
+        yield False, phi.name
+    if isinstance(phi, (Exists, Forall)):
+        yield True, phi.role
     for f in ("arg", "left", "right"):
         child = getattr(phi, f, None)
         if child is not None:
-            out |= propositions(child)
-    return frozenset(out)
+            yield from mentions(child)
+
+
+def propositions(phi: Formula) -> frozenset[str]:
+    return frozenset(name for is_role, name in mentions(phi) if not is_role)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-_UNARY = {"X": Next, "F": Eventually, "G": Always}
-
 
 def _tokenize(text: str):
     """``(token, position)`` pairs of an LTL formula or a concept: the two
     syntaxes share identifiers and punctuation, ``->`` is LTL's and ``.``
-    the concepts'; each parser rejects the other's as an unexpected token."""
+    the concepts'; each mode rejects the other's as an unexpected token."""
     tokens = []
     i = 0
     while i < len(text):
@@ -126,97 +151,109 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_ltl(text: str) -> LtlFormula:
+# Per mode: the binary operators, loosest first, as (token, node, whether
+# it associates right); the prefix operators; the constants; the role
+# restrictions.
+_TEMPORAL = ((("->", Implies, True), ("|", Or, False), ("&", And, False),
+              ("U", Until, True)),
+             {"!": Not, "X": Next, "F": Eventually, "G": Always},
+             {"true": Top}, {})
+_CONCEPT = ((("|", Or, False), ("&", And, False)), {"!": Not},
+            {"top": Top, "bottom": Bottom}, {"exists": Exists, "forall": Forall})
+
+
+def _parse(text: str, temporal: bool) -> Formula:
+    binary, prefix, constants, restrictions = _TEMPORAL if temporal else _CONCEPT
+    levels = {op: k for k, (op, _, _) in enumerate(binary)}
     tokens = _tokenize(text)
-    pos = [0]
+    pos = 0
 
     def peek():
-        return tokens[pos[0]][0] if pos[0] < len(tokens) else None
-
-    def here():
-        return tokens[pos[0]][1] if pos[0] < len(tokens) else len(text)
+        return tokens[pos] if pos < len(tokens) else (None, len(text))
 
     def take():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def unary() -> LtlFormula:
-        tok = peek()
+        nonlocal pos
+        tok, at = peek()
         if tok is None:
-            raise LtlSyntaxError("unexpected end of formula", here())
-        if tok == "!":
-            take()
-            return NotF(unary())
-        if tok in _UNARY:
-            take()
-            return _UNARY[tok](unary())
+            raise LtlSyntaxError(
+                f"unexpected end of {'formula' if temporal else 'concept'}", at)
+        pos += 1
+        return tok, at
+
+    def expect(want):
+        # LTL names the token it wants, a concept also the one it found
+        tok, at = peek()
+        if temporal and tok != want:
+            raise LtlSyntaxError(f"expected {want!r}", at)
+        tok, at = take()
+        if tok != want:
+            raise LtlSyntaxError(f"expected {want!r}, found {tok!r}", at)
+
+    def unary() -> Formula:
+        tok, at = take()
         if tok == "(":
-            take()
-            phi = implication()
-            if peek() != ")":
-                raise LtlSyntaxError("expected ')'", here())
-            take()
+            phi = binaries(0)
+            expect(")")
             return phi
-        if tok == "true":
-            take()
-            return TrueF()
-        if tok.isidentifier() and tok not in ("U",):
-            take()
-            return Prop(tok)
-        raise LtlSyntaxError(f"unexpected token {tok!r}", here())
+        if tok in prefix:
+            return prefix[tok](unary())
+        if tok in restrictions:
+            role, _ = take()
+            if not role.isidentifier():
+                raise LtlSyntaxError("expected role name", at)
+            expect(".")
+            return restrictions[tok](role, unary())
+        if tok in constants:
+            return constants[tok]()
+        # LTL's `U` is an identifier, but not an atom
+        if tok.isidentifier() and tok not in levels:
+            return Atomic(tok)
+        raise LtlSyntaxError(f"unexpected token {tok!r}", at)
 
-    def until() -> LtlFormula:
-        left = unary()
-        if peek() == "U":
-            take()
-            return Until(left, until())
-        return left
-
-    def conjunction() -> LtlFormula:
-        phi = until()
-        while peek() == "&":
-            take()
-            phi = AndF(phi, until())
+    def binaries(lowest: int) -> Formula:
+        """Precedence climbing: an operand and the operators from level
+        ``lowest`` up that follow it."""
+        phi = unary()
+        while levels.get(peek()[0], -1) >= lowest:
+            k = levels[take()[0]]
+            _, node, right = binary[k]
+            # the right operand of a right-associative operator takes
+            # every later operator of its level
+            phi = node(phi, binaries(k if right else k + 1))
         return phi
 
-    def disjunction() -> LtlFormula:
-        phi = conjunction()
-        while peek() == "|":
-            take()
-            phi = OrF(phi, conjunction())
-        return phi
-
-    def implication() -> LtlFormula:
-        phi = disjunction()
-        if peek() == "->":
-            take()
-            return Implies(phi, implication())
-        return phi
-
-    phi = implication()
-    if peek() is not None:
-        raise LtlSyntaxError(f"trailing input {peek()!r}", here())
+    phi = binaries(0)
+    tok, at = peek()
+    if tok is not None:
+        raise LtlSyntaxError(f"trailing input {tok!r}", at)
     return phi
+
+
+def parse_ltl(text: str) -> Formula:
+    return _parse(text, temporal=True)
+
+
+def parse_concept(text: str) -> Formula:
+    return _parse(text, temporal=False)
 
 
 # ---------------------------------------------------------------------------
 # finite-trace checker
 
 
-def check_trace(phi: LtlFormula, trace: Sequence[Set[str]], at: int = 0) -> bool:
+def check_trace(phi: Formula, trace: Sequence[Set[str]], at: int = 0) -> bool:
     """Bounded satisfaction of ``phi`` on a finite, nonempty trace."""
     if not trace:
         raise ValueError("trace must be nonempty")
-    if isinstance(phi, TrueF):
+    if isinstance(phi, Top):
         return True
-    if isinstance(phi, Prop):
+    if isinstance(phi, Atomic):
         return phi.name in trace[at]
-    if isinstance(phi, NotF):
+    if isinstance(phi, Not):
         return not check_trace(phi.arg, trace, at)
-    if isinstance(phi, AndF):
+    if isinstance(phi, And):
         return check_trace(phi.left, trace, at) and check_trace(phi.right, trace, at)
-    if isinstance(phi, OrF):
+    if isinstance(phi, Or):
         return check_trace(phi.left, trace, at) or check_trace(phi.right, trace, at)
     if isinstance(phi, Implies):
         return (not check_trace(phi.left, trace, at)) or check_trace(phi.right, trace, at)

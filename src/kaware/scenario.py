@@ -20,7 +20,7 @@ from .dynamics import ContinuousSystem, dubins_car
 from .errors import (LtlSyntaxError, ScenarioParseError,
                      ScenarioValidationError, UndeclaredName)
 from .grid import Grid, HyperRect, make_grid
-from .ltl import LtlFormula, parse_ltl, propositions
+from .ltl import Formula, parse_concept, parse_ltl, propositions
 
 
 @dataclass
@@ -44,7 +44,7 @@ class Scenario:
     signs: list[Sign]
     proximity_range: float
     tbox: list
-    objective: LtlFormula
+    objective: Formula
     initial_state: np.ndarray
     seed: int
     max_steps: int
@@ -264,21 +264,16 @@ def load_scenario(path: str) -> Scenario:
         if any(name == earlier.name for earlier in tbox):
             raise ScenarioValidationError(f"{where}.define",
                                           f"{name} is already defined")
-        if "concept" in ax:
-            try:
-                c = knowledge.parse_concept(
-                    _typed(ax["concept"], str, f"{where}.concept"))
-            except LtlSyntaxError as exc:
-                raise ScenarioParseError(f"{where}.concept: {exc}") from None
-            tbox.append(knowledge.Equivalence(name, c))
-        elif "temporal" in ax:
-            try:
-                phi = parse_ltl(_typed(ax["temporal"], str, f"{where}.temporal"))
-            except LtlSyntaxError as exc:
-                raise ScenarioParseError(f"{where}.temporal: {exc}") from None
-            tbox.append(knowledge.TemporalEquivalence(name, phi))
-        else:
+        kind = "concept" if "concept" in ax else "temporal"
+        if kind not in ax:
             raise ScenarioValidationError(where, "need 'concept' or 'temporal'")
+        parse, axiom = ((parse_concept, knowledge.Equivalence) if kind == "concept"
+                        else (parse_ltl, knowledge.TemporalEquivalence))
+        try:
+            body = parse(_typed(ax[kind], str, f"{where}.{kind}"))
+        except LtlSyntaxError as exc:
+            raise ScenarioParseError(f"{where}.{kind}: {exc}") from None
+        tbox.append(axiom(name, body))
 
     try:
         objective = parse_ltl(_typed(_require(raw, "objective", "scenario"),
@@ -324,10 +319,14 @@ def load_scenario(path: str) -> Scenario:
     for key, grid_of in (("eta_x", scenario.state_grid),
                          ("eta_u", scenario.input_grid)):
         try:
-            grid_of()
+            cells = grid_of().size
         except (ValueError, OverflowError) as exc:
             raise ScenarioValidationError(f"system.{key}",
                                           f"no grid fits the bounds: {exc}") from None
+        # the solver's int32 summed-area tables double the periodic axes
+        if key == "eta_x" and cells >= 2**30:
+            raise ScenarioValidationError("system.eta_x", f"the grid has {cells} "
+                                          "cells; the limit is 2**30 - 1")
     try:
         concepts = scenario.knowledge_base().check_names()
     except UndeclaredName as exc:

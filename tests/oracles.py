@@ -309,15 +309,15 @@ def to_tuple_formula(phi):
     """Convert a library formula AST into the oracle's tuple form."""
     from kaware import ltl as m
 
-    if isinstance(phi, m.TrueF):
+    if isinstance(phi, m.Top):
         return ("true",)
-    if isinstance(phi, m.Prop):
+    if isinstance(phi, m.Atomic):
         return ("p", phi.name)
-    if isinstance(phi, m.NotF):
+    if isinstance(phi, m.Not):
         return ("not", to_tuple_formula(phi.arg))
-    if isinstance(phi, m.AndF):
+    if isinstance(phi, m.And):
         return ("and", to_tuple_formula(phi.left), to_tuple_formula(phi.right))
-    if isinstance(phi, m.OrF):
+    if isinstance(phi, m.Or):
         return ("or", to_tuple_formula(phi.left), to_tuple_formula(phi.right))
     if isinstance(phi, m.Implies):
         return ("imp", to_tuple_formula(phi.left), to_tuple_formula(phi.right))
@@ -332,25 +332,34 @@ def to_tuple_formula(phi):
     raise TypeError(phi)
 
 
-def pretty(phi) -> str:
+def pretty(phi, temporal: bool = True) -> str:
     """Minimal-parenthesis printer of a library formula, so that
-    ``parse_ltl(pretty(phi)) == phi``; it exercises the parser's precedence
-    and associativity."""
+    ``parse_ltl(pretty(phi)) == phi`` and, for a concept,
+    ``parse_concept(pretty(phi, temporal=False)) == phi``; it exercises the
+    parser's precedence and associativity.  ``temporal`` picks the
+    spelling of ``Top``."""
     from kaware import ltl as m
 
-    prec = {m.Implies: 1, m.OrF: 2, m.AndF: 3, m.Until: 4, m.Next: 5,
-            m.Eventually: 5, m.Always: 5, m.NotF: 6, m.TrueF: 7, m.Prop: 7}
+    prec = {m.Implies: 1, m.Or: 2, m.And: 3, m.Until: 4, m.Next: 5,
+            m.Eventually: 5, m.Always: 5, m.Not: 6, m.Exists: 6, m.Forall: 6,
+            m.Top: 7, m.Bottom: 7, m.Atomic: 7}
 
     def wrap(child, level: int) -> str:
-        s = pretty(child)
+        s = pretty(child, temporal)
         return f"({s})" if prec[type(child)] < level else s
 
-    if isinstance(phi, m.TrueF):
-        return "true"
-    if isinstance(phi, m.Prop):
+    if isinstance(phi, m.Top):
+        return "true" if temporal else "top"
+    if isinstance(phi, m.Bottom):
+        return "bottom"
+    if isinstance(phi, m.Atomic):
         return phi.name
-    if isinstance(phi, m.NotF):
+    if isinstance(phi, m.Not):
         return "!" + wrap(phi.arg, 6)
+    if isinstance(phi, m.Exists):
+        return f"exists {phi.role}.{wrap(phi.arg, 6)}"
+    if isinstance(phi, m.Forall):
+        return f"forall {phi.role}.{wrap(phi.arg, 6)}"
     if isinstance(phi, m.Next):
         return "X " + wrap(phi.arg, 5)
     if isinstance(phi, m.Eventually):
@@ -360,9 +369,9 @@ def pretty(phi) -> str:
     if isinstance(phi, m.Until):
         # right-associative: the left child needs parens at equal precedence
         return f"{wrap(phi.left, 5)} U {wrap(phi.right, 4)}"
-    if isinstance(phi, m.AndF):
+    if isinstance(phi, m.And):
         return f"{wrap(phi.left, 3)} & {wrap(phi.right, 4)}"
-    if isinstance(phi, m.OrF):
+    if isinstance(phi, m.Or):
         return f"{wrap(phi.left, 2)} | {wrap(phi.right, 3)}"
     if isinstance(phi, m.Implies):
         return f"{wrap(phi.left, 2)} -> {wrap(phi.right, 1)}"

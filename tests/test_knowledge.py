@@ -8,9 +8,8 @@ from kaware.grid import HyperRect, make_grid
 from kaware.knowledge import (And, Atomic, Bottom, Equivalence, Exists,
                               Forall, Interpretation, KnowledgeBase, Not, Or,
                               ProximityRole, TemporalEquivalence, Top,
-                              assemble_interpretation, eval_concept,
-                              parse_concept)
-from kaware.ltl import parse_ltl
+                              assemble_interpretation, eval_concept)
+from kaware.ltl import parse_concept, parse_ltl
 
 import oracles
 from oracles import ExplicitRole, proximity
@@ -41,11 +40,21 @@ def test_parse_role_restrictions():
     assert parse_concept("!exists r.A") == Not(Exists("r", Atomic("A")))
 
 
-@pytest.mark.parametrize("text", ["", "A &", "exists r A", "A B", "(A", "&A",
-                                  "A -> B"])
+def test_ltl_keywords_are_atoms():
+    assert parse_concept("X") == Atomic("X")
+    assert parse_concept("true") == Atomic("true")
+
+
+# error position by input
+PARSE_ERRORS = {"": 0, "A &": 3, "exists r A": 9, "A B": 2, "(A": 2, "&A": 0,
+                "A -> B": 2, "exists . A": 0, "exists r.": 9}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_errors(text):
-    with pytest.raises(LtlSyntaxError):
+    with pytest.raises(LtlSyntaxError) as exc:
         parse_concept(text)
+    assert exc.value.pos == PARSE_ERRORS[text]
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +131,12 @@ def concepts(draw, depth=4):
     if kind == 4:
         return Exists("r", draw(concepts(depth=depth - 1)))
     return Forall("r", draw(concepts(depth=depth - 1)))
+
+
+@settings(max_examples=300)
+@given(concepts())
+def test_pretty_roundtrip(c):
+    assert parse_concept(oracles.pretty(c, temporal=False)) == c
 
 
 @settings(max_examples=100)

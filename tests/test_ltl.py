@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from kaware.errors import LtlSyntaxError, TargetUnreachableWarning
 from kaware.knowledge import Interpretation
-from kaware.ltl import (Always, AndF, Eventually, GameObjective,
-                        Implies, Next, NotF, OrF, Prop, TrueF, Until,
-                        check_trace, compile_objective, parse_ltl,
-                        propositions)
+from kaware.ltl import (Always, And, Atomic, Eventually, GameObjective,
+                        Implies, Next, Not, Or, Top, Until, check_trace,
+                        compile_objective, parse_ltl, propositions)
 
 import oracles
 
@@ -21,39 +20,40 @@ import oracles
 
 def test_parse_reach_avoid_objective():
     assert parse_ltl("!Obstacle U Target") == \
-        Until(NotF(Prop("Obstacle")), Prop("Target"))
+        Until(Not(Atomic("Obstacle")), Atomic("Target"))
 
 
 def test_parse_true():
-    assert parse_ltl("true") == TrueF()
+    assert parse_ltl("true") == Top()
 
 
 def test_parse_nested_always():
     got = parse_ltl("G (Detected -> G !NoEntry)")
-    assert got == Always(Implies(Prop("Detected"),
-                                 Always(NotF(Prop("NoEntry")))))
+    assert got == Always(Implies(Atomic("Detected"),
+                                 Always(Not(Atomic("NoEntry")))))
 
 
 def test_until_is_right_associative():
-    assert parse_ltl("a U b U c") == Until(Prop("a"),
-                                           Until(Prop("b"), Prop("c")))
+    assert parse_ltl("a U b U c") == Until(Atomic("a"),
+                                           Until(Atomic("b"), Atomic("c")))
 
 
 def test_implies_is_right_associative():
-    assert parse_ltl("a -> b -> c") == Implies(Prop("a"),
-                                               Implies(Prop("b"), Prop("c")))
+    assert parse_ltl("a -> b -> c") == \
+        Implies(Atomic("a"), Implies(Atomic("b"), Atomic("c")))
 
 
 def test_precedence_ladder():
     # ! > X/F/G > U > & > | > ->
-    assert parse_ltl("!a U b") == Until(NotF(Prop("a")), Prop("b"))
-    assert parse_ltl("F a U b") == Until(Eventually(Prop("a")), Prop("b"))
-    assert parse_ltl("a U b & c") == AndF(Until(Prop("a"), Prop("b")),
-                                          Prop("c"))
-    assert parse_ltl("a & b | c") == OrF(AndF(Prop("a"), Prop("b")), Prop("c"))
-    assert parse_ltl("a | b -> c") == Implies(OrF(Prop("a"), Prop("b")),
-                                              Prop("c"))
-    assert parse_ltl("X a & b") == AndF(Next(Prop("a")), Prop("b"))
+    assert parse_ltl("!a U b") == Until(Not(Atomic("a")), Atomic("b"))
+    assert parse_ltl("F a U b") == Until(Eventually(Atomic("a")), Atomic("b"))
+    assert parse_ltl("a U b & c") == And(Until(Atomic("a"), Atomic("b")),
+                                         Atomic("c"))
+    assert parse_ltl("a & b | c") == Or(And(Atomic("a"), Atomic("b")),
+                                        Atomic("c"))
+    assert parse_ltl("a | b -> c") == Implies(Or(Atomic("a"), Atomic("b")),
+                                              Atomic("c"))
+    assert parse_ltl("X a & b") == And(Next(Atomic("a")), Atomic("b"))
 
 
 @pytest.mark.parametrize("text,pos", [
@@ -71,6 +71,11 @@ def test_parse_errors_carry_position(text, pos):
     assert exc.value.pos == pos
 
 
+def test_concept_keywords_are_atoms():
+    assert parse_ltl("top") == Atomic("top")
+    assert parse_ltl("bottom & A") == And(Atomic("bottom"), Atomic("A"))
+
+
 def test_propositions():
     phi = parse_ltl("G (a -> b U !c)")
     assert propositions(phi) == {"a", "b", "c"}
@@ -83,17 +88,17 @@ def test_propositions():
 @st.composite
 def formulas(draw, depth=6):
     if depth == 0:
-        return draw(st.sampled_from([TrueF(), Prop("a"), Prop("b")]))
+        return draw(st.sampled_from([Top(), Atomic("a"), Atomic("b")]))
     kind = draw(st.integers(0, 9))
     sub = formulas(depth=depth - 1)
     if kind == 0:
         return draw(formulas(depth=0))
     if kind == 1:
-        return NotF(draw(sub))
+        return Not(draw(sub))
     if kind == 2:
-        return AndF(draw(sub), draw(sub))
+        return And(draw(sub), draw(sub))
     if kind == 3:
-        return OrF(draw(sub), draw(sub))
+        return Or(draw(sub), draw(sub))
     if kind == 4:
         return Implies(draw(sub), draw(sub))
     if kind == 5:
@@ -127,7 +132,7 @@ def test_check_trace_hand_examples():
     obj = parse_ltl("!Obstacle U Target")
     assert check_trace(obj, [set(), {"Target"}])
     assert not check_trace(obj, [{"Obstacle"}, {"Target"}])
-    assert check_trace(TrueF(), [set()])
+    assert check_trace(Top(), [set()])
     # bounded semantics: no witness inside the trace means false
     assert not check_trace(obj, [set(), set()])
     # Next at the last position is false
@@ -162,7 +167,7 @@ def test_checker_matches_oracle_exhaustively():
 
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
-        check_trace(TrueF(), [])
+        check_trace(Top(), [])
 
 
 # ---------------------------------------------------------------------------

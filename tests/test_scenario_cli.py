@@ -130,13 +130,17 @@ def test_nonpositive_tau_rejected(tmp_path):
     ("input_bounds", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}),
     ("eta_x", [0.3, 0.3, 100.0]),
     ("eta_u", [1e-300]),
+    ("tau", 1e20),
+    ("tau", 1e300),
 ])
 def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
     path = _mutate(DESK_SCENARIO, tmp_path,
                    lambda raw: raw["system"].update({key: value}))
-    code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
+    out = tmp_path / "c.kaw"
+    code = main(["abstract", path, "-o", str(out)])
     assert code == 2
     assert f"error:validation: system.{key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where,mutate", [
@@ -177,13 +181,15 @@ def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
         temporal="G (Nowhere -> G !NoEntrySign)")),
     ("knowledge.tbox[1].define", lambda raw: raw["knowledge"]["tbox"][1].update(
         define="NoEntrySignDetected")),
+    ("system.eta_x", lambda raw: raw["system"]["state_bounds"].update(
+        upper=[1e12, 1e12, PI])),
 ], ids=["tau", "initial_state", "proximity_range", "seed", "max_steps",
         "regions", "negative_seed", "signs", "sign_entry", "objective", "tbox",
         "define", "concept", "temporal", "undeclared_atom",
         "undeclared_role", "infinite_state_bound", "nan_input_bound",
         "inverted_target", "infinite_street", "infinite_disturbance",
         "undeclared_objective_atom", "undeclared_temporal_atom",
-        "defined_twice"])
+        "defined_twice", "huge_state_grid"])
 def test_cli_rejects_ill_typed_scenario_fields(tmp_path, capsys, where, mutate):
     path = _mutate(DESK_SCENARIO, tmp_path, mutate)
     code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
@@ -345,6 +351,16 @@ def test_cli_output_and_seed_errors_exit_code(cli_artifacts, tmp_path, capsys,
     assert f"error:{kind}:" in captured.err
     # the output is checked before the cache is loaded or a game solved
     assert captured.out == ""
+
+
+def test_cli_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr("kaware.cli.build_abstraction", exhausted)
+    code = main(["abstract", str(DESK_SCENARIO), "-o", str(tmp_path / "c.kaw")])
+    assert code == 3
+    assert "error:runtime:" in capsys.readouterr().err
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
