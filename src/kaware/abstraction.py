@@ -9,9 +9,12 @@ fixed offset, and a pair is blocked exactly when the cell lies outside a
 fixed index range.  The abstraction is therefore a table with one row per
 (index on the other dimensions, input) -- per (heading, input) for the
 Dubins car -- holding the box offset and length on every dimension and the
-non-blocked index range on every invariant dimension.  The state grid's
-periodic dimensions (the heading) wrap: a flowed state is wrapped by the
-grid, and a box on such a dimension may run past the last cell.
+non-blocked index range on every invariant dimension.  The state grid
+turns each reach rectangle into index ranges and each range into an index
+window (``Grid.index_bounds``, ``Grid.window``), by the rules it applies to
+scenario regions.  Its periodic dimensions (the heading) wrap: a flowed
+state is wrapped by the grid, and a box on such a dimension may run past
+the last cell.
 
 ``boxes`` reads the table as index windows, ``controllable`` answers the
 fixpoint's question from a summed-area table of the goal set, and
@@ -34,11 +37,10 @@ import numpy as np
 
 from .dynamics import ContinuousSystem, reach_over_approx
 from .errors import CacheFormatError
-from .grid import Grid, HyperRect
+from .grid import _TOL, Grid, HyperRect
 
 _MAGIC = b"KAW1"
 _VERSION = 2
-_TOL = 1e-9
 
 
 def _grid_fields(grid: Grid) -> list[np.ndarray]:
@@ -55,19 +57,6 @@ def fingerprint(sys: ContinuousSystem, grid_x: Grid, grid_u: Grid) -> bytes:
                 *_grid_fields(grid_x), *_grid_fields(grid_u)):
         h.update(np.asarray(arr, dtype="<f8").tobytes())
     return h.digest()
-
-
-def _window(start, length, n: int, periodic: bool):
-    """Index window ``[lo, hi)`` of ``[start, start + length)`` on an axis of
-    ``n`` cells.  A periodic window starts in ``[0, n)`` (at 0 when it
-    covers the circle) and may run past ``n``, meaning it wraps.  Another
-    window is clipped to the axis; one that lies past the last cell keeps
-    that cell, where the trailing remainder of the bounds quantizes."""
-    if periodic:
-        lo = np.where(length >= n, 0, np.mod(start, n))
-        return lo, lo + np.minimum(length, n)
-    lo = np.clip(start, 0, n - 1)
-    return lo, np.clip(start + length, lo, n)
 
 
 def _summed(mask: np.ndarray, grid: Grid) -> np.ndarray:
@@ -104,7 +93,7 @@ class Abstraction:
     non-invariant ("keyed") dimensions flattens to ``kappa`` (row-major),
     under input ``u``.  Such a cell's successor box starts at its own index
     plus ``offset`` and has ``length`` cells on each dimension, and the grid
-    wraps or clips it (:func:`_window`).  The pair is blocked unless the
+    wraps or clips it (:meth:`Grid.window`).  The pair is blocked unless the
     cell's index on each invariant dimension lies in ``enabled``; a row
     with length 0 on every dimension is blocked for every cell.
     """
@@ -153,14 +142,12 @@ class Abstraction:
         so it is computed per entry."""
         lo = np.empty((self.grid_x.ndim,) + np.shape(pick), dtype=np.int64)
         hi = np.empty_like(lo)
-        for d, n in enumerate(self.grid_x.counts):
-            periodic = self.grid_x.periodic[d]
+        for d in range(self.grid_x.ndim):
             if d in self.invariant:
-                lo[d], hi[d] = _window(cell[d] + offset[:, d][pick],
-                                       length[:, d][pick], int(n), periodic)
+                lo[d], hi[d] = self.grid_x.window(d, cell[d] + offset[:, d][pick],
+                                                  length[:, d][pick])
             else:
-                e_lo, e_hi = _window(at[d] + offset[:, d], length[:, d], int(n),
-                                     periodic)
+                e_lo, e_hi = self.grid_x.window(d, at[d] + offset[:, d], length[:, d])
                 lo[d], hi[d] = e_lo[pick], e_hi[pick]
         return lo, hi
 
@@ -191,8 +178,8 @@ class Abstraction:
         for d, n in enumerate(self.grid_x.counts):
             at = np.arange(n) if d in self.invariant \
                 else self._index[2][d][rows // self.n_inputs, None]
-            lo, hi = _window(at + self.offset[:, d, None], self.length[:, d, None],
-                             int(n), self.grid_x.periodic[d])
+            lo, hi = self.grid_x.window(d, at + self.offset[:, d, None],
+                                        self.length[:, d, None])
             if d in self.invariant:
                 first, stop = self.enabled[:, self.invariant.index(d)].T
                 inside = (first[:, None] <= at) & (at < stop[:, None])
@@ -389,8 +376,7 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
     c_out, radius = reach_over_approx(sys, start, eta / 2, inputs)
     c_out = grid_x.wrap(c_out)
     r_lo, r_hi = c_out - radius, c_out + radius
-    k_lo = np.floor((r_lo - xlo) / eta - 0.5 + _TOL) + 1
-    k_hi = np.ceil((r_hi - xlo) / eta + 0.5 - _TOL) - 1
+    k_lo, k_hi = grid_x.index_bounds(r_lo, r_hi)
     # index bounds within +-2**30 keep every offset, length and enabled
     # bound of a grid under 2**30 cells inside int32; a huge tau gives
     # bounds past that, or NaN, which the casts below would wrap silently

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import knowledge
-from .grid import _TOL
+from .errors import OutOfDomain
 from .ltl import check_trace, propositions
 from .runtime import Outcome, Trace
 from .scenario import Scenario
@@ -55,10 +55,14 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     bad_time = [s.step for s in trace.steps
                 if abs(s.time - s.step * scenario.tau) > 1e-6]
     add("times are step*tau", not bad_time, f"bad steps {bad_time[:5]}")
-    # a state outside the state space matches no cell
-    bad_cell = [s.step for s in trace.steps
-                if not grid_x.bounds.contains(grid_x.wrap(s.state), tol=_TOL)
-                or grid_x.quantize(s.state) != s.cell]
+
+    def quantized(state):
+        try:
+            return grid_x.quantize(state)
+        except OutOfDomain:  # a state outside the state space matches no cell
+            return None
+
+    bad_cell = [s.step for s in trace.steps if quantized(s.state) != s.cell]
     add("cells match quantized states", not bad_cell, f"bad steps {bad_cell[:5]}")
 
     # detection bookkeeping: no cell is detected in two steps

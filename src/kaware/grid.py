@@ -4,8 +4,9 @@ Conventions (also documented in the README):
 
 * Grid points sit at ``lower + k * eta``.  On a non-periodic dimension
   ``k = 0 .. floor((upper - lower) / eta)``, i.e. the lower bound is always a
-  grid point and the upper bound is covered by the last cell.  This
-  reproduces ``|U| = 49`` for ``U = [-2pi, 2pi]``, ``eta = 0.26``.
+  grid point and the upper bound is covered by the last cell, for points,
+  regions and successor boxes alike.  This reproduces ``|U| = 49`` for
+  ``U = [-2pi, 2pi]``, ``eta = 0.26``.
 * On a periodic dimension the number of points is
   ``round((upper - lower) / eta)`` and the requested spacing is snapped to
   ``span / counts`` so that an integer number of cells tiles the circle
@@ -49,14 +50,6 @@ class HyperRect:
     @property
     def ndim(self) -> int:
         return self.lower.shape[0]
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def intersects(self, other: "HyperRect") -> bool:
         """Positive-measure overlap (shared faces do not count)."""
@@ -103,19 +96,17 @@ class Grid:
 
     def wrap(self, x) -> np.ndarray:
         """Wrap periodic coordinates into ``[lower, lower + span)``."""
-        x = np.asarray(x, dtype=float).copy()
-        per = self.periodic
-        if np.any(per):
-            lo = self.bounds.lower[per]
-            sp = self.span[per]
-            x[..., per] = lo + np.mod(x[..., per] - lo, sp)
+        x, per = np.array(x, dtype=float), self.periodic
+        lo = self.bounds.lower[per]
+        x[..., per] = lo + np.mod(x[..., per] - lo, self.span[per])
         return x
 
     def quantize(self, x) -> int:
         """Nearest grid point (ties toward the lower index)."""
         x = self.wrap(x)
         lo, hi = self.bounds.lower, self.bounds.upper
-        bad = ~self.periodic & ((x < lo - _TOL) | (x > hi + _TOL))
+        # negated, so that NaN is outside too
+        bad = ~((x >= lo - _TOL) & (x <= hi + _TOL))
         if np.any(bad):
             d = int(np.argmax(bad))
             raise OutOfDomain(f"coordinate {d} = {x[d]} outside [{lo[d]}, {hi[d]}]")
@@ -125,8 +116,7 @@ class Grid:
         return self.flat_index(k)
 
     def center(self, cell: int) -> np.ndarray:
-        k = self.multi_index(cell)
-        return self.bounds.lower + k * self.eta
+        return self.bounds.lower + self.multi_index(cell) * self.eta
 
     def centers(self) -> np.ndarray:
         """All cell centers as an ``(size, ndim)`` array, row-major order."""
@@ -137,43 +127,57 @@ class Grid:
         c = self.center(cell)
         return HyperRect(c - self.eta / 2, c + self.eta / 2)
 
-    # ---- region queries ---------------------------------------------------
+    def rects(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of the rects of the 1-D ``cells``, one row
+        per dimension.  (numpy 2.4's ``unravel_index`` gets rows of an (N, 1)
+        input wrong past 8 192 of them: broadcast after it, not before.)"""
+        k = np.array(np.unravel_index(np.asarray(cells, dtype=np.int64),
+                                      tuple(self.counts)))
+        centers = self.bounds.lower[:, None] + k * self.eta[:, None]
+        half = self.eta[:, None] / 2
+        return centers - half, centers + half
 
-    def index_interval(self, dim: int, lo: float, hi: float):
-        """Index range of cells whose rect overlaps ``[lo, hi]`` on ``dim``.
+    # ---- intervals to index windows ---------------------------------------
 
-        Overlap means positive measure: touching faces are excluded (with a
-        1e-9 relative tolerance band).  Returns ``(k_lo, length)``; on a
-        periodic dimension ``k_lo`` is taken modulo the count and the range
-        may wrap.  ``length`` may be 0 for degenerate regions.
-        """
-        eta = self.eta[dim]
-        t1 = (lo - self.bounds.lower[dim]) / eta
-        t2 = (hi - self.bounds.lower[dim]) / eta
-        k_lo = int(np.floor(t1 - 0.5 + _TOL)) + 1
-        k_hi = int(np.ceil(t2 + 0.5 - _TOL)) - 1
+    def index_bounds(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """First and last index per dimension (last axis) of the cells whose
+        rect overlaps ``[lo, hi]`` by more than a face (1e-9 relative band);
+        integral floats, neither clipped nor wrapped."""
+        lower, eta = self.bounds.lower, self.eta
+        first = np.floor((np.asarray(lo) - lower) / eta - 0.5 + _TOL) + 1
+        last = np.ceil((np.asarray(hi) - lower) / eta + 0.5 - _TOL) - 1
+        return first, last
+
+    def window(self, dim: int, start, length):
+        """Index window ``[lo, hi)`` of ``[start, start + length)`` on
+        ``dim``.  A periodic window starts in ``[0, n)`` (at 0 when it covers
+        the circle) and may run past ``n``, meaning it wraps.  Another window
+        is clipped to the axis; one that lies past the last cell keeps that
+        cell, where the trailing remainder of the bounds quantizes."""
         n = int(self.counts[dim])
         if self.periodic[dim]:
-            if k_hi - k_lo + 1 >= n:
-                return 0, n
-            return k_lo % n, max(k_hi - k_lo + 1, 0)
-        k_lo = max(k_lo, 0)
-        k_hi = min(k_hi, n - 1)
-        return k_lo, max(k_hi - k_lo + 1, 0)
+            lo = np.where(length >= n, 0, np.mod(start, n))
+            return lo, lo + np.minimum(length, n)
+        lo = np.clip(start, 0, n - 1)
+        return lo, np.clip(start + length, lo, n)
 
     def cells_intersecting(self, region: HyperRect) -> np.ndarray:
-        """Sorted flat indices of cells whose rect overlaps ``region``."""
+        """Sorted flat indices of the cells whose rect overlaps ``region``
+        (:meth:`index_bounds`), where on a non-periodic dimension the last
+        rect reaches the upper bound; past that bound lies no cell."""
         if region.ndim != self.ndim:
             raise ValueError("region dimension mismatch")
+        first, last = self.index_bounds(region.lower, region.upper)
+        past = ~self.periodic & (first >= self.counts) \
+            & ((region.lower - self.bounds.upper) / self.eta >= -_TOL)
         axes = []
         for d in range(self.ndim):
-            k0, ln = self.index_interval(d, region.lower[d], region.upper[d])
-            if ln == 0:
+            lo, hi = self.window(d, int(first[d]), int(last[d] - first[d]) + 1)
+            if past[d] or hi <= lo:
                 return np.empty(0, dtype=np.int64)
-            axes.append(np.mod(k0 + np.arange(ln), self.counts[d]))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = np.ravel_multi_index(tuple(m.ravel() for m in mesh), tuple(self.counts))
-        return np.sort(flat)
+            axes.append(np.mod(np.arange(lo, hi), self.counts[d]))
+        return np.sort(np.ravel_multi_index(np.ix_(*axes), tuple(self.counts)),
+                       axis=None)
 
 
 def make_grid(lower, upper, eta, periodic=None) -> Grid:

@@ -79,21 +79,10 @@ class ProximityRole:
         self.grid = grid_x
         self.max_range = float(max_range)
 
-    def _rects(self, cells) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corners of the 1-D ``cells``, one row per
-        dimension.  (numpy 2.4's ``unravel_index`` gets rows of an (N, 1)
-        input wrong past 8 192 of them: broadcast after it, not before.)"""
-        grid = self.grid
-        k = np.array(np.unravel_index(np.asarray(cells, dtype=np.int64),
-                                      tuple(grid.counts)))
-        centers = grid.bounds.lower[:, None] + k * grid.eta[:, None]
-        half = grid.eta[:, None] / 2
-        return centers - half, centers + half
-
     def relate(self, sources, targets) -> np.ndarray:
         """Bool array: ``[i, j]`` when ``targets[j]`` is in proximity of
         ``sources[i]``."""
-        return self._kernel(self._rects(sources), self._rects(targets))
+        return self._kernel(self.grid.rects(sources), self.grid.rects(targets))
 
     def _kernel(self, a, b) -> np.ndarray:
         """``relate`` on the cells' rects; the heading test runs only on the
@@ -126,10 +115,10 @@ class ProximityRole:
         grid = self.grid
         cells = np.flatnonzero(targets)
         planar = cells // grid.counts[2]   # row-major, heading last
-        every = self._rects(np.arange(grid.size))
+        every = grid.rects(np.arange(grid.size))
         found = np.zeros(grid.size, dtype=bool)
         for t in cells[np.unique(planar, return_index=True)[1]]:
-            found |= self._kernel(every, self._rects([t]))[:, 0]
+            found |= self._kernel(every, grid.rects([t]))[:, 0]
         return found
 
 

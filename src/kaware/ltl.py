@@ -162,6 +162,11 @@ _CONCEPT = ((("|", Or, False), ("&", And, False)), {"!": Not},
             {"top": Top, "bottom": Bottom}, {"exists": Exists, "forall": Forall})
 
 
+# Longest path of operators and parentheses from a formula's root to an atom;
+# every walker (check_trace's F and G take 3 frames a level) fits 1 000 frames.
+MAX_DEPTH = 200
+
+
 def _parse(text: str, temporal: bool) -> Formula:
     binary, prefix, constants, restrictions = _TEMPORAL if temporal else _CONCEPT
     levels = {op: k for k, (op, _, _) in enumerate(binary)}
@@ -189,40 +194,50 @@ def _parse(text: str, temporal: bool) -> Formula:
         if tok != want:
             raise LtlSyntaxError(f"expected {want!r}, found {tok!r}", at)
 
-    def unary() -> Formula:
+    def unary(depth: int) -> tuple[Formula, int]:
+        """The operand at ``depth`` levels below the root, and its height."""
         tok, at = take()
+        if depth > MAX_DEPTH:
+            raise LtlSyntaxError("formula nested too deeply", at)
         if tok == "(":
-            phi = binaries(0)
+            phi, height = binaries(0, depth + 1)
             expect(")")
-            return phi
+            return phi, height + 1
         if tok in prefix:
-            return prefix[tok](unary())
+            phi, height = unary(depth + 1)
+            return prefix[tok](phi), height + 1
         if tok in restrictions:
             role, _ = take()
             if not role.isidentifier():
                 raise LtlSyntaxError("expected role name", at)
             expect(".")
-            return restrictions[tok](role, unary())
+            phi, height = unary(depth + 1)
+            return restrictions[tok](role, phi), height + 1
         if tok in constants:
-            return constants[tok]()
+            return constants[tok](), 0
         # LTL's `U` is an identifier, but not an atom
         if tok.isidentifier() and tok not in levels:
-            return Atomic(tok)
+            return Atomic(tok), 0
         raise LtlSyntaxError(f"unexpected token {tok!r}", at)
 
-    def binaries(lowest: int) -> Formula:
+    def binaries(lowest: int, depth: int) -> tuple[Formula, int]:
         """Precedence climbing: an operand and the operators from level
-        ``lowest`` up that follow it."""
-        phi = unary()
+        ``lowest`` up that follow it.  A left-associative chain does not
+        recurse but deepens its first operand, so the height is checked."""
+        phi, height = unary(depth)
         while levels.get(peek()[0], -1) >= lowest:
-            k = levels[take()[0]]
+            tok, at = take()
+            k = levels[tok]
             _, node, right = binary[k]
             # the right operand of a right-associative operator takes
             # every later operator of its level
-            phi = node(phi, binaries(k if right else k + 1))
-        return phi
+            rhs, h = binaries(k if right else k + 1, depth + 1)
+            phi, height = node(phi, rhs), max(height, h) + 1
+            if depth + height > MAX_DEPTH:
+                raise LtlSyntaxError("formula nested too deeply", at)
+        return phi, height
 
-    phi = binaries(0)
+    phi, _ = binaries(0, 0)
     tok, at = peek()
     if tok is not None:
         raise LtlSyntaxError(f"trailing input {tok!r}", at)

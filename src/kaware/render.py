@@ -10,6 +10,7 @@ import numpy as np
 
 from . import knowledge
 from .errors import UndeclaredName
+from .grid import HyperRect
 from .runtime import Trace
 from .scenario import Scenario
 
@@ -89,11 +90,9 @@ def render_svg(scenario: Scenario, trace: Trace | None = None) -> str:
         detected = np.zeros(grid_x.size, dtype=bool)
     counts = grid_x.counts
     cols = detected.reshape(counts[0], counts[1], -1).any(axis=2)
-    half = grid_x.eta / 2
-    for i1, i2 in np.argwhere(cols):
-        c = grid_x.bounds.lower[:2] + np.array([i1, i2]) * grid_x.eta[:2]
-        box = type(scenario.state_bounds)(c - half[:2], c + half[:2])
-        canvas.rect(box, "#ffb347", 0.35)
+    lower, upper = grid_x.rects(np.flatnonzero(cols) * counts[2])
+    for lo, hi in zip(lower.T, upper.T):
+        canvas.rect(HyperRect(lo, hi), "#ffb347", 0.35)
 
     if trace is not None:
         pts = [(s.state[0], s.state[1]) for s in trace.steps]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import flow
 from .errors import (InitialStateNotWinning, InitialStateOutsideDomain,
-                     TraceFormatError)
+                     OutOfDomain, TraceFormatError)
 from .ltl import compile_objective
 from .synthesis import solve_reach_avoid
 
@@ -94,9 +94,11 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
     """
     grid_x, grid_u = world.grid_x, world.grid_u
     sys = world.system
-    if not grid_x.bounds.contains(grid_x.wrap(world.initial_state), tol=1e-9):
-        raise InitialStateOutsideDomain(
-            f"initial state {world.initial_state.tolist()} outside the state space")
+    try:
+        grid_x.quantize(world.initial_state)
+    except OutOfDomain:
+        raise InitialStateOutsideDomain(f"initial state {world.initial_state.tolist()}"
+                                        " outside the state space") from None
     rng = np.random.default_rng(seed)
     known: set[int] = set()
     sign_extent = world.interp.extent("NoEntrySign") if world.sign_links \

@@ -147,14 +147,48 @@ def nearest_point_index(lower, eta, count, x):
 
 
 def cells_overlapping_bruteforce(grid, region_lo, region_hi):
-    """All cells whose rect has positive-measure overlap with the box."""
+    """All cells whose rect has positive-measure overlap with the box, where
+    on a non-periodic dimension the last rect reaches the upper bound (the
+    trailing remainder of the bounds quantizes to the last cell)."""
     out = []
     for cell in range(grid.size):
         r = grid.cell_rect(cell)
-        if all(r.lower[d] < region_hi[d] and region_lo[d] < r.upper[d]
+        last = ~grid.periodic & (grid.multi_index(cell) == grid.counts - 1)
+        upper = np.where(last, np.maximum(r.upper, grid.bounds.upper), r.upper)
+        if all(r.lower[d] < region_hi[d] and region_lo[d] < upper[d]
                for d in range(grid.ndim)):
             out.append(cell)
     return out
+
+
+def index_interval(grid, dim, lo, hi, tol=1e-9):
+    """The scalar rule regions followed before the last cell owned the
+    trailing remainder: ``(k_lo, length)`` of the cells whose rect overlaps
+    ``[lo, hi]`` on ``dim`` by positive measure (1e-9 relative band), the
+    range wrapping on a periodic dimension."""
+    eta = grid.eta[dim]
+    t1 = (lo - grid.bounds.lower[dim]) / eta
+    t2 = (hi - grid.bounds.lower[dim]) / eta
+    k_lo = int(np.floor(t1 - 0.5 + tol)) + 1
+    k_hi = int(np.ceil(t2 + 0.5 - tol)) - 1
+    n = int(grid.counts[dim])
+    if grid.periodic[dim]:
+        if k_hi - k_lo + 1 >= n:
+            return 0, n
+        return k_lo % n, max(k_hi - k_lo + 1, 0)
+    k_lo = max(k_lo, 0)
+    k_hi = min(k_hi, n - 1)
+    return k_lo, max(k_hi - k_lo + 1, 0)
+
+
+def cells_by_index_interval(grid, lo, hi):
+    """Sorted flat cells of the product of :func:`index_interval` ranges."""
+    cells = [0]
+    for d in range(grid.ndim):
+        k0, ln = index_interval(grid, d, lo[d], hi[d])
+        n = int(grid.counts[d])
+        cells = [c * n + (k0 + i) % n for c in cells for i in range(ln)]
+    return sorted(cells)
 
 
 # ---------------------------------------------------------------------------

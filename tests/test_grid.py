@@ -55,6 +55,14 @@ def test_quantize_out_of_domain():
         grid.quantize([1.0, 11.2])
 
 
+def test_quantize_rejects_nan():
+    grid = make_grid([0.0, 0.0, -PI], [8.0, 11.0, PI], [0.3, 0.3, 0.52],
+                     periodic=[False, False, True])
+    for x in ([np.nan, 5.0, 0.0], [1.0, 5.0, np.nan]):
+        with pytest.raises(OutOfDomain):
+            grid.quantize(x)
+
+
 def test_center_last_cell():
     grid = make_grid([0.0], [8.0], [0.15])
     assert grid.size == 54
@@ -171,6 +179,100 @@ def test_cells_intersecting_degenerate_region():
     assert grid.cells_intersecting(HyperRect([0.3], [0.3])).tolist() == [2]
     # on a cell face (0.225 separates cells 1 and 2) it touches neither
     assert grid.cells_intersecting(HyperRect([0.225], [0.225])).size == 0
+
+
+def test_cells_intersecting_trailing_strip():
+    grid = make_grid([0.0], [8.0], [0.3])
+    # the last rect ends at 7.95; the strip (7.95, 8] quantizes to it
+    assert grid.quantize([7.98]) == grid.size - 1
+    assert grid.cells_intersecting(HyperRect([7.96], [8.0])).tolist() == \
+        [grid.size - 1]
+    assert grid.cells_intersecting(HyperRect([7.96], [7.96])).tolist() == \
+        [grid.size - 1]
+    # a region starting at or past the upper bound meets no cell
+    assert grid.cells_intersecting(HyperRect([8.0], [8.0])).size == 0
+    assert grid.cells_intersecting(HyperRect([8.5], [8.5])).size == 0
+    assert grid.cells_intersecting(HyperRect([8.5], [9.0])).size == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_states_inside_a_region_quantize_to_its_cells(data):
+    ndim = data.draw(st.integers(1, 3))
+    lower = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=ndim,
+                                        max_size=ndim)))
+    span = np.array(data.draw(st.lists(st.floats(0.5, 20), min_size=ndim,
+                                       max_size=ndim)))
+    cells = np.array(data.draw(st.lists(st.floats(1.05, 15), min_size=ndim,
+                                        max_size=ndim)))
+    periodic = data.draw(st.lists(st.booleans(), min_size=ndim, max_size=ndim))
+    grid = make_grid(lower, lower + span, span / cells, periodic)
+    # a region inside the bounds, at least 1 % of the span wide
+    a = np.array(data.draw(st.lists(st.floats(0, 0.99), min_size=ndim,
+                                    max_size=ndim)))
+    b = a + np.array(data.draw(st.lists(st.floats(0.01, 1), min_size=ndim,
+                                        max_size=ndim))) * (1 - a)
+    region = HyperRect(lower + a * span, lower + np.maximum(b, a + 0.01) * span)
+    got = set(grid.cells_intersecting(region).tolist())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = np.vstack([rng.uniform(0.001, 0.999, (20, ndim)),
+                   np.full((1, ndim), 0.999), np.full((1, ndim), 0.001)])
+    for x in region.lower + f * (region.upper - region.lower):
+        assert grid.quantize(x) in got
+
+
+def _random_grid(rng):
+    ndim = int(rng.integers(1, 4))
+    lower = rng.uniform(-5, 5, ndim)
+    span = rng.uniform(0.5, 10, ndim)
+    return make_grid(lower, lower + span, span / rng.uniform(1.05, 12, ndim),
+                     rng.random(ndim) < 0.3)
+
+
+def _random_coordinate(rng, grid, d):
+    """Uniform around the bounds, on a cell face, at the upper bound, or in
+    the trailing strip, each a quarter of the time."""
+    lo, hi, eta, n = (grid.bounds.lower[d], grid.bounds.upper[d], grid.eta[d],
+                      int(grid.counts[d]))
+    face = lo + (n - 0.5) * eta
+    return [lambda: rng.uniform(lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo)),
+            lambda: lo + (rng.integers(-1, n + 1) + 0.5) * eta,
+            lambda: hi + rng.choice([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]),
+            lambda: rng.uniform(min(face, hi), hi)][rng.integers(4)]()
+
+
+def differential(rng, pairs):
+    """Compare ``cells_intersecting`` with the former scalar rule
+    (:func:`oracles.cells_by_index_interval`) on random (grid, region)
+    pairs.  Returns the number of pairs, of differing pairs, and of
+    differing pairs that break the expected difference: the former set
+    plus, where the region meets the trailing strip of a non-periodic
+    dimension, cells at that dimension's last index."""
+    differ = wrong = 0
+    for _ in range(pairs):
+        grid = _random_grid(rng)
+        lo, hi = np.sort([[_random_coordinate(rng, grid, d) for d in range(grid.ndim)]
+                          for _ in range(2)], axis=0)
+        if rng.random() < 0.2:
+            hi = lo.copy()
+        new = set(grid.cells_intersecting(HyperRect(lo, hi)).tolist())
+        old = set(oracles.cells_by_index_interval(grid, lo, hi))
+        if new == old:
+            continue
+        differ += 1
+        face = grid.bounds.lower + (grid.counts - 0.5) * grid.eta
+        strip = ~grid.periodic & (hi >= face - 1e-6) & (lo < grid.bounds.upper)
+        added = [np.unravel_index(c, tuple(grid.counts)) for c in new - old]
+        wrong += not (old <= new and strip.any() and all(
+            any(k[d] == grid.counts[d] - 1 for d in np.flatnonzero(strip))
+            for k in added))
+    return pairs, differ, wrong
+
+
+def test_cells_intersecting_differs_from_the_former_rule_only_on_the_strip():
+    pairs, differ, wrong = differential(np.random.default_rng(5), 3000)
+    assert wrong == 0
+    assert differ > 0
 
 
 def test_hyperrect_validation():

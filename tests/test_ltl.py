@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from kaware.errors import LtlSyntaxError, TargetUnreachableWarning
 from kaware.knowledge import Interpretation
-from kaware.ltl import (Always, And, Atomic, Eventually, GameObjective,
-                        Implies, Next, Not, Or, Top, Until, check_trace,
-                        compile_objective, parse_ltl, propositions)
+from kaware.ltl import (MAX_DEPTH, Always, And, Atomic, Eventually,
+                        GameObjective, Implies, Next, Not, Or, Top, Until,
+                        check_trace, compile_objective, parse_concept, parse_ltl,
+                        propositions)
 
 import oracles
 
@@ -69,6 +70,35 @@ def test_parse_errors_carry_position(text, pos):
     with pytest.raises(LtlSyntaxError) as exc:
         parse_ltl(text)
     assert exc.value.pos == pos
+
+
+def _nested_chains(n):
+    """Left chains of 9 ``&`` nested as first operands, 10 levels each."""
+    phi = "a"
+    for _ in range(n // 10):
+        phi = "(" + phi + " & a" * 9 + ")"
+    return "!" * (n % 10) + phi
+
+
+# formulas of nesting depth n: the levels of operators and parentheses on
+# the longest path from the root to an atom
+DEPTH_SHAPES = {
+    "parentheses": lambda n: "(" * n + "a" + ")" * n,
+    "prefix": lambda n: "G " * n + "a",
+    "left_chain": lambda n: " & ".join(["a"] * (n + 1)),
+    "right_chain": lambda n: " -> ".join(["a"] * (n + 1)),
+    "nested_left_chains": _nested_chains,
+    "concept_restriction": lambda n: "exists r." * n + "a",
+    "concept_left_chain": lambda n: " | ".join(["a"] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+def test_nesting_depth_is_bounded(shape):
+    parse = parse_concept if shape.startswith("concept") else parse_ltl
+    parse(DEPTH_SHAPES[shape](MAX_DEPTH))
+    with pytest.raises(LtlSyntaxError, match="formula nested too deeply"):
+        parse(DEPTH_SHAPES[shape](MAX_DEPTH + 1))
 
 
 def test_concept_keywords_are_atoms():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from kaware.cli import main
 from kaware.errors import ScenarioParseError, ScenarioValidationError
-from kaware.ltl import parse_ltl
+from kaware.knowledge import assemble_interpretation
+from kaware.ltl import MAX_DEPTH, compile_objective, parse_ltl
 from kaware.scenario import load_scenario
 
 from conftest import DESK_SCENARIO, FULL_SCENARIO
@@ -53,6 +54,20 @@ def _mutate(base_path, tmp_path, mutate):
     out = tmp_path / "mutant.scn.json"
     out.write_text(json.dumps(raw).replace('"1e400"', "1e400"))
     return str(out)
+
+
+def test_obstacle_in_the_trailing_strip_is_avoided(tmp_path):
+    """On desk the last rect along x ends at 7.95; states in (7.95, 8]
+    quantize to it, so an obstacle there covers it."""
+    path = _mutate(DESK_SCENARIO, tmp_path, lambda raw: raw["map"]["regions"][
+        "Obstacle"].append({"lower": [7.96, 0.0], "upper": [8.0, 11.0]}))
+    sc = load_scenario(path)
+    grid = sc.state_grid()
+    interp = assemble_interpretation(sc.knowledge_base(), sc.all_regions(), grid)
+    avoid = compile_objective(interp, [], set()).avoid
+    assert grid.quantize([7.98, 5.0, 0.0]) == 11754
+    assert 11754 in avoid
+    assert len(avoid) == 3240 + 37 * 12  # every y and heading at the last x
 
 
 def test_target_outside_bounds_rejected(tmp_path):
@@ -195,6 +210,39 @@ def test_cli_rejects_ill_typed_scenario_fields(tmp_path, capsys, where, mutate):
     code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
     assert code == 2
     assert f"error:validation: {where}" in capsys.readouterr().err
+
+
+def _objective(text):
+    return lambda raw: raw.update(objective=text)
+
+
+@pytest.mark.parametrize("where,mutate", [
+    ("objective", _objective("(" * 600 + "Target" + ")" * 600)),
+    ("objective", _objective("!" * 2000 + "Target")),
+    ("objective", _objective("G " * 2000 + "Target")),
+    ("knowledge.tbox[0].concept", lambda raw: raw["knowledge"]["tbox"][0].update(
+        concept="!" * 2000 + "Target")),
+    ("objective", _objective(" & ".join(["Target"] * 5000))),
+    ("objective", _objective(" -> ".join(["Target"] * 3000))),
+    ("objective", _objective("!" * 900 + "Target")),
+], ids=["parentheses", "not", "always", "concept_not", "and_chain",
+        "implies_chain", "not_900"])
+def test_cli_rejects_deeply_nested_formulas(tmp_path, capsys, where, mutate):
+    path = _mutate(DESK_SCENARIO, tmp_path, mutate)
+    code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
+    assert code == 2
+    assert f"error:parse: {where}: formula nested too deeply" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("objective", [
+    "G " * MAX_DEPTH + "Target",
+    " & ".join(["Target"] * (MAX_DEPTH + 1)),
+], ids=["always", "and_chain"])
+def test_cli_runs_a_formula_at_the_nesting_bound(cli_artifacts, tmp_path, objective):
+    path = _mutate(DESK_SCENARIO, tmp_path, _objective(objective))
+    assert main(["abstract", path, "-o", str(tmp_path / "c.kaw")]) == 0
+    assert main(["check", str(cli_artifacts["trace"]), path]) in (0, 1)
 
 
 def test_objective_may_name_a_defined_concept(tmp_path):
