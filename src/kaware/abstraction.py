@@ -10,11 +10,10 @@ fixed index range.  The abstraction is therefore a table with one row per
 (index on the other dimensions, input) -- per (heading, input) for the
 Dubins car -- holding the box offset and length on every dimension and the
 non-blocked index range on every invariant dimension.  The state grid
-turns each reach rectangle into index ranges and each range into an index
-window (``Grid.index_bounds``, ``Grid.window``), by the rules it applies to
-scenario regions.  Its periodic dimensions (the heading) wrap: a flowed
-state is wrapped by the grid, and a box on such a dimension may run past
-the last cell.
+turns each reach rectangle into index windows (``Grid.index_bounds``,
+``Grid.window``) by the rules it applies to scenario regions; on its
+periodic dimensions (the heading) it wraps a flowed state, and a box may
+run past the last cell.
 
 ``boxes`` reads the table as index windows, ``controllable`` answers the
 fixpoint's question from a summed-area table of the goal set, and

@@ -53,9 +53,7 @@ class HyperRect:
 
     def intersects(self, other: "HyperRect") -> bool:
         """Positive-measure overlap (shared faces do not count)."""
-        return bool(
-            np.all(self.lower < other.upper) and np.all(other.lower < self.upper)
-        )
+        return bool(np.all(self.lower < other.upper) and np.all(other.lower < self.upper))
 
 
 @dataclass(frozen=True)
@@ -149,11 +147,10 @@ class Grid:
         return first, last
 
     def window(self, dim: int, start, length):
-        """Index window ``[lo, hi)`` of ``[start, start + length)`` on
-        ``dim``.  A periodic window starts in ``[0, n)`` (at 0 when it covers
-        the circle) and may run past ``n``, meaning it wraps.  Another window
-        is clipped to the axis; one that lies past the last cell keeps that
-        cell, where the trailing remainder of the bounds quantizes."""
+        """Index window ``[lo, hi)`` of ``[start, start + length)`` on ``dim``.
+        A periodic window starts in ``[0, n)`` (at 0 if it covers the circle)
+        and may run past ``n``, meaning it wraps.  Another is clipped to the
+        axis; one past the last cell keeps it (the trailing strip quantizes there)."""
         n = int(self.counts[dim])
         if self.periodic[dim]:
             lo = np.where(length >= n, 0, np.mod(start, n))
@@ -172,7 +169,11 @@ class Grid:
             & ((region.lower - self.bounds.upper) / self.eta >= -_TOL)
         axes = []
         for d in range(self.ndim):
-            lo, hi = self.window(d, int(first[d]), int(last[d] - first[d]) + 1)
+            # in Python ints: a float length loses an end past 2**53 (-1e300)
+            n, k0, k1 = int(self.counts[d]), int(first[d]), int(last[d])
+            k0, k1 = (k0 % n, k0 % n + min(k1 - k0, n)) if self.periodic[d] \
+                else (min(max(k0, -1), n), min(max(k1, -1), n))
+            lo, hi = self.window(d, k0, k1 - k0 + 1)
             if past[d] or hi <= lo:
                 return np.empty(0, dtype=np.int64)
             axes.append(np.mod(np.arange(lo, hi), self.counts[d]))

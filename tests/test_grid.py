@@ -195,6 +195,22 @@ def test_cells_intersecting_trailing_strip():
     assert grid.cells_intersecting(HyperRect([8.5], [9.0])).size == 0
 
 
+def test_cells_intersecting_regions_far_past_the_bounds():
+    # JSON has no infinity, so a huge finite number stands for it; its
+    # window must not lose the region's other end to float rounding
+    grid = make_grid([0.0], [8.0], [0.3])
+    assert grid.cells_intersecting(HyperRect([-1e300], [5.0])).tolist() == \
+        list(range(18))
+    assert grid.cells_intersecting(HyperRect([3.0], [1e300])).tolist() == \
+        list(range(10, grid.size))
+    assert grid.cells_intersecting(HyperRect([-1e300], [-1e299])).size == 0
+    assert grid.cells_intersecting(HyperRect([1e299], [1e300])).size == 0
+    circle = make_grid([-PI], [PI], [0.5], periodic=[True])
+    everything = list(range(circle.size))
+    for lo, hi in [(-1e300, 0.0), (0.0, 1e300), (-1e20, 1e20)]:
+        assert circle.cells_intersecting(HyperRect([lo], [hi])).tolist() == everything
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_states_inside_a_region_quantize_to_its_cells(data):
@@ -231,9 +247,13 @@ def _random_grid(rng):
 
 def _random_coordinate(rng, grid, d):
     """Uniform around the bounds, on a cell face, at the upper bound, or in
-    the trailing strip, each a quarter of the time."""
+    the trailing strip, each about a quarter of the time; on a non-periodic
+    dimension, one time in ten far past either bound.  (On a periodic one a
+    point that far has no meaningful angle, so the rules need not agree.)"""
     lo, hi, eta, n = (grid.bounds.lower[d], grid.bounds.upper[d], grid.eta[d],
                       int(grid.counts[d]))
+    if not grid.periodic[d] and rng.random() < 0.1:
+        return rng.choice([-1e300, -1e20, 1e20, 1e300])
     face = lo + (n - 0.5) * eta
     return [lambda: rng.uniform(lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo)),
             lambda: lo + (rng.integers(-1, n + 1) + 0.5) * eta,
