@@ -16,8 +16,9 @@ periodic dimensions (the heading) it wraps a flowed state, and a box may
 run past the last cell.
 
 ``boxes`` reads the table as index windows, ``controllable`` answers the
-fixpoint's question from a summed-area table of the goal set, and
-``flat_transitions`` expands every pair into flat successor lists.  The
+fixpoint's question for each pair by one lookup into erosion tables of the
+goal set (whether every cell of a box of the pair's lengths lies in it),
+and ``flat_transitions`` expands every pair into flat successor lists.  The
 cache file stores the table and a fingerprint of the dynamics it was built
 for.  The tests check the table against per-pair successor lists and a
 per-cell construction of their own.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,30 +58,110 @@ def fingerprint(sys: ContinuousSystem, grid_x: Grid, grid_u: Grid) -> bytes:
     return h.digest()
 
 
-def _summed(mask: np.ndarray, grid: Grid) -> np.ndarray:
-    """Summed-area table of a cell mask: entry ``[i, j, ...]`` counts the
-    mask's cells below those indices.  Periodic axes are doubled so that
-    wrapping windows are plain ranges."""
-    a = mask.reshape(tuple(grid.counts)).astype(np.int32)
-    for d in np.flatnonzero(grid.periodic):
-        a = np.concatenate((a, a), axis=d)
-    a = np.pad(a, [(1, 0)] * a.ndim)
-    for d in range(a.ndim):
-        np.cumsum(a, axis=d, out=a)
-    return a
+def _cut(axis: int, start, stop) -> tuple:
+    """Index of the slice ``start:stop`` along ``axis``."""
+    return (slice(None),) * axis + (slice(start, stop),)
 
 
-def _box_counts(summed: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Cells counted in each box ``[lo, hi)`` (index windows, dimension
-    first), by inclusion-exclusion over the box's corners."""
-    flat = summed.ravel()
-    strides = np.array(summed.strides) // summed.itemsize
-    ends = [(a * s, b * s) for a, b, s in zip(lo, hi, strides)]
-    total = np.zeros(lo.shape[1:], dtype=np.int64)
-    for corner in itertools.product((0, 1), repeat=len(ends)):
-        at = sum(e[c] for e, c in zip(ends, corner))
-        total += (-1) ** (len(ends) - sum(corner)) * flat[at]
-    return total
+@dataclass(frozen=True)
+class _Lookup:
+    """Boxes given per ``(row key, column)``, each read from a cell mask by
+    one gather into the mask's tables (:meth:`tables`).
+
+    Axis ``d`` of a table holds every start ``first[d] + i`` a box can take,
+    ``0 <= i < span[d]``.  Each class of boxes -- a length row and a range of
+    starts on every axis -- has a table: entry ``q`` is true when ``q`` lies
+    in the range and the mask holds every cell of the box of that length
+    starting at ``q`` (its erosion, :meth:`eroded`).  One more table, all
+    false, serves the empty boxes.  A box starts in the tables at
+    ``base[state] + at[key, column]``: ``base`` holds the state's invariant
+    indices, ``at`` its class's table and the rest of its start.
+
+    ``src`` maps the erosion grid -- the tables' grid extended by the
+    longest box less one cell -- to the state grid's cells: wrapped on a
+    periodic axis and, outside a non-periodic one, to ``n_states``, a cell
+    that every mask holds; so a box reads as clipped to the grid.
+    ``lengths`` are the distinct length rows, ``classes`` per class its
+    length row's index and, per axis, its range ``[lo, hi)`` of ``i``.
+    """
+
+    src: np.ndarray
+    span: np.ndarray
+    lengths: np.ndarray
+    classes: np.ndarray
+    base: np.ndarray
+    at: np.ndarray
+
+    @classmethod
+    def build(cls, grid: Grid, invariant, idx, start, length, ranges) -> "_Lookup":
+        """``start`` and ``length`` are ``(keys, columns, d)``: a box starts
+        at ``start`` for the cell with index 0 on the ``invariant``
+        dimensions, where a cell adds its index (``idx``, ``(d,
+        n_states)``), and spans ``length`` cells.  ``ranges``, ``(keys,
+        columns, d, 2)``, bounds the starts ``[lo, hi)`` at which the box
+        counts."""
+        inv = np.isin(np.arange(grid.ndim), invariant)
+        live = (length > 0).all(axis=2)
+        q = start[live] if live.any() else np.zeros((1, grid.ndim), dtype=np.int64)
+        length = np.where(grid.periodic, np.minimum(length, grid.counts), length)[live]
+        lengths, lid = np.unique(length.astype(np.int64), axis=0, return_inverse=True)
+        first = q.min(axis=0)
+        span = q.max(axis=0) + np.where(inv, grid.counts - 1, 0) - first + 1
+        axes, outside = [], np.zeros((1,) * grid.ndim, dtype=bool)
+        for d, n in enumerate(grid.counts):
+            i = np.arange(first[d], first[d] + span[d] + lengths[:, d].max(initial=1) - 1)
+            axes.append(np.mod(i, n) if grid.periodic[d] else np.clip(i, 0, n - 1))
+            out = ~grid.periodic[d] & ((i < 0) | (i >= n))
+            outside = outside | out.reshape((1,) * d + (-1,) + (1,) * (grid.ndim - d - 1))
+        src = np.where(outside, grid.size,
+                       np.ravel_multi_index(np.ix_(*axes), tuple(grid.counts)))
+        rel = np.clip(ranges[live] - first[:, None], 0, span[:, None])
+        classes, cid = np.unique(np.column_stack((lid.reshape(-1, 1),
+                                                  rel.reshape(len(rel), 2 * grid.ndim))),
+                                 axis=0, return_inverse=True)
+        table = int(np.prod(span))
+        stride = np.cumprod(np.concatenate(([1], span[:0:-1])))[::-1]
+        at = np.full(live.shape, len(classes) * table, dtype=np.int64)
+        at[live] = cid.ravel() * table + (start[live] - first) @ stride
+        return cls(src=src, span=span, lengths=lengths, classes=classes, at=at,
+                   base=(idx[inv].T @ stride[inv]).astype(np.int64))
+
+    def eroded(self, mask: np.ndarray) -> list[np.ndarray]:
+        """Per length row, the erosion of ``mask``: entry ``i`` is true when
+        every cell of the box of that length starting at ``first + i`` is in
+        ``mask`` or outside the grid.  Each axis is eroded by ANDs of
+        shifted copies, each doubling the length covered; the axis with the
+        longest boxes goes first, as it shrinks the array most, and rows that
+        agree on the axes eroded so far share that work."""
+        order = np.argsort(-self.lengths.max(axis=0, initial=1), kind="stable")
+        done = {(): np.append(mask, True)[self.src]}
+        for row in self.lengths:
+            for j, d in enumerate(order):
+                key = tuple(row[order[:j + 1]])
+                if key not in done:
+                    a, k = done[key[:-1]], 1
+                    while k < row[d]:
+                        step = min(k, row[d] - k)
+                        a, k = a[_cut(d, None, -step)] & a[_cut(d, step, None)], k + step
+                    done[key] = a[_cut(d, None, self.span[d])]
+        return [done[tuple(row[order])] for row in self.lengths]
+
+    def tables(self, mask: np.ndarray) -> np.ndarray:
+        """The tables of ``mask``, flat and concatenated, the empty boxes'
+        last."""
+        eroded = self.eroded(mask)
+        size = int(np.prod(self.span))
+        out = np.zeros((len(self.classes) + 1) * size, dtype=bool)
+        for c, (length, *bounds) in enumerate(self.classes):
+            box = tuple(slice(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]))
+            out[c * size:(c + 1) * size].reshape(self.span)[box] = eroded[length][box]
+        return out
+
+    def read(self, mask: np.ndarray, states: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Per state of ``states``, with row keys ``key``, and column:
+        whether the box is nonempty, starts inside its range, and ``mask``
+        holds each of its cells inside the grid."""
+        return self.tables(mask)[self.base[states, None] + self.at[key]]
 
 
 @dataclass
@@ -132,35 +212,20 @@ class Abstraction:
             keys[keyed] = np.indices(tuple(counts[keyed])).reshape(len(keyed), -1)
         return idx, kappa, keys
 
-    def _windows(self, cell, pick, at, offset, length):
-        """Index windows ``(lo, hi)`` of boxes given per table entry (row, or
-        row key): ``offset`` and ``length`` are ``(entries, d)``, ``at`` is
-        each entry's index on the keyed dimensions, ``(d, entries)``, and
-        ``pick`` is the entry of each cell of ``cell`` (indices, ``(d,
-        *pairs)``).  A keyed dimension's window depends only on the entry,
-        so it is computed per entry."""
-        lo = np.empty((self.grid_x.ndim,) + np.shape(pick), dtype=np.int64)
-        hi = np.empty_like(lo)
-        for d in range(self.grid_x.ndim):
-            if d in self.invariant:
-                lo[d], hi[d] = self.grid_x.window(d, cell[d] + offset[:, d][pick],
-                                                  length[:, d][pick])
-            else:
-                e_lo, e_hi = self.grid_x.window(d, at[d] + offset[:, d], length[:, d])
-                lo[d], hi[d] = e_lo[pick], e_hi[pick]
-        return lo, hi
-
     def boxes(self, states, inputs) -> tuple[np.ndarray, np.ndarray]:
         """Successor boxes of the pairs ``(states, inputs)`` (broadcast
         together): index windows ``[lo, hi)``, each of shape ``(d,
         *pairs)``.  Periodic windows start in ``[0, n)`` and may run past
         ``n``, meaning they wrap; a blocked pair's box is empty."""
-        idx, kappa, keys = self._index
+        idx, kappa, _ = self._index
         states = np.asarray(states)
         row = kappa[states] * self.n_inputs + np.asarray(inputs)
         cell = [i[states] for i in idx]
-        lo, hi = self._windows(cell, row, np.repeat(keys, self.n_inputs, axis=1),
-                               self.offset, self.length)
+        lo = np.empty((self.grid_x.ndim,) + row.shape, dtype=np.int64)
+        hi = np.empty_like(lo)
+        for d in range(self.grid_x.ndim):
+            lo[d], hi[d] = self.grid_x.window(d, cell[d] + self.offset[row, d],
+                                              self.length[row, d])
         on = self.length[:, 0][row] > 0
         for a, d in enumerate(self.invariant):
             first, stop = self.enabled[:, a].T
@@ -194,33 +259,49 @@ class Abstraction:
             "blocked_pairs": n_pairs - int(pairs.sum()),
         }
 
+    @cached_property
+    def _lookups(self) -> tuple[_Lookup, _Lookup]:
+        """The lookups :meth:`controllable` reads, built once: of each
+        pair's box, with its cells' enabled ranges as ranges of starts, and
+        of each row key's window covering the boxes of all its enabled
+        inputs."""
+        m, d = self.n_inputs, self.grid_x.ndim
+        idx, _, keys = self._index
+        start = (self.offset + np.repeat(keys, m, axis=1).T).reshape(-1, m, d)
+        length = self.length.reshape(start.shape)
+        low, high = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+        ranges = np.tile([low, high], start.shape + (1,))
+        for a, dim in enumerate(self.invariant):
+            ranges[..., dim, :] = self.enabled[:, a].reshape(-1, m, 2) + start[..., dim, None]
+        # a key with no enabled input gets an empty window; it reads false,
+        # so its states are checked, and found blocked
+        live = (length > 0).all(axis=2)[..., None]
+        lo = np.where(live, start, high).min(axis=1)[:, None]
+        hi = np.where(live, start + length, low).max(axis=1)[:, None]
+        return (_Lookup.build(self.grid_x, self.invariant, idx, start, length, ranges),
+                _Lookup.build(self.grid_x, self.invariant, idx, lo, hi - lo,
+                              np.tile([low, high], lo.shape + (1,))))
+
     def controllable(self, Z: np.ndarray, states: np.ndarray,
                      fresh: np.ndarray | None = None) -> np.ndarray:
         """Per state of ``states`` (rows) and input (columns): whether the
         pair is enabled and all its successors lie in ``Z`` (a cell mask).
 
-        A pair qualifies when its box holds as many cells of ``Z`` as it has
-        cells, read off a summed-area table of ``Z``.  ``fresh`` is the part
-        of ``Z`` added since the previous call, which found none of these
-        pairs controllable; a state none of whose boxes can meet ``fresh``
-        is then skipped, as its answer cannot have changed.
+        Each pair is one gather from the tables of ``Z`` (:class:`_Lookup`),
+        which read a box clipped to the grid, as :meth:`Grid.window` does:
+        an enabled box always meets the grid, as a reach rectangle is at
+        least a cell wide.  ``fresh`` is the part of ``Z`` added since the
+        previous call, which found none of these pairs controllable; a
+        state whose covering window misses ``fresh`` is then skipped, as its
+        answer cannot have changed.
         """
-        m = self.n_inputs
-        ok = np.zeros((states.size, m), dtype=bool)
+        pairs, cover = self._lookups
+        kappa = self._index[1]
+        ok = np.zeros((states.size, self.n_inputs), dtype=bool)
         near = np.arange(states.size)
         if fresh is not None:
-            # per row key, the window covering the boxes of every input
-            idx, kappa, keys = self._index
-            start = self.offset.reshape(-1, m, self.grid_x.ndim)
-            first = start.min(axis=1)
-            width = (start + self.length.reshape(start.shape)).max(axis=1) - first
-            lo, hi = self._windows([i[states] for i in idx], kappa[states], keys,
-                                   first, width)
-            near = np.flatnonzero(
-                _box_counts(_summed(fresh, self.grid_x), lo, hi) > 0)
-        lo, hi = self.boxes(states[near, None], np.arange(m))
-        size = np.prod(hi - lo, axis=0)
-        ok[near] = (size > 0) & (_box_counts(_summed(Z, self.grid_x), lo, hi) == size)
+            near = np.flatnonzero(~cover.read(~fresh, states, kappa[states])[:, 0])
+        ok[near] = pairs.read(Z, states[near], kappa[states[near]])
         return ok
 
     def flat_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -93,10 +93,13 @@ class Grid:
     # ---- geometry ---------------------------------------------------------
 
     def wrap(self, x) -> np.ndarray:
-        """Wrap periodic coordinates into ``[lower, lower + span)``."""
+        """Wrap periodic coordinates into ``[lower, lower + span)``; one that
+        is not finite is left as it is."""
         x, per = np.array(x, dtype=float), self.periodic
-        lo = self.bounds.lower[per]
-        x[..., per] = lo + np.mod(x[..., per] - lo, self.span[per])
+        lo, v = self.bounds.lower[per], x[..., per]
+        finite = np.isfinite(v)
+        x[..., per] = np.where(
+            finite, lo + np.mod(np.where(finite, v, lo) - lo, self.span[per]), v)
         return x
 
     def quantize(self, x) -> int:
@@ -158,22 +161,37 @@ class Grid:
         lo = np.clip(start, 0, n - 1)
         return lo, np.clip(start + length, lo, n)
 
+    def _near(self, region: HyperRect) -> tuple[np.ndarray, np.ndarray]:
+        """``region``'s corners moved to where they mean the same cells and
+        the index arithmetic cannot overflow: on a non-periodic dimension
+        to at most two cells past the bounds; on a periodic one a region a
+        turn wide or more to the bounds, and one lying more than a turn out
+        back by whole turns."""
+        lower, upper, span = self.bounds.lower, self.bounds.upper, self.span
+        lo = np.clip(region.lower, lower - 2 * self.eta, upper + 2 * self.eta)
+        hi = np.clip(region.upper, lower - 2 * self.eta, upper + 2 * self.eta)
+        with np.errstate(over="ignore"):
+            width = region.upper - region.lower
+        far = (region.lower < lower - span) | (region.lower > upper + span)
+        back = np.where(far, lower + np.mod(region.lower - lower, span), region.lower)
+        per, turn = self.periodic, width >= span
+        lo[per] = np.where(turn, lower, back)[per]
+        hi[per] = np.where(turn, upper, back + width)[per]
+        return lo, hi
+
     def cells_intersecting(self, region: HyperRect) -> np.ndarray:
         """Sorted flat indices of the cells whose rect overlaps ``region``
         (:meth:`index_bounds`), where on a non-periodic dimension the last
         rect reaches the upper bound; past that bound lies no cell."""
         if region.ndim != self.ndim:
             raise ValueError("region dimension mismatch")
-        first, last = self.index_bounds(region.lower, region.upper)
+        lo, hi = self._near(region)
+        first, last = self.index_bounds(lo, hi)
         past = ~self.periodic & (first >= self.counts) \
-            & ((region.lower - self.bounds.upper) / self.eta >= -_TOL)
+            & ((lo - self.bounds.upper) / self.eta >= -_TOL)
         axes = []
         for d in range(self.ndim):
-            # in Python ints: a float length loses an end past 2**53 (-1e300)
-            n, k0, k1 = int(self.counts[d]), int(first[d]), int(last[d])
-            k0, k1 = (k0 % n, k0 % n + min(k1 - k0, n)) if self.periodic[d] \
-                else (min(max(k0, -1), n), min(max(k1, -1), n))
-            lo, hi = self.window(d, k0, k1 - k0 + 1)
+            lo, hi = self.window(d, int(first[d]), int(last[d] - first[d]) + 1)
             if past[d] or hi <= lo:
                 return np.empty(0, dtype=np.int64)
             axes.append(np.mod(np.arange(lo, hi), self.counts[d]))

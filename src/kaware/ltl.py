@@ -163,7 +163,8 @@ _CONCEPT = ((("|", Or, False), ("&", And, False)), {"!": Not},
 
 
 # Longest path of operators and parentheses from a formula's root to an atom;
-# every walker (check_trace's F and G take 3 frames a level) fits 1 000 frames.
+# every walker (the parser, the deepest, takes 2 frames a parenthesis) fits
+# 1 000 frames.
 MAX_DEPTH = 200
 
 
@@ -256,35 +257,42 @@ def parse_concept(text: str) -> Formula:
 # finite-trace checker
 
 
-def check_trace(phi: Formula, trace: Sequence[Set[str]], at: int = 0) -> bool:
+def check_trace(phi: Formula, trace: Sequence[Set[str]]) -> bool:
     """Bounded satisfaction of ``phi`` on a finite, nonempty trace."""
     if not trace:
         raise ValueError("trace must be nonempty")
+    return bool(_holds(phi, trace)[0])
+
+
+def _holds(phi: Formula, trace: Sequence[Set[str]]) -> np.ndarray:
+    """Truth of ``phi`` at every position of ``trace``, from its operands'
+    truths: each subformula is evaluated once, so the cost is linear in the
+    formula's size times the trace's length."""
     if isinstance(phi, Top):
-        return True
+        return np.ones(len(trace), dtype=bool)
     if isinstance(phi, Atomic):
-        return phi.name in trace[at]
+        return np.array([phi.name in step for step in trace], dtype=bool)
     if isinstance(phi, Not):
-        return not check_trace(phi.arg, trace, at)
-    if isinstance(phi, And):
-        return check_trace(phi.left, trace, at) and check_trace(phi.right, trace, at)
-    if isinstance(phi, Or):
-        return check_trace(phi.left, trace, at) or check_trace(phi.right, trace, at)
-    if isinstance(phi, Implies):
-        return (not check_trace(phi.left, trace, at)) or check_trace(phi.right, trace, at)
-    if isinstance(phi, Next):
-        return at + 1 < len(trace) and check_trace(phi.arg, trace, at + 1)
-    if isinstance(phi, Until):
-        for k in range(at, len(trace)):
-            if check_trace(phi.right, trace, k):
-                return True
-            if not check_trace(phi.left, trace, k):
-                return False
-        return False
-    if isinstance(phi, Eventually):
-        return any(check_trace(phi.arg, trace, k) for k in range(at, len(trace)))
-    if isinstance(phi, Always):
-        return all(check_trace(phi.arg, trace, k) for k in range(at, len(trace)))
+        return ~_holds(phi.arg, trace)
+    if isinstance(phi, (And, Or, Implies, Until)):
+        left, right = _holds(phi.left, trace), _holds(phi.right, trace)
+        if isinstance(phi, And):
+            return left & right
+        if isinstance(phi, Or):
+            return left | right
+        if isinstance(phi, Implies):
+            return ~left | right
+        # a witness for right, with left holding at every position before it
+        out, now = np.empty_like(right), False
+        for k in range(len(trace) - 1, -1, -1):
+            now = out[k] = right[k] or (left[k] and now)
+        return out
+    if isinstance(phi, (Next, Eventually, Always)):
+        arg = _holds(phi.arg, trace)
+        if isinstance(phi, Next):
+            return np.append(arg[1:], False)
+        fold = np.logical_or if isinstance(phi, Eventually) else np.logical_and
+        return fold.accumulate(arg[::-1])[::-1]
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -6,8 +6,8 @@ lands in the goal set.  Reach-avoid is the least fixpoint of CPre seeded
 with the target; the safety region of a forbidden set is the greatest
 fixpoint.  Both loops ask the transition system's ``controllable`` hook
 which pairs of the given states have all their successors in the goal
-set; the table abstraction answers from a summed-area table of the goal
-set.  Any object with ``n_states``, ``n_inputs`` and that hook can be
+set; the table abstraction answers each pair by one lookup into erosion
+tables of the goal set.  Any object with ``n_states``, ``n_inputs`` and that hook can be
 solved, which is how the tests solve their reference systems.
 """
 

@@ -13,6 +13,7 @@ node types a converter has to pattern-match.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -124,6 +125,41 @@ def post(abs_, state, inp):
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.sort(np.ravel_multi_index(tuple(m.ravel() for m in mesh),
                                         tuple(counts)))
+
+
+def summed_area(mask, grid):
+    """Summed-area table of a cell mask: entry ``[i, j, ...]`` counts the
+    mask's cells below those indices.  Periodic axes are doubled so that
+    wrapping windows are plain ranges."""
+    a = mask.reshape(tuple(grid.counts)).astype(np.int32)
+    for d in np.flatnonzero(grid.periodic):
+        a = np.concatenate((a, a), axis=d)
+    a = np.pad(a, [(1, 0)] * a.ndim)
+    for d in range(a.ndim):
+        np.cumsum(a, axis=d, out=a)
+    return a
+
+
+def box_counts(summed, lo, hi):
+    """Cells counted in each box ``[lo, hi)`` (index windows, dimension
+    first), by inclusion-exclusion over the box's corners."""
+    flat = summed.ravel()
+    strides = np.array(summed.strides) // summed.itemsize
+    ends = [(a * s, b * s) for a, b, s in zip(lo, hi, strides)]
+    total = np.zeros(lo.shape[1:], dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=len(ends)):
+        at = sum(e[c] for e, c in zip(ends, corner))
+        total += (-1) ** (len(ends) - sum(corner)) * flat[at]
+    return total
+
+
+def controllable_summed(abs_, Z, states):
+    """The table's controllability answer, counted box by box: a pair
+    qualifies when its box (``boxes``) is nonempty and holds as many cells
+    of ``Z`` as it has cells, read off a summed-area table of ``Z``."""
+    lo, hi = abs_.boxes(states[:, None], np.arange(abs_.n_inputs))
+    size = np.prod(hi - lo, axis=0)
+    return (size > 0) & (box_counts(summed_area(Z, abs_.grid_x), lo, hi) == size)
 
 
 def pair_sizes(abs_):
@@ -337,6 +373,45 @@ def ltl_holds(phi, trace, i=0):
     if op == "alw":
         return all(ltl_holds(phi[1], trace, k) for k in range(i, len(trace)))
     raise ValueError(op)
+
+
+def check_trace_recursive(phi, trace, at=0):
+    """Bounded satisfaction of a library formula at position ``at``, by
+    recursion over the positions: each subformula is evaluated again at
+    every position an operator above it asks about."""
+    from kaware import ltl as m
+
+    if isinstance(phi, m.Top):
+        return True
+    if isinstance(phi, m.Atomic):
+        return phi.name in trace[at]
+    if isinstance(phi, m.Not):
+        return not check_trace_recursive(phi.arg, trace, at)
+    if isinstance(phi, m.And):
+        return (check_trace_recursive(phi.left, trace, at)
+                and check_trace_recursive(phi.right, trace, at))
+    if isinstance(phi, m.Or):
+        return (check_trace_recursive(phi.left, trace, at)
+                or check_trace_recursive(phi.right, trace, at))
+    if isinstance(phi, m.Implies):
+        return (not check_trace_recursive(phi.left, trace, at)
+                or check_trace_recursive(phi.right, trace, at))
+    if isinstance(phi, m.Next):
+        return at + 1 < len(trace) and check_trace_recursive(phi.arg, trace, at + 1)
+    if isinstance(phi, m.Until):
+        for k in range(at, len(trace)):
+            if check_trace_recursive(phi.right, trace, k):
+                return True
+            if not check_trace_recursive(phi.left, trace, k):
+                return False
+        return False
+    if isinstance(phi, m.Eventually):
+        return any(check_trace_recursive(phi.arg, trace, k)
+                   for k in range(at, len(trace)))
+    if isinstance(phi, m.Always):
+        return all(check_trace_recursive(phi.arg, trace, k)
+                   for k in range(at, len(trace)))
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def to_tuple_formula(phi):

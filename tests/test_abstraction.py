@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kaware.abstraction import Abstraction, build_abstraction
@@ -147,7 +147,7 @@ def assert_same_controller(a, b):
 
 def test_table_solve_matches_flat_solve(small_dubins, desk_world):
     """The expanded successor lists agree with ``post``, and the
-    summed-area answers of the table and the reduceat answers of those
+    erosion-table answers of the table and the reduceat answers of those
     lists give the same games: winning set, ranks, policy and allowed
     inputs, on a small map with and without an avoid region and on desk
     with no sign and with every sign known."""
@@ -194,6 +194,84 @@ def test_fresh_filter_skips_only_unchanged_states(small_dubins):
     assert gained > 50
 
 
+def strip_clipped_rows(abs_):
+    """Live rows whose box, for some enabled cell, runs past the last cell
+    of a non-periodic invariant dimension (into the trailing strip)."""
+    clipped = np.zeros(len(abs_.offset), dtype=bool)
+    for a, d in enumerate(abs_.invariant):
+        if not abs_.grid_x.periodic[d]:
+            last = abs_.enabled[:, a, 1] - 1 + abs_.offset[:, d] + abs_.length[:, d]
+            clipped |= last > abs_.grid_x.counts[d]
+    return int((clipped & (abs_.length > 0).all(axis=1)).sum())
+
+
+def assert_controllable_matches_summed_area(abs_, rng):
+    """On random goal sets, the table's answer for every state equals the
+    summed-area count of each box, and so does its answer with ``fresh``
+    for the states a call without the fresh cells found no pair of."""
+    n = abs_.n_states
+    every = np.arange(n)
+    for holes in (0.0, 0.02, 0.1, 0.4):
+        before = rng.random(n) >= holes
+        want = oracles.controllable_summed(abs_, before, every)
+        assert np.array_equal(abs_.controllable(before, every), want)
+        states = np.flatnonzero(~want.any(axis=1))
+        fresh = ~before & (rng.random(n) < 0.5)
+        after = before | fresh
+        assert np.array_equal(abs_.controllable(after, states, fresh),
+                              oracles.controllable_summed(abs_, after, states))
+
+
+DRAWN_DUBINS = dict(
+    lower=st.lists(st.floats(-5, 5), min_size=2, max_size=2),
+    span=st.lists(st.floats(0.5, 4.0), min_size=2, max_size=2),
+    eta=st.lists(st.floats(0.15, 1.0), min_size=3, max_size=3),
+    u_max=st.floats(0.0, 4.0), eta_u=st.floats(0.3, 3.0),
+    tau=st.floats(0.05, 1.5),
+    dist=st.lists(st.floats(0.0, 0.2), min_size=3, max_size=3))
+
+
+def drawn_dubins(lower, span, eta, u_max, eta_u, tau, dist):
+    sys = dubins_car(tau=tau, dist_halfwidth=dist)
+    grid_x = make_grid(lower + [-PI], [lo + s for lo, s in zip(lower, span)] + [PI],
+                       eta, periodic=[False, False, True])
+    grid_u = make_grid([-u_max], [u_max], [eta_u])
+    return sys, build_abstraction(sys, grid_x, grid_u)
+
+
+# a grid whose boxes reach into the trailing strip (see the test below)
+STRIP_GRID = dict(lower=[0.0, 0.0], span=[2.29, 3.83], eta=[0.27, 0.96, 0.52],
+                  u_max=1.0, eta_u=0.5, tau=0.5, dist=[0.01, 0.01, 0.01])
+
+
+@settings(max_examples=30, deadline=None)
+@example(**STRIP_GRID)
+@given(**DRAWN_DUBINS)
+def test_controllable_matches_summed_area_drawn(lower, span, eta, u_max,
+                                               eta_u, tau, dist):
+    _, abs_ = drawn_dubins(lower, span, eta, u_max, eta_u, tau, dist)
+    assert_controllable_matches_summed_area(abs_, np.random.default_rng(6))
+
+
+def test_strip_grid_clips_enabled_boxes():
+    assert strip_clipped_rows(drawn_dubins(**STRIP_GRID)[1]) > 0
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+def test_controllable_matches_summed_area_identity(periodic, tau):
+    upper = PI if periodic else 1.0
+    grid_x = make_grid([-upper], [upper], [upper / 3.3], periodic=[periodic])
+    grid_u = make_grid([0.0], [1.0], [0.5])
+    abs_ = build_abstraction(identity_system(tau), grid_x, grid_u)
+    assert_controllable_matches_summed_area(abs_, np.random.default_rng(7))
+
+
+def test_controllable_matches_summed_area_desk(desk_abstraction):
+    assert_controllable_matches_summed_area(desk_abstraction,
+                                            np.random.default_rng(8))
+
+
 def expand(lo, ln, counts):
     axes = [np.mod(lo[d] + np.arange(ln[d]), counts[d]) for d in range(len(counts))]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -238,20 +316,11 @@ def test_table_matches_per_cell_construction_full(full_scenario):
 
 
 @settings(max_examples=30, deadline=None)
-@given(lower=st.lists(st.floats(-5, 5), min_size=2, max_size=2),
-       span=st.lists(st.floats(0.5, 4.0), min_size=2, max_size=2),
-       eta=st.lists(st.floats(0.15, 1.0), min_size=3, max_size=3),
-       u_max=st.floats(0.0, 4.0), eta_u=st.floats(0.3, 3.0),
-       tau=st.floats(0.05, 1.5),
-       dist=st.lists(st.floats(0.0, 0.2), min_size=3, max_size=3))
+@given(**DRAWN_DUBINS)
 def test_table_matches_per_cell_construction_drawn(lower, span, eta, u_max,
                                                    eta_u, tau, dist):
-    sys = dubins_car(tau=tau, dist_halfwidth=dist)
-    grid_x = make_grid(lower + [-PI], [lo + s for lo, s in zip(lower, span)] + [PI],
-                       eta, periodic=[False, False, True])
-    grid_u = make_grid([-u_max], [u_max], [eta_u])
-    assert_matches_per_cell(sys, build_abstraction(sys, grid_x, grid_u),
-                            np.random.default_rng(5), samples=20)
+    sys, abs_ = drawn_dubins(lower, span, eta, u_max, eta_u, tau, dist)
+    assert_matches_per_cell(sys, abs_, np.random.default_rng(5), samples=20)
 
 
 def test_stats_consistency(small_dubins):

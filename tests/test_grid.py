@@ -63,6 +63,15 @@ def test_quantize_rejects_nan():
             grid.quantize(x)
 
 
+def test_quantize_rejects_an_infinite_periodic_coordinate():
+    # warnings are errors under pytest, so a warning from the wrap fails here
+    grid = make_grid([0.0, 0.0, -PI], [8.0, 11.0, PI], [0.3, 0.3, 0.52],
+                     periodic=[False, False, True])
+    for x in ([1.0, 5.0, np.inf], [1.0, 5.0, -np.inf]):
+        with pytest.raises(OutOfDomain, match="inf"):
+            grid.quantize(x)
+
+
 def test_center_last_cell():
     grid = make_grid([0.0], [8.0], [0.15])
     assert grid.size == 54
@@ -199,16 +208,27 @@ def test_cells_intersecting_regions_far_past_the_bounds():
     # JSON has no infinity, so a huge finite number stands for it; its
     # window must not lose the region's other end to float rounding
     grid = make_grid([0.0], [8.0], [0.3])
-    assert grid.cells_intersecting(HyperRect([-1e300], [5.0])).tolist() == \
-        list(range(18))
-    assert grid.cells_intersecting(HyperRect([3.0], [1e300])).tolist() == \
-        list(range(10, grid.size))
-    assert grid.cells_intersecting(HyperRect([-1e300], [-1e299])).size == 0
-    assert grid.cells_intersecting(HyperRect([1e299], [1e300])).size == 0
+    for huge in (1e300, 1.7e308):
+        assert grid.cells_intersecting(HyperRect([-huge], [5.0])).tolist() == \
+            list(range(18))
+        assert grid.cells_intersecting(HyperRect([3.0], [huge])).tolist() == \
+            list(range(10, grid.size))
+        assert grid.cells_intersecting(HyperRect([-huge], [huge])).tolist() == \
+            list(range(grid.size))
+        assert grid.cells_intersecting(HyperRect([-huge], [-1e299])).size == 0
+        assert grid.cells_intersecting(HyperRect([1e299], [huge])).size == 0
+        assert grid.cells_intersecting(HyperRect([-huge], [-huge])).size == 0
     circle = make_grid([-PI], [PI], [0.5], periodic=[True])
     everything = list(range(circle.size))
-    for lo, hi in [(-1e300, 0.0), (0.0, 1e300), (-1e20, 1e20)]:
+    for lo, hi in [(-1e300, 0.0), (0.0, 1e300), (-1e20, 1e20), (-1.7e308, 0.0),
+                   (0.0, 1.7e308), (-1.7e308, 1.7e308)]:
         assert circle.cells_intersecting(HyperRect([lo], [hi])).tolist() == everything
+    # a point a whole number of turns out means the angle it has on the circle
+    for turns in (-1e6, -3.0, 5.0, 1e6):
+        at = 1.0 + turns * 2 * PI
+        assert circle.cells_intersecting(HyperRect([at], [at])).tolist() == \
+            circle.cells_intersecting(HyperRect([1.0], [1.0])).tolist()
+    assert circle.cells_intersecting(HyperRect([-1.7e308], [-1.7e308])).size == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

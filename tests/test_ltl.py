@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ def test_checker_matches_oracle_exhaustively():
             trace = list(trace)
             for phi, tup in zip(formulas_, tuples):
                 assert check_trace(phi, trace) == oracles.ltl_holds(tup, trace)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(formulas(), st.lists(st.sets(st.sampled_from("ab")), min_size=1, max_size=8))
+def test_checker_matches_the_recursive_checker(phi, trace):
+    assert check_trace(phi, trace) == oracles.check_trace_recursive(phi, trace)
+
+
+def test_checker_is_linear_in_nesting_depth():
+    # the recursive checker takes about 30 ** depth steps on this trace
+    phi = parse_ltl("G F " * 10 + "Target")
+    trace = [{"Target"} if k % 7 == 3 else set() for k in range(30)]
+    t0 = time.perf_counter()
+    assert not check_trace(phi, trace)
+    trace[-1] = {"Target"}
+    assert check_trace(phi, trace)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_empty_trace_rejected():

@@ -70,6 +70,23 @@ def test_obstacle_in_the_trailing_strip_is_avoided(tmp_path):
     assert len(avoid) == 3240 + 37 * 12  # every y and heading at the last x
 
 
+def test_cli_runs_an_obstacle_reaching_the_float_limit(cli_artifacts, tmp_path):
+    """JSON has no infinity, so the largest floats stand for it; such an
+    obstacle covers the cells it would cover from the bounds on."""
+    def corner(lower_x, upper_y):
+        return lambda raw: raw["map"]["regions"]["Obstacle"].append(
+            {"lower": [lower_x, 0.0], "upper": [0.5, upper_y]})
+
+    huge = _mutate(DESK_SCENARIO, tmp_path, corner(-1.7e308, 1.7e308))
+    assert main(["synthesize", huge, "--cache", str(cli_artifacts["cache"]),
+                 "-o", str(tmp_path / "c.csv")]) == 0
+    near = load_scenario(_mutate(DESK_SCENARIO, tmp_path, corner(0.0, 11.0)))
+    grid = near.state_grid()
+    assert np.array_equal(
+        grid.cells_intersecting(load_scenario(huge).regions["Obstacle"][-1]),
+        grid.cells_intersecting(near.regions["Obstacle"][-1]))
+
+
 def test_target_outside_bounds_rejected(tmp_path):
     def mutate(raw):
         raw["map"]["regions"]["Target"] = [
