@@ -167,16 +167,20 @@ class Grid:
         to at most two cells past the bounds; on a periodic one a region a
         turn wide or more to the bounds, and one lying more than a turn out
         back by whole turns."""
-        lower, upper, span = self.bounds.lower, self.bounds.upper, self.span
-        lo = np.clip(region.lower, lower - 2 * self.eta, upper + 2 * self.eta)
-        hi = np.clip(region.upper, lower - 2 * self.eta, upper + 2 * self.eta)
-        with np.errstate(over="ignore"):
-            width = region.upper - region.lower
-        far = (region.lower < lower - span) | (region.lower > upper + span)
-        back = np.where(far, lower + np.mod(region.lower - lower, span), region.lower)
-        per, turn = self.periodic, width >= span
-        lo[per] = np.where(turn, lower, back)[per]
-        hi[per] = np.where(turn, upper, back + width)[per]
+        lower, upper = self.bounds.lower, self.bounds.upper
+        lo = np.minimum(np.maximum(region.lower, lower - 2 * self.eta), upper + 2 * self.eta)
+        hi = np.minimum(np.maximum(region.upper, lower - 2 * self.eta), upper + 2 * self.eta)
+        for d in np.flatnonzero(self.periodic):
+            # in Python floats, whose overflow to inf raises no warning
+            a, b, low, span = (float(v[d]) for v in (region.lower, region.upper,
+                                                     lower, self.span))
+            if b - a >= span:
+                a, b = low, float(upper[d])
+            elif not low - span <= a <= low + 2 * span:
+                width = b - a
+                a = low + (a - low) % span
+                b = a + width
+            lo[d], hi[d] = a, b
         return lo, hi
 
     def cells_intersecting(self, region: HyperRect) -> np.ndarray:
