@@ -158,30 +158,32 @@ class Grid:
         if self.periodic[dim]:
             lo = np.where(length >= n, 0, np.mod(start, n))
             return lo, lo + np.minimum(length, n)
-        lo = np.clip(start, 0, n - 1)
-        return lo, np.clip(start + length, lo, n)
+        lo = np.minimum(np.maximum(start, 0), n - 1)
+        return lo, np.minimum(np.maximum(start + length, lo), n)
 
     def _near(self, region: HyperRect) -> tuple[np.ndarray, np.ndarray]:
         """``region``'s corners moved to where they mean the same cells and
         the index arithmetic cannot overflow: on a non-periodic dimension
         to at most two cells past the bounds; on a periodic one a region a
         turn wide or more to the bounds, and one lying more than a turn out
-        back by whole turns."""
-        lower, upper = self.bounds.lower, self.bounds.upper
-        lo = np.minimum(np.maximum(region.lower, lower - 2 * self.eta), upper + 2 * self.eta)
-        hi = np.minimum(np.maximum(region.upper, lower - 2 * self.eta), upper + 2 * self.eta)
-        for d in np.flatnonzero(self.periodic):
-            # in Python floats, whose overflow to inf raises no warning
-            a, b, low, span = (float(v[d]) for v in (region.lower, region.upper,
-                                                     lower, self.span))
-            if b - a >= span:
-                a, b = low, float(upper[d])
+        back by whole turns.  (In Python floats: their overflow to inf
+        raises no warning, and a few scalars cost less than numpy calls.)"""
+        lo, hi = [], []
+        for a, b, low, up, eta, per in zip(
+                region.lower.tolist(), region.upper.tolist(), self.bounds.lower.tolist(),
+                self.bounds.upper.tolist(), self.eta.tolist(), self.periodic.tolist()):
+            span = up - low
+            if not per:
+                a, b = (min(max(v, low - 2 * eta), up + 2 * eta) for v in (a, b))
+            elif b - a >= span:
+                a, b = low, up
             elif not low - span <= a <= low + 2 * span:
                 width = b - a
                 a = low + (a - low) % span
                 b = a + width
-            lo[d], hi[d] = a, b
-        return lo, hi
+            lo.append(a)
+            hi.append(b)
+        return np.array(lo), np.array(hi)
 
     def cells_intersecting(self, region: HyperRect) -> np.ndarray:
         """Sorted flat indices of the cells whose rect overlaps ``region``
