@@ -323,7 +323,7 @@ def load_scenario(path: str) -> Scenario:
         except (ValueError, OverflowError) as exc:
             raise ScenarioValidationError(f"system.{key}",
                                           f"no grid fits the bounds: {exc}") from None
-        # the solver's int32 summed-area tables double the periodic axes
+        # the table's int32 offsets and bounds hold indices of fewer cells
         if key == "eta_x" and cells >= 2**30:
             raise ScenarioValidationError("system.eta_x", f"the grid has {cells} "
                                           "cells; the limit is 2**30 - 1")
