@@ -15,7 +15,7 @@ from .ltl import (GameObjective, check_trace, compile_objective, parse_concept,
                   parse_ltl)
 from .runtime import Outcome, Trace, run_closed_loop
 from .scenario import Scenario, World, build_world, load_scenario
-from .synthesis import Controller, respected_region, solve_reach_avoid
+from .synthesis import Controller, solve_reach_avoid
 
 # the cache no longer uses varint coding; the module stays loaded with the
 # package while the benchmark's per-layer spans still wrap its functions
@@ -30,7 +30,7 @@ __all__ = [
     "GameObjective", "check_trace", "compile_objective", "parse_ltl",
     "Outcome", "Trace", "run_closed_loop",
     "Scenario", "World", "build_world", "load_scenario",
-    "Controller", "respected_region", "solve_reach_avoid",
+    "Controller", "solve_reach_avoid",
 ]
 
 __version__ = "0.1.0"

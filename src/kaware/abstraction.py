@@ -18,10 +18,13 @@ run past the last cell.
 ``boxes`` reads the table as index windows, ``controllable`` answers the
 fixpoint's question for each pair by one lookup into erosion tables of the
 goal set (whether every cell of a box of the pair's lengths lies in it),
-and ``flat_transitions`` expands every pair into flat successor lists.  The
-cache file stores the table and a fingerprint of the dynamics it was built
-for.  The tests check the table against per-pair successor lists and a
-per-cell construction of their own.
+and ``flat_transitions`` expands every pair into flat successor lists.
+``controllable`` returns ``(rows, ok)``: the positions of the states it
+read and their pairs' answers.  Given the cells added since the last call,
+it reads only the states whose boxes can meet them; a state it did not
+read has no controllable pair.  The cache file stores the table and a
+fingerprint of the dynamics it was built for.  The tests check the table
+against per-pair successor lists and a per-cell construction of their own.
 """
 
 from __future__ import annotations
@@ -58,37 +61,35 @@ def fingerprint(sys: ContinuousSystem, grid_x: Grid, grid_u: Grid) -> bytes:
     return h.digest()
 
 
-def _cut(axis: int, start, stop) -> tuple:
-    """Index of the slice ``start:stop`` along ``axis``."""
-    return (slice(None),) * axis + (slice(start, stop),)
-
-
 @dataclass(frozen=True)
 class _Lookup:
     """Boxes given per ``(row key, column)``, each read from a cell mask by
     one gather into the mask's tables (:meth:`tables`).
 
-    Axis ``d`` of a table holds every start ``first[d] + i`` a box can take,
-    ``0 <= i < span[d]``.  Each class of boxes -- a length row and a range of
-    starts on every axis -- has a table: entry ``q`` is true when ``q`` lies
-    in the range and the mask holds every cell of the box of that length
-    starting at ``q`` (its erosion, :meth:`eroded`).  One more table, all
-    false, serves the empty boxes.  A box starts in the tables at
-    ``base[state] + at[key, column]``: ``base`` holds the state's invariant
-    indices, ``at`` its class's table and the rest of its start.
+    Every start a box can take is ``first + i`` with ``0 <= i < span`` on
+    each axis.  The tables lie on the erosion grid, the span extended by the
+    longest box less one cell on each axis, flat and row-major with strides
+    ``stride``.  Each class of boxes -- a length row and a range of starts on
+    every axis -- has a table: entry ``i`` is true when ``i`` lies in the
+    range (a row of ``inside``, which holds only starts in the span) and
+    the mask holds every cell of the box of that length starting at
+    ``first + i`` (its erosion, :meth:`eroded`).  One more table, all false, serves the
+    empty boxes.  A box starts in the tables at ``base[state] + at[key,
+    column]``: ``base`` holds the state's invariant indices, ``at`` its
+    class's table and the rest of its start.
 
-    ``src`` maps the erosion grid -- the tables' grid extended by the
-    longest box less one cell -- to the state grid's cells: wrapped on a
+    ``src`` maps the erosion grid to the state grid's cells: wrapped on a
     periodic axis and, outside a non-periodic one, to ``n_states``, a cell
     that every mask holds; so a box reads as clipped to the grid.
-    ``lengths`` are the distinct length rows, ``classes`` per class its
-    length row's index and, per axis, its range ``[lo, hi)`` of ``i``.
+    ``lengths`` are the distinct length rows and ``of`` per class the index
+    of its length row and of its range's row of ``inside``.
     """
 
     src: np.ndarray
-    span: np.ndarray
+    stride: np.ndarray
     lengths: np.ndarray
-    classes: np.ndarray
+    of: np.ndarray
+    inside: np.ndarray
     base: np.ndarray
     at: np.ndarray
 
@@ -119,22 +120,31 @@ class _Lookup:
         classes, cid = np.unique(np.column_stack((lid.reshape(-1, 1),
                                                   rel.reshape(len(rel), 2 * grid.ndim))),
                                  axis=0, return_inverse=True)
-        table = int(np.prod(span))
-        stride = np.cumprod(np.concatenate(([1], span[:0:-1])))[::-1]
-        at = np.full(live.shape, len(classes) * table, dtype=np.int64)
-        at[live] = cid.ravel() * table + (start[live] - first) @ stride
-        return cls(src=src, span=span, lengths=lengths, classes=classes, at=at,
+        bounds, rid = np.unique(classes[:, 1:], axis=0, return_inverse=True)
+        inside = np.zeros((len(bounds),) + src.shape, dtype=bool)
+        for r, b in enumerate(bounds):
+            inside[r][tuple(slice(lo, hi) for lo, hi in zip(b[::2], b[1::2]))] = True
+        stride = np.cumprod((1,) + src.shape[:0:-1])[::-1]
+        at = np.full(live.shape, len(classes) * src.size, dtype=np.int64)
+        at[live] = cid.ravel() * src.size + (start[live] - first) @ stride
+        return cls(src=src, stride=stride, lengths=lengths,
+                   of=np.column_stack((classes[:, 0], rid.ravel())),
+                   inside=inside.reshape(len(bounds), src.size), at=at,
                    base=(idx[inv].T @ stride[inv]).astype(np.int64))
 
     def eroded(self, mask: np.ndarray) -> list[np.ndarray]:
-        """Per length row, the erosion of ``mask``: entry ``i`` is true when
-        every cell of the box of that length starting at ``first + i`` is in
-        ``mask`` or outside the grid.  Each axis is eroded by ANDs of
-        shifted copies, each doubling the length covered; the axis with the
-        longest boxes goes first, as it shrinks the array most, and rows that
+        """Per length row, the erosion of ``mask``, flat over the erosion
+        grid: entry ``i`` is true when every cell of the box of that length
+        starting at ``first + i`` is in ``mask`` or outside the grid, for
+        every start in the span (the entries the tables keep; the others
+        are meaningless).  Each axis is eroded by ANDs of the flat array
+        with itself shifted by whole steps along that axis, each doubling
+        the length covered: a box starting in the span ends inside the
+        erosion grid, so no shift it needs crosses into another row of that
+        axis.  The axis with the longest boxes goes first, and rows that
         agree on the axes eroded so far share that work."""
         order = np.argsort(-self.lengths.max(axis=0, initial=1), kind="stable")
-        done = {(): np.append(mask, True)[self.src]}
+        done = {(): np.append(mask, True)[self.src].ravel()}
         for row in self.lengths:
             for j, d in enumerate(order):
                 key = tuple(row[order[:j + 1]])
@@ -142,19 +152,21 @@ class _Lookup:
                     a, k = done[key[:-1]], 1
                     while k < row[d]:
                         step = min(k, row[d] - k)
-                        a, k = a[_cut(d, None, -step)] & a[_cut(d, step, None)], k + step
-                    done[key] = a[_cut(d, None, self.span[d])]
+                        shift = step * self.stride[d]
+                        a, k = a[:-shift] & a[shift:], k + step
+                    done[key] = a
         return [done[tuple(row[order])] for row in self.lengths]
 
     def tables(self, mask: np.ndarray) -> np.ndarray:
         """The tables of ``mask``, flat and concatenated, the empty boxes'
-        last."""
+        last: each class's erosion where its range holds, else false."""
         eroded = self.eroded(mask)
-        size = int(np.prod(self.span))
-        out = np.zeros((len(self.classes) + 1) * size, dtype=bool)
-        for c, (length, *bounds) in enumerate(self.classes):
-            box = tuple(slice(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]))
-            out[c * size:(c + 1) * size].reshape(self.span)[box] = eroded[length][box]
+        size = self.src.size
+        out = np.zeros((len(self.of) + 1) * size, dtype=bool)
+        for c, (row, r) in enumerate(self.of):
+            a = eroded[row]
+            block = slice(c * size, c * size + a.size)
+            np.logical_and(a, self.inside[r, :a.size], out=out[block])
         return out
 
     def read(self, mask: np.ndarray, states: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -283,26 +295,30 @@ class Abstraction:
                               np.tile([low, high], lo.shape + (1,))))
 
     def controllable(self, Z: np.ndarray, states: np.ndarray,
-                     fresh: np.ndarray | None = None) -> np.ndarray:
-        """Per state of ``states`` (rows) and input (columns): whether the
-        pair is enabled and all its successors lie in ``Z`` (a cell mask).
+                     fresh: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, ok)``: ``rows`` are the positions in ``states`` that
+        were read, ``ok`` is ``(len(rows), n_inputs)``, per read state and
+        input whether the pair is enabled and all its successors lie in
+        ``Z`` (a cell mask).  Every pair of a state not read is not
+        controllable.
 
         Each pair is one gather from the tables of ``Z`` (:class:`_Lookup`),
         which read a box clipped to the grid, as :meth:`Grid.window` does:
         an enabled box always meets the grid, as a reach rectangle is at
         least a cell wide.  ``fresh`` is the part of ``Z`` added since the
-        previous call, which found none of these pairs controllable; a
-        state whose covering window misses ``fresh`` is then skipped, as its
-        answer cannot have changed.
+        previous call, which found none of these pairs controllable; only
+        the states whose covering window meets ``fresh`` are read, as the
+        others' answers cannot have changed.  Without ``fresh`` every state
+        is read.
         """
         pairs, cover = self._lookups
         kappa = self._index[1]
-        ok = np.zeros((states.size, self.n_inputs), dtype=bool)
-        near = np.arange(states.size)
+        rows = np.arange(states.size)
         if fresh is not None:
-            near = np.flatnonzero(~cover.read(~fresh, states, kappa[states])[:, 0])
-        ok[near] = pairs.read(Z, states[near], kappa[states[near]])
-        return ok
+            rows = np.flatnonzero(~cover.read(~fresh, states, kappa[states])[:, 0])
+        near = states[rows]
+        return rows, pairs.read(Z, near, kappa[near])
 
     def flat_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(lens, offsets, flat)`` successor arrays, pairs row-major.

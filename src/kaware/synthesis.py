@@ -3,17 +3,19 @@
 The controlled predecessor treats abstraction nondeterminism (disturbance
 plus quantization) adversarially: an input counts only if every successor
 lands in the goal set.  Reach-avoid is the least fixpoint of CPre seeded
-with the target; the safety region of a forbidden set is the greatest
-fixpoint.  Both loops ask the transition system's ``controllable`` hook
-which pairs of the given states have all their successors in the goal
-set; the table abstraction answers each pair by one lookup into erosion
-tables of the goal set.  Any object with ``n_states``, ``n_inputs`` and that hook can be
-solved, which is how the tests solve their reference systems.
+with the target.  The loop asks the transition system's ``controllable``
+hook which pairs of the given states have all their successors in the goal
+set.  The hook answers ``(rows, ok)``: ``rows`` are the positions of the
+states it read, ``ok`` their pairs' answers, and a state it did not read
+has no controllable pair.  The table abstraction reads only the states
+whose boxes can meet the cells the last sweep added, and answers each pair
+by one lookup into erosion tables of the goal set.  Any object with
+``n_states``, ``n_inputs`` and that hook can be solved, which is how the
+tests solve their reference systems.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +59,14 @@ class Controller:
         return p
 
     def export_csv(self, path: str):
-        """Winning cells with their rank and chosen input (-1 at target)."""
+        """Winning cells with their rank and chosen input (-1 at target),
+        as ``csv.writer`` would write them: comma-separated, CRLF."""
+        cells = np.flatnonzero(self.winning_mask)
+        rows = np.column_stack((cells, self.rank_array[cells],
+                                self.policy_array[cells]))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cell_index", "rank", "policy_input_index"])
-            for cell in np.flatnonzero(self.winning_mask):
-                writer.writerow([int(cell), int(self.rank_array[cell]),
-                                 int(self.policy_array[cell])])
+            fh.write("cell_index,rank,policy_input_index\r\n")
+            fh.write("%d,%d,%d\r\n" * len(cells) % tuple(rows.ravel().tolist()))
 
 
 def solve_reach_avoid(ts, objective) -> Controller:
@@ -71,9 +74,9 @@ def solve_reach_avoid(ts, objective) -> Controller:
     Z(k+1) = target | (CPre(Zk) minus avoid).
 
     Z only grows, so each sweep asks ``ts.controllable`` about the pairs of
-    the undecided states only, passing the cells the last sweep added; a
-    state leaves once won, with the inputs controllable in that sweep as its
-    allowed inputs.
+    the undecided states only, passing the cells the last sweep added; it
+    reduces only the rows the hook read.  A state leaves once won, with the
+    inputs controllable in that sweep as its allowed inputs.
     """
     n, m = ts.n_states, ts.n_inputs
     target = _as_bool_mask(n, objective.target)
@@ -89,31 +92,20 @@ def solve_reach_avoid(ts, objective) -> Controller:
     k = 0
     while True:
         k += 1
-        ok = ts.controllable(Z, states, fresh)
+        rows, ok = ts.controllable(Z, states, fresh)
         won = ok.any(axis=1)
         if not won.any():
             break
-        new = states[won]
+        new = states[rows[won]]
         rank[new] = k
         allowed[new] = ok[won]
         fresh = np.zeros(n, dtype=bool)
         fresh[new] = True
         Z |= fresh
-        states = states[~won]
+        states = np.delete(states, rows[won])
     # the lowest allowed input; argmax finds the first True
     policy = np.where(allowed.any(axis=1), allowed.argmax(axis=1), -1)
     return Controller(n_states=n, winning_mask=Z, rank_array=rank,
                       policy_array=policy.astype(np.int32),
                       allowed_mask=allowed, sweeps=k)
 
-
-def respected_region(ts, forbidden) -> frozenset[int]:
-    """Greatest fixpoint: the maximal set from which ``forbidden`` can be
-    avoided forever (the extent of the temporal safety concept)."""
-    n = ts.n_states
-    Z = ~_as_bool_mask(n, forbidden)
-    while True:
-        nxt = Z & ts.controllable(Z, np.arange(n)).any(axis=1)
-        if (nxt == Z).all():
-            return frozenset(np.flatnonzero(Z).tolist())
-        Z = nxt

@@ -5,10 +5,11 @@ that agreement with the library is evidence, not tautology.  It also holds
 the reference systems the library's solvers and concept evaluation run
 on in the tests -- an explicit transition system given by successor lists
 and an explicit role given by its pairs -- the per-pair successor lists of
-the table abstraction, and the scalar Proximity relation that the
-vectorized kernel is checked against.  Imports from the library are
-limited to the flow, the growth bound, a table's ``boxes``, and the AST
-node types a converter has to pattern-match.
+the table abstraction, the scalar Proximity relation that the
+vectorized kernel is checked against, and the safety fixpoint
+(``respected_region``) that only the tests use.  Imports from the library
+are limited to the flow, the growth bound, a table's ``boxes``, and the
+AST node types a converter has to pattern-match.
 """
 
 from __future__ import annotations
@@ -259,8 +260,10 @@ class ExplicitTransitions:
         return self._flat
 
     def controllable(self, Z, states, fresh=None):
-        """Per state of ``states`` and input: successors nonempty and all in
-        ``Z``.  Checks every pair; ``fresh`` is accepted and not needed."""
+        """``(rows, ok)`` as the solver reads it: every position of
+        ``states`` is read, and ``ok`` holds, per state and input, whether
+        its successors are nonempty and all in ``Z``.  ``fresh`` is
+        accepted and not needed."""
         lens, offsets, flat = self.flat_transitions()
         m = self.n_inputs
         pairs = (states[:, None] * m + np.arange(m)).reshape(-1)
@@ -272,7 +275,16 @@ class ExplicitTransitions:
             slots = np.repeat(offsets[pairs[plens > 0]] - first, seg) \
                 + np.arange(int(seg.sum()))
             ok[plens > 0] = np.logical_and.reduceat(Z[flat[slots]], first)
-        return ok.reshape(-1, m)
+        return np.arange(states.size), ok.reshape(-1, m)
+
+
+def dense_controllable(ts, Z, states, fresh=None):
+    """The ``controllable`` hook's ``(rows, ok)`` scattered into a dense
+    ``(len(states), n_inputs)`` answer, false on the rows it did not read."""
+    rows, ok = ts.controllable(Z, states, fresh)
+    out = np.zeros((states.size, ts.n_inputs), dtype=bool)
+    out[rows] = ok
+    return out
 
 
 def cpre(ts, Z, avoid=()):
@@ -282,9 +294,23 @@ def cpre(ts, Z, avoid=()):
     n = ts.n_states
     Zm = np.zeros(n, dtype=bool)
     Zm[list(Z)] = True
-    out = ts.controllable(Zm, np.arange(n)).any(axis=1)
+    out = dense_controllable(ts, Zm, np.arange(n)).any(axis=1)
     out[list(avoid)] = False
     return out
+
+
+def respected_region(ts, forbidden):
+    """Greatest fixpoint of CPre: the maximal set from which the cells of
+    ``forbidden`` can be avoided forever (the extent of a temporal safety
+    concept), read through the solver's ``controllable`` hook."""
+    n = ts.n_states
+    Z = np.ones(n, dtype=bool)
+    Z[list(forbidden)] = False
+    while True:
+        nxt = Z & dense_controllable(ts, Z, np.arange(n)).any(axis=1)
+        if (nxt == Z).all():
+            return frozenset(np.flatnonzero(Z).tolist())
+        Z = nxt
 
 
 def reach_avoid_bruteforce(n_states, n_inputs, post, target, avoid):

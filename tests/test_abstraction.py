@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kaware.abstraction import Abstraction, build_abstraction
+from kaware.abstraction import Abstraction, _Lookup, build_abstraction
 from kaware.dynamics import ContinuousSystem, dubins_car
 from kaware.errors import CacheFormatError
 from kaware.grid import HyperRect, make_grid
@@ -11,7 +13,7 @@ from kaware.ltl import GameObjective, compile_objective
 from kaware.synthesis import solve_reach_avoid
 
 import oracles
-from oracles import ExplicitTransitions, pair_sizes, post
+from oracles import ExplicitTransitions, dense_controllable, pair_sizes, post
 
 PI = np.pi
 
@@ -181,17 +183,19 @@ def test_fresh_filter_skips_only_unchanged_states(small_dubins):
     _, abs_ = small_dubins
     n = abs_.n_states
     rng = np.random.default_rng(11)
-    gained = 0
+    gained = read = checked = 0
     for _ in range(6):
         holes = rng.random(n) < 0.05
         before = ~holes
-        states = np.flatnonzero(~abs_.controllable(before, np.arange(n)).any(axis=1))
+        states = np.flatnonzero(~dense_controllable(abs_, before, np.arange(n)).any(axis=1))
         fresh = holes & (rng.random(n) < 0.5)
         after = before | fresh
-        want = abs_.controllable(after, states)
-        assert np.array_equal(abs_.controllable(after, states, fresh), want)
+        want = dense_controllable(abs_, after, states)
+        read += assert_rows_answer(abs_, after, states, fresh, want).size
+        checked += states.size
         gained += int(want.any(axis=1).sum())
     assert gained > 50
+    assert read < checked
 
 
 def strip_clipped_rows(abs_):
@@ -205,6 +209,23 @@ def strip_clipped_rows(abs_):
     return int((clipped & (abs_.length > 0).all(axis=1)).sum())
 
 
+def assert_rows_answer(abs_, Z, states, fresh, want):
+    """``controllable``'s ``(rows, ok)``, scattered into a dense answer,
+    equals ``want``; ``rows`` are increasing positions in ``states`` that
+    include every state with a controllable pair, and all of them without
+    ``fresh``.  Returns ``rows``."""
+    rows, ok = abs_.controllable(Z, states, fresh)
+    assert ok.shape == (rows.size, abs_.n_inputs)
+    assert np.all(np.diff(rows) > 0) and np.all((0 <= rows) & (rows < states.size))
+    assert np.isin(np.flatnonzero(want.any(axis=1)), rows).all()
+    if fresh is None:
+        assert rows.size == states.size
+    dense = np.zeros_like(want)
+    dense[rows] = ok
+    assert np.array_equal(dense, want)
+    return rows
+
+
 def assert_controllable_matches_summed_area(abs_, rng):
     """On random goal sets, the table's answer for every state equals the
     summed-area count of each box, and so does its answer with ``fresh``
@@ -214,12 +235,12 @@ def assert_controllable_matches_summed_area(abs_, rng):
     for holes in (0.0, 0.02, 0.1, 0.4):
         before = rng.random(n) >= holes
         want = oracles.controllable_summed(abs_, before, every)
-        assert np.array_equal(abs_.controllable(before, every), want)
+        assert_rows_answer(abs_, before, every, None, want)
         states = np.flatnonzero(~want.any(axis=1))
         fresh = ~before & (rng.random(n) < 0.5)
         after = before | fresh
-        assert np.array_equal(abs_.controllable(after, states, fresh),
-                              oracles.controllable_summed(abs_, after, states))
+        assert_rows_answer(abs_, after, states, fresh,
+                           oracles.controllable_summed(abs_, after, states))
 
 
 DRAWN_DUBINS = dict(
@@ -270,6 +291,59 @@ def test_controllable_matches_summed_area_identity(periodic, tau):
 def test_controllable_matches_summed_area_desk(desk_abstraction):
     assert_controllable_matches_summed_area(desk_abstraction,
                                             np.random.default_rng(8))
+
+
+def lookup_bruteforce(grid, invariant, idx, start, length, ranges, mask,
+                      key):
+    """Per cell (row) and column, as ``_Lookup.read`` answers it: the box is
+    nonempty, its start lies in its range, and ``mask`` holds each of its
+    cells inside the grid, box by box and cell by cell."""
+    inv = np.isin(np.arange(grid.ndim), invariant)
+    counts = tuple(grid.counts)
+    out = np.zeros((grid.size, start.shape[1]), dtype=bool)
+    for s in range(grid.size):
+        for j in range(start.shape[1]):
+            k = key[s]
+            q = start[k, j] + np.where(inv, idx[:, s], 0)
+            lo, hi = ranges[k, j].T
+            if (length[k, j] <= 0).any() or not ((lo <= q) & (q < hi)).all():
+                continue
+            ln = np.where(grid.periodic, np.minimum(length[k, j], counts), length[k, j])
+            cells = map(np.array, itertools.product(*map(range, q, q + ln)))
+            out[s, j] = all(mask[np.ravel_multi_index(np.mod(c, counts), counts)]
+                            for c in cells
+                            if (grid.periodic | ((0 <= c) & (c < counts))).all())
+    return out
+
+
+def test_lookup_reads_boxes_like_bruteforce():
+    """``_Lookup`` erodes by flat shifts over the erosion grid; on random
+    grids, boxes, ranges and masks each of its answers equals a box checked
+    cell by cell."""
+    rng = np.random.default_rng(12)
+    hits = 0
+    for _ in range(40):
+        d = int(rng.integers(1, 4))
+        periodic = rng.random(d) < 0.5
+        grid = make_grid(np.zeros(d), rng.integers(2, 7, size=d), np.ones(d), periodic)
+        counts = grid.counts
+        invariant = tuple(np.flatnonzero(rng.random(d) < 0.5).tolist())
+        idx = np.indices(tuple(counts)).reshape(d, -1)
+        keys, columns = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        start = rng.integers(-3, counts + 2, size=(keys, columns, d))
+        length = rng.integers(0, 6, size=(keys, columns, d)) \
+            * (rng.random((keys, columns, 1)) < 0.9)
+        lo = rng.integers(-3, counts + 2, size=(keys, columns, d))
+        ranges = np.stack((lo, lo + rng.integers(0, 9, size=lo.shape)), axis=-1)
+        lookup = _Lookup.build(grid, invariant, idx, start, length, ranges)
+        key = rng.integers(0, keys, size=grid.size)
+        for holes in (0.0, 0.2, 0.6):
+            mask = rng.random(grid.size) >= holes
+            want = lookup_bruteforce(grid, invariant, idx, start, length, ranges,
+                                     mask, key)
+            assert np.array_equal(lookup.read(mask, np.arange(grid.size), key), want)
+            hits += int(want.sum())
+    assert hits > 100
 
 
 def expand(lo, ln, counts):

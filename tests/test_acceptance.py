@@ -92,9 +92,8 @@ def test_criterion_4_fixpoint_oracle_equivalence():
         if set(np.flatnonzero(ctrl.winning_mask).tolist()) != win \
                 or any(ctrl.rank_array[s] != rank[s] for s in win):
             mismatches += 1
-        from kaware.synthesis import respected_region
         forbidden = avoid | target if rng.random() < 0.3 else avoid
-        if respected_region(ts, forbidden) != \
+        if oracles.respected_region(ts, forbidden) != \
                 oracles.safety_bruteforce(n, m, ts.post, forbidden):
             mismatches += 1
     elapsed = time.perf_counter() - t0

@@ -19,11 +19,15 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
-def _tracer_targets():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _tracer_targets():
+    return _tracer_module().TARGETS
 
 
 def test_every_tracer_target_resolves_to_a_kaware_function():
@@ -76,3 +80,24 @@ def test_compiled_objective_fields_the_tracer_reads(desk_world):
     assert type(same) is bool and same
     assert type(other) is bool and not other
     assert len(none.avoid) == int(interp.extent("Obstacle").sum())
+
+
+def test_tracer_reads_sweeps_and_winning_from_a_desk_solve(desk_world,
+                                                           desk_controller):
+    """The tracer's per-solve counts (``synthesis.sweeps`` and
+    ``synthesis.winning_cells`` sum them) come from the controller a real
+    desk solve returns, as integers; inside a closed loop it also marks a
+    solve whose objective equals the previous one."""
+    ctrl, objective = desk_controller
+    tracer = _tracer_module().Tracer("test")
+    args = (desk_world.abstraction, objective)
+    solve = [0, None, "synthesis.solve", 0.0, 0.0, "test", 0.0, None]
+    extra = tracer._extra("synthesis.solve", solve, args, {}, ctrl)
+    assert extra == {"sweeps": 75, "winning": 7723}
+    assert all(type(v) is int for v in extra.values())
+    assert extra["sweeps"] == ctrl.sweeps
+    tracer.spans = [[0, None, "runtime.loop", 0.0, 0.0, "test", 0.0, None]]
+    solve[1] = 0
+    unchanged = [tracer._extra("synthesis.solve", solve, args, {}, ctrl)["unchanged"]
+                 for _ in range(2)]
+    assert unchanged == [False, True]

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from kaware.ltl import GameObjective, compile_objective
-from kaware.synthesis import respected_region, solve_reach_avoid
+from kaware.synthesis import solve_reach_avoid
 
 import oracles
 from conftest import DESK_SCENARIO
-from oracles import ExplicitTransitions, cpre
+from oracles import ExplicitTransitions, cpre, respected_region
 
 REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
