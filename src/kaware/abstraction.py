@@ -15,14 +15,14 @@ turns each reach rectangle into index windows (``Grid.index_bounds``,
 periodic dimensions (the heading) it wraps a flowed state, and a box may
 run past the last cell.
 
-``boxes`` reads the table as index windows, ``controllable`` answers the
-fixpoint's question for each pair by one lookup into erosion tables of the
-goal set (whether every cell of a box of the pair's lengths lies in it),
-and ``flat_transitions`` expands every pair into flat successor lists.
-``controllable`` returns ``(rows, ok)``: the positions of the states it
-read and their pairs' answers.  Given the cells added since the last call,
-it reads only the states whose boxes can meet them; a state it did not
-read has no controllable pair.  The cache file stores the table and a
+``boxes`` reads the table as index windows and ``flat_transitions``
+expands every pair into flat successor lists.  ``controllable`` answers
+the fixpoint's question for each pair by one lookup into erosion tables of
+the goal set, one per distinct box length, ANDed with the pair's bit in a
+per-state mask of enabled pairs that ``boxes`` reads too.  It returns
+``(rows, ok)``: the positions of the states it read and their pairs'
+answers; given the cells added since the last call, it reads only the
+states whose boxes can meet them.  The cache file stores the table and a
 fingerprint of the dynamics it was built for.  The tests check the table
 against per-pair successor lists and a per-cell construction of their own.
 """
@@ -69,38 +69,30 @@ class _Lookup:
     Every start a box can take is ``first + i`` with ``0 <= i < span`` on
     each axis.  The tables lie on the erosion grid, the span extended by the
     longest box less one cell on each axis, flat and row-major with strides
-    ``stride``.  Each class of boxes -- a length row and a range of starts on
-    every axis -- has a table: entry ``i`` is true when ``i`` lies in the
-    range (a row of ``inside``, which holds only starts in the span) and
-    the mask holds every cell of the box of that length starting at
-    ``first + i`` (its erosion, :meth:`eroded`).  One more table, all false, serves the
-    empty boxes.  A box starts in the tables at ``base[state] + at[key,
+    ``stride``.  Each distinct length row (``lengths``) has a table: entry
+    ``i`` is true when the mask holds every cell of the box of that length
+    starting at ``first + i``.  One more table, all false, serves the empty
+    boxes.  A box starts in the tables at ``base[state] + at[key,
     column]``: ``base`` holds the state's invariant indices, ``at`` its
-    class's table and the rest of its start.
+    length row's table and the rest of its start.
 
     ``src`` maps the erosion grid to the state grid's cells: wrapped on a
     periodic axis and, outside a non-periodic one, to ``n_states``, a cell
     that every mask holds; so a box reads as clipped to the grid.
-    ``lengths`` are the distinct length rows and ``of`` per class the index
-    of its length row and of its range's row of ``inside``.
     """
 
     src: np.ndarray
     stride: np.ndarray
     lengths: np.ndarray
-    of: np.ndarray
-    inside: np.ndarray
     base: np.ndarray
     at: np.ndarray
 
     @classmethod
-    def build(cls, grid: Grid, invariant, idx, start, length, ranges) -> "_Lookup":
+    def build(cls, grid: Grid, invariant, idx, start, length) -> "_Lookup":
         """``start`` and ``length`` are ``(keys, columns, d)``: a box starts
         at ``start`` for the cell with index 0 on the ``invariant``
         dimensions, where a cell adds its index (``idx``, ``(d,
-        n_states)``), and spans ``length`` cells.  ``ranges``, ``(keys,
-        columns, d, 2)``, bounds the starts ``[lo, hi)`` at which the box
-        counts."""
+        n_states)``), and spans ``length`` cells."""
         inv = np.isin(np.arange(grid.ndim), invariant)
         live = (length > 0).all(axis=2)
         q = start[live] if live.any() else np.zeros((1, grid.ndim), dtype=np.int64)
@@ -116,63 +108,38 @@ class _Lookup:
             outside = outside | out.reshape((1,) * d + (-1,) + (1,) * (grid.ndim - d - 1))
         src = np.where(outside, grid.size,
                        np.ravel_multi_index(np.ix_(*axes), tuple(grid.counts)))
-        rel = np.clip(ranges[live] - first[:, None], 0, span[:, None])
-        classes, cid = np.unique(np.column_stack((lid.reshape(-1, 1),
-                                                  rel.reshape(len(rel), 2 * grid.ndim))),
-                                 axis=0, return_inverse=True)
-        bounds, rid = np.unique(classes[:, 1:], axis=0, return_inverse=True)
-        inside = np.zeros((len(bounds),) + src.shape, dtype=bool)
-        for r, b in enumerate(bounds):
-            inside[r][tuple(slice(lo, hi) for lo, hi in zip(b[::2], b[1::2]))] = True
         stride = np.cumprod((1,) + src.shape[:0:-1])[::-1]
-        at = np.full(live.shape, len(classes) * src.size, dtype=np.int64)
-        at[live] = cid.ravel() * src.size + (start[live] - first) @ stride
-        return cls(src=src, stride=stride, lengths=lengths,
-                   of=np.column_stack((classes[:, 0], rid.ravel())),
-                   inside=inside.reshape(len(bounds), src.size), at=at,
+        at = np.full(live.shape, len(lengths) * src.size, dtype=np.int64)
+        at[live] = lid.ravel() * src.size + (start[live] - first) @ stride
+        return cls(src=src, stride=stride, lengths=lengths, at=at,
                    base=(idx[inv].T @ stride[inv]).astype(np.int64))
-
-    def eroded(self, mask: np.ndarray) -> list[np.ndarray]:
-        """Per length row, the erosion of ``mask``, flat over the erosion
-        grid: entry ``i`` is true when every cell of the box of that length
-        starting at ``first + i`` is in ``mask`` or outside the grid, for
-        every start in the span (the entries the tables keep; the others
-        are meaningless).  Each axis is eroded by ANDs of the flat array
-        with itself shifted by whole steps along that axis, each doubling
-        the length covered: a box starting in the span ends inside the
-        erosion grid, so no shift it needs crosses into another row of that
-        axis.  The axis with the longest boxes goes first, and rows that
-        agree on the axes eroded so far share that work."""
-        order = np.argsort(-self.lengths.max(axis=0, initial=1), kind="stable")
-        done = {(): np.append(mask, True)[self.src].ravel()}
-        for row in self.lengths:
-            for j, d in enumerate(order):
-                key = tuple(row[order[:j + 1]])
-                if key not in done:
-                    a, k = done[key[:-1]], 1
-                    while k < row[d]:
-                        step = min(k, row[d] - k)
-                        shift = step * self.stride[d]
-                        a, k = a[:-shift] & a[shift:], k + step
-                    done[key] = a
-        return [done[tuple(row[order])] for row in self.lengths]
 
     def tables(self, mask: np.ndarray) -> np.ndarray:
         """The tables of ``mask``, flat and concatenated, the empty boxes'
-        last: each class's erosion where its range holds, else false."""
-        eroded = self.eroded(mask)
-        size = self.src.size
-        out = np.zeros((len(self.of) + 1) * size, dtype=bool)
-        for c, (row, r) in enumerate(self.of):
-            a = eroded[row]
-            block = slice(c * size, c * size + a.size)
-            np.logical_and(a, self.inside[r, :a.size], out=out[block])
+        last.  Each length row ANDs the mask, spread over the erosion grid,
+        with itself shifted by whole steps along each axis, each doubling
+        the length covered.  A box starting in the span ends inside the
+        erosion grid, so no shift it needs crosses into another row of that
+        axis; entries of starts outside the span mean nothing, and no box
+        reads them."""
+        spread = np.append(mask, True)[self.src].ravel()
+        size = spread.size
+        out = np.zeros((len(self.lengths) + 1) * size, dtype=bool)
+        for c, row in enumerate(self.lengths):
+            a = spread
+            for d, n in enumerate(row):
+                k = 1
+                while k < n:
+                    step = min(k, n - k)
+                    shift = step * self.stride[d]
+                    a, k = a[:-shift] & a[shift:], k + step
+            out[c * size:c * size + a.size] = a
         return out
 
     def read(self, mask: np.ndarray, states: np.ndarray, key: np.ndarray) -> np.ndarray:
         """Per state of ``states``, with row keys ``key``, and column:
-        whether the box is nonempty, starts inside its range, and ``mask``
-        holds each of its cells inside the grid."""
+        whether the box is nonempty and ``mask`` holds each of its cells
+        inside the grid."""
         return self.tables(mask)[self.base[states, None] + self.at[key]]
 
 
@@ -224,25 +191,35 @@ class Abstraction:
             keys[keyed] = np.indices(tuple(counts[keyed])).reshape(len(keyed), -1)
         return idx, kappa, keys
 
+    @cached_property
+    def _enabled_bits(self) -> np.ndarray:
+        """Per state, one bit per input (``np.packbits`` along the inputs,
+        little-endian): whether the pair is enabled."""
+        counts, m = tuple(self.grid_x.counts), self.n_inputs
+        shape = [1 if d in self.invariant else n for d, n in enumerate(counts)] + [m]
+        on = (self.length[:, 0] > 0).reshape(shape)
+        for a, d in enumerate(self.invariant):
+            first, stop = self.enabled[:, a].T.reshape([2] + shape)
+            i = np.arange(counts[d]).reshape([-1 if k == d else 1 for k in range(len(shape))])
+            on = on & ((first <= i) & (i < stop))
+        on = np.broadcast_to(on, counts + (m,)).reshape(self.n_states, m)
+        return np.packbits(on, axis=1, bitorder="little")
+
     def boxes(self, states, inputs) -> tuple[np.ndarray, np.ndarray]:
         """Successor boxes of the pairs ``(states, inputs)`` (broadcast
         together): index windows ``[lo, hi)``, each of shape ``(d,
         *pairs)``.  Periodic windows start in ``[0, n)`` and may run past
         ``n``, meaning they wrap; a blocked pair's box is empty."""
         idx, kappa, _ = self._index
-        states = np.asarray(states)
-        row = kappa[states] * self.n_inputs + np.asarray(inputs)
-        cell = [i[states] for i in idx]
+        states, inputs = np.asarray(states), np.asarray(inputs)
+        row = kappa[states] * self.n_inputs + inputs
         lo = np.empty((self.grid_x.ndim,) + row.shape, dtype=np.int64)
         hi = np.empty_like(lo)
         for d in range(self.grid_x.ndim):
-            lo[d], hi[d] = self.grid_x.window(d, cell[d] + self.offset[row, d],
+            lo[d], hi[d] = self.grid_x.window(d, idx[d][states] + self.offset[row, d],
                                               self.length[row, d])
-        on = self.length[:, 0][row] > 0
-        for a, d in enumerate(self.invariant):
-            first, stop = self.enabled[:, a].T
-            on &= (first[row] <= cell[d]) & (cell[d] < stop[row])
-        return lo, np.where(on, hi, lo)
+        on = self._enabled_bits[states, inputs >> 3] >> (inputs & 7) & 1
+        return lo, np.where(on > 0, hi, lo)
 
     def stats(self) -> dict:
         """Sizes read off the table.  Along an invariant dimension a box's
@@ -274,25 +251,21 @@ class Abstraction:
     @cached_property
     def _lookups(self) -> tuple[_Lookup, _Lookup]:
         """The lookups :meth:`controllable` reads, built once: of each
-        pair's box, with its cells' enabled ranges as ranges of starts, and
-        of each row key's window covering the boxes of all its enabled
-        inputs."""
+        pair's box, and of each row key's window covering the boxes of all
+        its inputs with a nonempty box."""
         m, d = self.n_inputs, self.grid_x.ndim
         idx, _, keys = self._index
         start = (self.offset + np.repeat(keys, m, axis=1).T).reshape(-1, m, d)
         length = self.length.reshape(start.shape)
+        # a key with no live input gets an empty window: it reads false, so
+        # its states are checked, and found blocked.  int32 sentinels keep
+        # its hi - lo inside int64
         low, high = np.iinfo(np.int32).min, np.iinfo(np.int32).max
-        ranges = np.tile([low, high], start.shape + (1,))
-        for a, dim in enumerate(self.invariant):
-            ranges[..., dim, :] = self.enabled[:, a].reshape(-1, m, 2) + start[..., dim, None]
-        # a key with no enabled input gets an empty window; it reads false,
-        # so its states are checked, and found blocked
         live = (length > 0).all(axis=2)[..., None]
         lo = np.where(live, start, high).min(axis=1)[:, None]
         hi = np.where(live, start + length, low).max(axis=1)[:, None]
-        return (_Lookup.build(self.grid_x, self.invariant, idx, start, length, ranges),
-                _Lookup.build(self.grid_x, self.invariant, idx, lo, hi - lo,
-                              np.tile([low, high], lo.shape + (1,))))
+        return (_Lookup.build(self.grid_x, self.invariant, idx, start, length),
+                _Lookup.build(self.grid_x, self.invariant, idx, lo, hi - lo))
 
     def controllable(self, Z: np.ndarray, states: np.ndarray,
                      fresh: np.ndarray | None = None
@@ -303,10 +276,11 @@ class Abstraction:
         ``Z`` (a cell mask).  Every pair of a state not read is not
         controllable.
 
-        Each pair is one gather from the tables of ``Z`` (:class:`_Lookup`),
-        which read a box clipped to the grid, as :meth:`Grid.window` does:
-        an enabled box always meets the grid, as a reach rectangle is at
-        least a cell wide.  ``fresh`` is the part of ``Z`` added since the
+        Each pair is one gather from the per-length tables of ``Z``
+        (:class:`_Lookup`), which read a box clipped to the grid, as
+        :meth:`Grid.window` does, ANDed with the pair's enabled bit: an
+        enabled box always meets the grid, as a reach rectangle is at least
+        a cell wide.  ``fresh`` is the part of ``Z`` added since the
         previous call, which found none of these pairs controllable; only
         the states whose covering window meets ``fresh`` are read, as the
         others' answers cannot have changed.  Without ``fresh`` every state
@@ -318,7 +292,10 @@ class Abstraction:
         if fresh is not None:
             rows = np.flatnonzero(~cover.read(~fresh, states, kappa[states])[:, 0])
         near = states[rows]
-        return rows, pairs.read(Z, near, kappa[near])
+        ok = pairs.read(Z, near, kappa[near])
+        ok &= np.unpackbits(self._enabled_bits[near], axis=1, count=self.n_inputs,
+                            bitorder="little").view(bool)
+        return rows, ok
 
     def flat_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(lens, offsets, flat)`` successor arrays, pairs row-major.

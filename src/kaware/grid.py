@@ -124,10 +124,6 @@ class Grid:
         ks = np.indices(tuple(self.counts)).reshape(self.ndim, -1).T
         return self.bounds.lower + ks * self.eta
 
-    def cell_rect(self, cell: int) -> HyperRect:
-        c = self.center(cell)
-        return HyperRect(c - self.eta / 2, c + self.eta / 2)
-
     def rects(self, cells) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners of the rects of the 1-D ``cells``, one row
         per dimension.  (numpy 2.4's ``unravel_index`` gets rows of an (N, 1)

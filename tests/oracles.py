@@ -8,8 +8,9 @@ and an explicit role given by its pairs -- the per-pair successor lists of
 the table abstraction, the scalar Proximity relation that the
 vectorized kernel is checked against, and the safety fixpoint
 (``respected_region``) that only the tests use.  Imports from the library
-are limited to the flow, the growth bound, a table's ``boxes``, and the
-AST node types a converter has to pattern-match.
+are limited to the flow, the growth bound, a table's ``boxes``, the
+grid's ``HyperRect``, and the AST node types a converter has to
+pattern-match.
 """
 
 from __future__ import annotations
@@ -183,13 +184,20 @@ def nearest_point_index(lower, eta, count, x):
     return min(range(count), key=lambda k: abs(x - points[k]))
 
 
+def cell_rect(grid, cell):
+    """The cell's rect: its center plus and minus half a cell width."""
+    from kaware.grid import HyperRect
+    c = grid.center(cell)
+    return HyperRect(c - grid.eta / 2, c + grid.eta / 2)
+
+
 def cells_overlapping_bruteforce(grid, region_lo, region_hi):
     """All cells whose rect has positive-measure overlap with the box, where
     on a non-periodic dimension the last rect reaches the upper bound (the
     trailing remainder of the bounds quantizes to the last cell)."""
     out = []
     for cell in range(grid.size):
-        r = grid.cell_rect(cell)
+        r = cell_rect(grid, cell)
         last = ~grid.periodic & (grid.multi_index(cell) == grid.counts - 1)
         upper = np.where(last, np.maximum(r.upper, grid.bounds.upper), r.upper)
         if all(r.lower[d] < region_hi[d] and region_lo[d] < upper[d]
@@ -568,8 +576,8 @@ def directional_max(ra, rb, theta_lo, theta_hi):
 def proximity(grid_x, cell, other, max_range):
     """Detection relation, one pair at a time: ``other`` is within range
     and ahead of ``cell`` by more than the grid's 1e-9 band."""
-    ra = grid_x.cell_rect(cell)
-    rb = grid_x.cell_rect(other)
+    ra = cell_rect(grid_x, cell)
+    rb = cell_rect(grid_x, other)
     gap = math.hypot(planar_gap(ra, rb, 0), planar_gap(ra, rb, 1))
     if gap >= max_range:
         return False
@@ -584,7 +592,7 @@ def proximity_sampled(grid, a, b, max_range, samples=5):
     The heading maximum is only sampled; callers must exclude pairs whose
     analytic directional maximum sits inside the sampling margin band.
     """
-    ra, rb = grid.cell_rect(a), grid.cell_rect(b)
+    ra, rb = cell_rect(grid, a), cell_rect(grid, b)
     a1 = np.linspace(ra.lower[0], ra.upper[0], samples)
     a2 = np.linspace(ra.lower[1], ra.upper[1], samples)
     th = np.linspace(ra.lower[2], ra.upper[2], samples)
@@ -623,7 +631,7 @@ def mc_soundness(abs_, sys, n_samples, rng, pieces=4):
         succ = post(abs_, s, u_idx)
         if not succ.size:
             continue
-        rect = grid_x.cell_rect(s)
+        rect = cell_rect(grid_x, s)
         x = rng.uniform(rect.lower, rect.upper)
         u = grid_u.center(u_idx)
         for _ in range(pieces):

@@ -103,7 +103,7 @@ def test_post_matches_reach_rect_bruteforce(small_dubins):
             lo = [c[0] - r[0], c[1] - r[1], c[2] - r[2] + shift]
             hi = [c[0] + r[0], c[1] + r[1], c[2] + r[2] + shift]
             for cell in range(grid_x.size):
-                rect = grid_x.cell_rect(cell)
+                rect = oracles.cell_rect(grid_x, cell)
                 if all(rect.lower[d] < hi[d] - shrink
                        and lo[d] < rect.upper[d] - shrink
                        for d in range(3)):
@@ -293,21 +293,19 @@ def test_controllable_matches_summed_area_desk(desk_abstraction):
                                             np.random.default_rng(8))
 
 
-def lookup_bruteforce(grid, invariant, idx, start, length, ranges, mask,
-                      key):
+def lookup_bruteforce(grid, invariant, idx, start, length, mask, key):
     """Per cell (row) and column, as ``_Lookup.read`` answers it: the box is
-    nonempty, its start lies in its range, and ``mask`` holds each of its
-    cells inside the grid, box by box and cell by cell."""
+    nonempty and ``mask`` holds each of its cells inside the grid, box by
+    box and cell by cell."""
     inv = np.isin(np.arange(grid.ndim), invariant)
     counts = tuple(grid.counts)
     out = np.zeros((grid.size, start.shape[1]), dtype=bool)
     for s in range(grid.size):
         for j in range(start.shape[1]):
             k = key[s]
-            q = start[k, j] + np.where(inv, idx[:, s], 0)
-            lo, hi = ranges[k, j].T
-            if (length[k, j] <= 0).any() or not ((lo <= q) & (q < hi)).all():
+            if (length[k, j] <= 0).any():
                 continue
+            q = start[k, j] + np.where(inv, idx[:, s], 0)
             ln = np.where(grid.periodic, np.minimum(length[k, j], counts), length[k, j])
             cells = map(np.array, itertools.product(*map(range, q, q + ln)))
             out[s, j] = all(mask[np.ravel_multi_index(np.mod(c, counts), counts)]
@@ -318,8 +316,8 @@ def lookup_bruteforce(grid, invariant, idx, start, length, ranges, mask,
 
 def test_lookup_reads_boxes_like_bruteforce():
     """``_Lookup`` erodes by flat shifts over the erosion grid; on random
-    grids, boxes, ranges and masks each of its answers equals a box checked
-    cell by cell."""
+    grids, boxes and masks each of its answers equals a box checked cell by
+    cell."""
     rng = np.random.default_rng(12)
     hits = 0
     for _ in range(40):
@@ -333,14 +331,11 @@ def test_lookup_reads_boxes_like_bruteforce():
         start = rng.integers(-3, counts + 2, size=(keys, columns, d))
         length = rng.integers(0, 6, size=(keys, columns, d)) \
             * (rng.random((keys, columns, 1)) < 0.9)
-        lo = rng.integers(-3, counts + 2, size=(keys, columns, d))
-        ranges = np.stack((lo, lo + rng.integers(0, 9, size=lo.shape)), axis=-1)
-        lookup = _Lookup.build(grid, invariant, idx, start, length, ranges)
+        lookup = _Lookup.build(grid, invariant, idx, start, length)
         key = rng.integers(0, keys, size=grid.size)
         for holes in (0.0, 0.2, 0.6):
             mask = rng.random(grid.size) >= holes
-            want = lookup_bruteforce(grid, invariant, idx, start, length, ranges,
-                                     mask, key)
+            want = lookup_bruteforce(grid, invariant, idx, start, length, mask, key)
             assert np.array_equal(lookup.read(mask, np.arange(grid.size), key), want)
             hits += int(want.sum())
     assert hits > 100

@@ -4,16 +4,22 @@
 fields of their results; a renamed function or a changed result type
 silently drops per-layer metrics.  ``perfbench/missions.py`` looks names up
 on the ``kaware`` package; one that leaves the namespace fails every
-mission.  These tests read ``perfbench/`` and change nothing in it.
+mission.  ``perfbench/run.py`` parses counts out of the CLI's stdout and
+audits the output of ``check``; a changed line drops a traced run's
+counts or fails the run.  These tests read ``perfbench/`` and change
+nothing in it.
 """
 
 import ast
 import importlib
 import importlib.util
 import pathlib
-
+import sys
 
 from kaware import compile_objective
+from kaware.cli import main
+
+from conftest import DESK_SCENARIO
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -22,6 +28,16 @@ TRACER = PERFBENCH / "tracer.py"
 def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_module(monkeypatch):
+    """``perfbench/run.py``, registered in ``sys.modules`` while it loads,
+    as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -101,3 +117,25 @@ def test_tracer_reads_sweeps_and_winning_from_a_desk_solve(desk_world,
     unchanged = [tracer._extra("synthesis.solve", solve, args, {}, ctrl)["unchanged"]
                  for _ in range(2)]
     assert unchanged == [False, True]
+
+
+def test_run_parses_the_desk_cli_output(tmp_path, capsys, monkeypatch,
+                                        desk_abstraction):
+    """What ``run.py`` reads from ``abstract``, ``simulate`` and ``check`` on
+    desk, parsed with its own ``stdout_int`` and ``audit_check``."""
+    run = _run_module(monkeypatch)
+    cache, trace = str(tmp_path / "desk.kaw"), str(tmp_path / "trace.csv")
+    scn = str(DESK_SCENARIO)
+    outs = []
+    for argv in (["abstract", scn, "-o", cache],
+                 ["simulate", scn, "--cache", cache, "-o", trace],
+                 ["check", trace, scn]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    abstract, simulate, check = outs
+    stats = desk_abstraction.stats()
+    assert run.stdout_int(abstract, "transitions") == stats["transitions"]
+    assert run.stdout_int(abstract, "blocked pairs") == stats["blocked_pairs"]
+    assert type(run.stdout_int(simulate, "steps")) is int
+    assert type(run.stdout_int(simulate, "resyntheses")) is int
+    assert run.audit_check(check) is None

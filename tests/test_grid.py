@@ -95,7 +95,7 @@ def test_invalid_cell():
 
 def test_cell_rect():
     grid = make_grid([0.0], [8.0], [0.15])
-    rect = grid.cell_rect(2)
+    rect = oracles.cell_rect(grid, 2)
     assert rect.lower[0] == pytest.approx(0.225)
     assert rect.upper[0] == pytest.approx(0.375)
 

@@ -211,7 +211,7 @@ def test_proximity_matches_sampling_oracle(coarse_grid):
         trials += 1
         a = int(rng.integers(0, g.size))
         b = int(rng.integers(0, g.size))
-        ra, rb = g.cell_rect(a), g.cell_rect(b)
+        ra, rb = oracles.cell_rect(g, a), oracles.cell_rect(g, b)
         gap = math.hypot(oracles.planar_gap(ra, rb, 0),
                          oracles.planar_gap(ra, rb, 1))
         dmax = oracles.directional_max(ra, rb, ra.lower[2], ra.upper[2])
@@ -257,7 +257,7 @@ def test_preimage_matches_scalar_proximity_per_sign_rectangle(desk_scenario):
     pairs = 0
     for t in reps.tolist():
         got = role.preimage(mask(g.size, [t]))
-        rect = g.cell_rect(t)
+        rect = oracles.cell_rect(g, t)
         gap = np.maximum(0.0, np.maximum(
             rect.lower[:2] - centers[:, :2] - g.eta[:2] / 2,
             centers[:, :2] - g.eta[:2] / 2 - rect.upper[:2]))
@@ -294,7 +294,7 @@ def test_assemble_extent_overlaps_box(coarse_grid):
     ext = np.flatnonzero(interp.extent("Target")).tolist()
     assert ext
     for cell in ext:
-        rect = coarse_grid.cell_rect(cell)
+        rect = oracles.cell_rect(coarse_grid, cell)
         assert rect.lower[0] < box.upper[0] and box.lower[0] < rect.upper[0]
         assert rect.lower[1] < box.upper[1] and box.lower[1] < rect.upper[1]
 
