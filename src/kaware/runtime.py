@@ -114,12 +114,11 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
 
     for i in range(max_steps + 1):
         cell = grid_x.quantize(x)
+        newly, resynth = (), False
         if cell in avoid:
-            steps.append(TraceStep(i, i * sys.tau, x, cell, -1, 0.0, (), False))
             outcome = Outcome.ENTERED_AVOID
             break
         if cell in target:
-            steps.append(TraceStep(i, i * sys.tau, x, cell, -1, 0.0, (), False))
             outcome = Outcome.REACHED_TARGET
             break
         newly = sensor_step(world.interp, sign_extent, cell, known)
@@ -140,14 +139,9 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
             if i == 0:
                 raise InitialStateNotWinning(
                     f"initial cell {cell} outside the winning region")
-            steps.append(TraceStep(i, i * sys.tau, x, cell, -1, 0.0,
-                                   newly, resynth))
             outcome = Outcome.SYNTHESIS_FAILED
             break
         if i == max_steps:
-            steps.append(TraceStep(i, i * sys.tau, x, cell, -1, 0.0,
-                                   newly, resynth))
-            outcome = Outcome.STEP_LIMIT
             break
         u_idx = controller.policy(cell)
         u = grid_u.center(u_idx)
@@ -155,6 +149,10 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
         steps.append(TraceStep(i, i * sys.tau, x, cell, u_idx, float(u[0]),
                                newly, resynth))
         x = grid_x.wrap(flow(sys, x, u, sys.tau, disturbance=w))
+    if max_steps >= 0:
+        # the terminal row: the state the run ended in, with no input
+        steps.append(TraceStep(i, i * sys.tau, x, cell, -1, 0.0,
+                               newly, resynth))
 
     return Trace(seed=seed, steps=steps, outcome=outcome,
                  resynth_count=resynth_count)

@@ -9,9 +9,11 @@ set.  The hook answers ``(rows, ok)``: ``rows`` are the positions of the
 states it read, ``ok`` their pairs' answers, and a state it did not read
 has no controllable pair.  The table abstraction reads only the states
 whose boxes can meet the cells the last sweep added, and answers each pair
-by one lookup into erosion tables of the goal set.  Any object with
-``n_states``, ``n_inputs`` and that hook can be solved, which is how the
-tests solve their reference systems.
+by one lookup into erosion tables of the goal set.  The sweep that wins a
+cell also picks its policy input, the lowest controllable one; the
+controller keeps that one input per cell, not the set of inputs the sweep
+found.  Any object with ``n_states`` and that hook can be solved, which is
+how the tests solve their reference systems.
 """
 
 from __future__ import annotations
@@ -23,33 +25,25 @@ import numpy as np
 _NO_RANK = np.iinfo(np.int32).max
 
 
-def _as_bool_mask(n: int, cells) -> np.ndarray:
-    if isinstance(cells, np.ndarray) and cells.dtype == bool:
-        return cells
+def _as_bool_mask(n: int, cells: frozenset[int]) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
-    idx = np.fromiter(cells, dtype=np.int64) if not isinstance(cells, np.ndarray) \
-        else cells
-    if idx.size:
-        mask[idx] = True
+    mask[np.fromiter(cells, np.int64, len(cells))] = True
     return mask
 
 
 @dataclass
 class Controller:
-    """Winning region, fixpoint ranks, and the extracted feedback map.
+    """Winning region, fixpoint ranks, and the feedback map.
 
-    ``rank_array`` holds the iteration at which a cell entered the winning
-    set (0 = target).  ``allowed_mask`` marks every input whose successors
-    all have strictly smaller rank, that is, every input controllable in the
-    sweep that won the cell; ``policy_array`` is its lowest-index member, -1
-    for target cells and losing cells.
+    ``rank_array`` holds the sweep at which a cell entered the winning set
+    (0 = target).  ``policy_array`` holds the lowest input controllable in
+    that sweep, so every successor of the cell under it has a strictly
+    smaller rank; it is -1 for target cells and losing cells.
     """
 
-    n_states: int
     winning_mask: np.ndarray       # bool (n_states,)
     rank_array: np.ndarray         # int32, _NO_RANK outside winning
     policy_array: np.ndarray       # int32 input index, -1 where undefined
-    allowed_mask: np.ndarray       # bool (n_states, n_inputs)
     sweeps: int = 0                # fixpoint sweeps, the last one adds nothing
 
     def policy(self, cell: int) -> int:
@@ -76,16 +70,16 @@ def solve_reach_avoid(ts, objective) -> Controller:
     Z only grows, so each sweep asks ``ts.controllable`` about the pairs of
     the undecided states only, passing the cells the last sweep added; it
     reduces only the rows the hook read.  A state leaves once won, with the
-    inputs controllable in that sweep as its allowed inputs.
+    lowest input controllable in that sweep as its policy input.
     """
-    n, m = ts.n_states, ts.n_inputs
+    n = ts.n_states
     target = _as_bool_mask(n, objective.target)
     avoid = _as_bool_mask(n, objective.avoid)
     if (target & avoid).any():
         raise ValueError("target and avoid sets overlap")
     rank = np.full(n, _NO_RANK, dtype=np.int32)
     rank[target] = 0
-    allowed = np.zeros((n, m), dtype=bool)
+    policy = np.full(n, -1, dtype=np.int32)
     Z = target.copy()
     fresh = target
     states = np.flatnonzero(~(target | avoid))
@@ -98,14 +92,11 @@ def solve_reach_avoid(ts, objective) -> Controller:
             break
         new = states[rows[won]]
         rank[new] = k
-        allowed[new] = ok[won]
+        # argmax finds the first True: the lowest controllable input
+        policy[new] = ok[won].argmax(axis=1)
         fresh = np.zeros(n, dtype=bool)
         fresh[new] = True
         Z |= fresh
         states = np.delete(states, rows[won])
-    # the lowest allowed input; argmax finds the first True
-    policy = np.where(allowed.any(axis=1), allowed.argmax(axis=1), -1)
-    return Controller(n_states=n, winning_mask=Z, rank_array=rank,
-                      policy_array=policy.astype(np.int32),
-                      allowed_mask=allowed, sweeps=k)
-
+    return Controller(winning_mask=Z, rank_array=rank, policy_array=policy,
+                      sweeps=k)

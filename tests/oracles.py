@@ -6,8 +6,9 @@ the reference systems the library's solvers and concept evaluation run
 on in the tests -- an explicit transition system given by successor lists
 and an explicit role given by its pairs -- the per-pair successor lists of
 the table abstraction, the scalar Proximity relation that the
-vectorized kernel is checked against, and the safety fixpoint
-(``respected_region``) that only the tests use.  Imports from the library
+vectorized kernel is checked against, the safety fixpoint
+(``respected_region``) and the set-valued controller (``allowed_inputs``)
+that only the tests use.  Imports from the library
 are limited to the flow, the growth bound, a table's ``boxes``, the
 grid's ``HyperRect``, and the AST node types a converter has to
 pattern-match.
@@ -292,6 +293,20 @@ def dense_controllable(ts, Z, states, fresh=None):
     rows, ok = ts.controllable(Z, states, fresh)
     out = np.zeros((states.size, ts.n_inputs), dtype=bool)
     out[rows] = ok
+    return out
+
+
+def allowed_inputs(ts, ctrl):
+    """The set-valued controller of a solved game: per cell, every input
+    controllable in the sweep that won it, as a bool ``(n_states,
+    n_inputs)`` array; false on target and losing cells.  The cells of rank
+    k >= 1 get the hook's answer to the call the solve made at sweep k:
+    goal set ``rank < k``, fresh cells ``rank == k - 1``."""
+    rank = ctrl.rank_array
+    out = np.zeros((ts.n_states, ts.n_inputs), dtype=bool)
+    for k in np.unique(rank[ctrl.winning_mask & (rank > 0)]):
+        states = np.flatnonzero(rank == k)
+        out[states] = dense_controllable(ts, rank < k, states, rank == k - 1)
     return out
 
 

@@ -94,6 +94,49 @@ def test_initial_state_in_obstacle_enters_avoid(desk_world, desk_abstraction):
     assert len(trace.steps) == 1
 
 
+@pytest.mark.parametrize("max_steps", [0, 3])
+def test_step_limit_ends_on_a_terminal_row(desk_world, desk_trace, max_steps):
+    trace = run_closed_loop(desk_world, seed=desk_world.scenario.seed,
+                            max_steps=max_steps)
+    assert trace.outcome is Outcome.STEP_LIMIT
+    assert len(trace.steps) == max_steps + 1
+    *moved, last = trace.steps
+    assert [s.input_index for s in moved] == \
+        [s.input_index for s in desk_trace.steps[:max_steps]]
+    assert last.input_index == -1 and last.input_value == 0.0
+    ref = desk_trace.steps[max_steps]
+    assert (last.cell, last.detected, last.resynthesized) == \
+        (ref.cell, ref.detected, ref.resynthesized)
+
+
+def test_resolve_losing_the_cell_ends_in_synthesis_failed(
+        desk_scenario, desk_abstraction, desk_trace, monkeypatch):
+    solves = []
+
+    def losing(ts, objective):
+        controller = solve_reach_avoid(ts, objective)
+        if solves:
+            controller.winning_mask[:] = False
+        solves.append(objective)
+        return controller
+
+    monkeypatch.setattr(kaware.runtime, "solve_reach_avoid", losing)
+    world = build_world(desk_scenario, desk_abstraction)
+    trace = run_closed_loop(world, seed=desk_scenario.seed,
+                            max_steps=desk_scenario.max_steps)
+    first = next(s for s in desk_trace.steps if s.resynthesized)
+    assert first.step > 0 and len(solves) == 2
+    assert trace.outcome is Outcome.SYNTHESIS_FAILED
+    assert len(trace.steps) == first.step + 1
+    *moved, last = trace.steps
+    assert [(s.cell, s.input_index) for s in moved] == \
+        [(s.cell, s.input_index) for s in desk_trace.steps[:first.step]]
+    assert (last.cell, last.detected, last.resynthesized) == \
+        (first.cell, first.detected, True)
+    assert last.input_index == -1 and last.input_value == 0.0
+    assert trace.resynth_count == 1
+
+
 def test_desk_run_reaches_target_with_resynthesis(desk_trace):
     assert desk_trace.outcome is Outcome.REACHED_TARGET
     assert desk_trace.resynth_count >= 1

@@ -19,8 +19,10 @@ def won(ctrl):
     return set(np.flatnonzero(ctrl.winning_mask).tolist())
 
 
-def allowed(ctrl, cell):
-    return np.flatnonzero(ctrl.allowed_mask[cell]).tolist()
+def allowed(ts, ctrl):
+    """Per cell, the inputs controllable in the sweep that won it."""
+    return [np.flatnonzero(row).tolist()
+            for row in oracles.allowed_inputs(ts, ctrl)]
 
 
 def chain(n=5):
@@ -106,13 +108,14 @@ def test_random_graphs_match_bruteforce_oracle():
             assert ctrl.rank_array[s] == rank[s]
         # allowed inputs lead only to strictly lower oracle ranks; the
         # policy is the lowest of them
+        sets = allowed(ts, ctrl)
         for s in range(n):
             expect = [] if s not in win or s in target else [
                 u for u in range(m)
                 if ts.post(s, u).size
                 and all(int(t) in rank and rank[int(t)] < rank[s]
                         for t in ts.post(s, u))]
-            assert allowed(ctrl, s) == expect
+            assert sets[s] == expect
             assert ctrl.policy_array[s] == (expect[0] if expect else -1)
 
 
@@ -124,8 +127,9 @@ def test_policy_is_rank_decreasing_and_lowest_index():
         target = {0}
         ctrl = solve_reach_avoid(ts, GameObjective(frozenset(target),
                                                    frozenset()))
+        sets = allowed(ts, ctrl)
         for s in won(ctrl) - target:
-            inputs = allowed(ctrl, s)
+            inputs = sets[s]
             assert ctrl.policy(s) == min(inputs)
             for u in inputs:
                 succs = ts.post(s, u)
