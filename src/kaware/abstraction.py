@@ -22,7 +22,12 @@ the goal set, one per distinct box length, ANDed with the pair's bit in a
 per-state mask of enabled pairs that ``boxes`` reads too.  It returns
 ``(rows, ok)``: the positions of the states it read and their pairs'
 answers; given the cells added since the last call, it reads only the
-states whose boxes can meet them.  The cache file stores the table and a
+states whose covering window can meet them, one more lookup per state.  A
+row key's window covers the boxes of all its inputs; on a periodic
+dimension it is measured around the ring from the key's own index, so
+boxes on both sides of the seam give one short window, not the whole
+ring.  A goal set reaches the erosion grid by one ``take`` per axis, not
+by a gather over the whole grid.  The cache file stores the table and a
 fingerprint of the dynamics it was built for.  The tests check the table
 against per-pair successor lists and a per-cell construction of their own.
 """
@@ -76,12 +81,16 @@ class _Lookup:
     column]``: ``base`` holds the state's invariant indices, ``at`` its
     length row's table and the rest of its start.
 
-    ``src`` maps the erosion grid to the state grid's cells: wrapped on a
-    periodic axis and, outside a non-periodic one, to ``n_states``, a cell
-    that every mask holds; so a box reads as clipped to the grid.
+    A mask reaches the erosion grid axis by axis (:meth:`spread`): along
+    axis ``d`` it takes the state grid's indices ``axes[d]``, wrapped on a
+    periodic axis and clipped on the others, and then the ``clip[d]``
+    leading and trailing slabs that lie outside a non-periodic axis read
+    true; so a box reads as clipped to the grid.
     """
 
-    src: np.ndarray
+    counts: tuple[int, ...]
+    axes: tuple[np.ndarray, ...]
+    clip: tuple[tuple[int, int], ...]
     stride: np.ndarray
     lengths: np.ndarray
     base: np.ndarray
@@ -100,19 +109,33 @@ class _Lookup:
         lengths, lid = np.unique(length.astype(np.int64), axis=0, return_inverse=True)
         first = q.min(axis=0)
         span = q.max(axis=0) + np.where(inv, grid.counts - 1, 0) - first + 1
-        axes, outside = [], np.zeros((1,) * grid.ndim, dtype=bool)
+        axes, clip = [], []
         for d, n in enumerate(grid.counts):
             i = np.arange(first[d], first[d] + span[d] + lengths[:, d].max(initial=1) - 1)
-            axes.append(np.mod(i, n) if grid.periodic[d] else np.clip(i, 0, n - 1))
-            out = ~grid.periodic[d] & ((i < 0) | (i >= n))
-            outside = outside | out.reshape((1,) * d + (-1,) + (1,) * (grid.ndim - d - 1))
-        src = np.where(outside, grid.size,
-                       np.ravel_multi_index(np.ix_(*axes), tuple(grid.counts)))
-        stride = np.cumprod((1,) + src.shape[:0:-1])[::-1]
-        at = np.full(live.shape, len(lengths) * src.size, dtype=np.int64)
-        at[live] = lid.ravel() * src.size + (start[live] - first) @ stride
-        return cls(src=src, stride=stride, lengths=lengths, at=at,
+            if grid.periodic[d]:
+                axes.append(np.mod(i, n))
+                clip.append((0, 0))
+            else:
+                axes.append(np.clip(i, 0, n - 1))
+                clip.append((int((i < 0).sum()), int((i >= n).sum())))
+        shape = tuple(len(i) for i in axes)
+        stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+        size = int(np.prod(shape))
+        at = np.full(live.shape, len(lengths) * size, dtype=np.int64)
+        at[live] = lid.ravel() * size + (start[live] - first) @ stride
+        return cls(counts=tuple(grid.counts.tolist()), axes=tuple(axes),
+                   clip=tuple(clip), stride=stride, lengths=lengths, at=at,
                    base=(idx[inv].T @ stride[inv]).astype(np.int64))
+
+    def spread(self, mask: np.ndarray) -> np.ndarray:
+        """``mask`` on the erosion grid, flat."""
+        a = mask.reshape(self.counts)
+        for d, i in enumerate(self.axes):
+            a = a.take(i, axis=d)
+        for d, (head, tail) in enumerate(self.clip):
+            a[(slice(None),) * d + (slice(None, head),)] = True
+            a[(slice(None),) * d + (slice(a.shape[d] - tail, None),)] = True
+        return a.ravel()
 
     def tables(self, mask: np.ndarray) -> np.ndarray:
         """The tables of ``mask``, flat and concatenated, the empty boxes'
@@ -122,7 +145,7 @@ class _Lookup:
         erosion grid, so no shift it needs crosses into another row of that
         axis; entries of starts outside the span mean nothing, and no box
         reads them."""
-        spread = np.append(mask, True)[self.src].ravel()
+        spread = self.spread(mask)
         size = spread.size
         out = np.zeros((len(self.lengths) + 1) * size, dtype=bool)
         for c, row in enumerate(self.lengths):
@@ -249,23 +272,34 @@ class Abstraction:
         }
 
     @cached_property
-    def _lookups(self) -> tuple[_Lookup, _Lookup]:
-        """The lookups :meth:`controllable` reads, built once: of each
-        pair's box, and of each row key's window covering the boxes of all
-        its inputs with a nonempty box."""
+    def _lookups(self) -> tuple[_Lookup, _Lookup, np.ndarray]:
+        """What :meth:`controllable` reads, built once: the lookup of each
+        pair's box; the lookup of each row key's window covering the boxes
+        of all its inputs with a nonempty box; and per state, where its
+        window starts in the latter's tables."""
         m, d = self.n_inputs, self.grid_x.ndim
-        idx, _, keys = self._index
+        n, periodic = self.grid_x.counts, self.grid_x.periodic
+        idx, kappa, keys = self._index
         start = (self.offset + np.repeat(keys, m, axis=1).T).reshape(-1, m, d)
         length = self.length.reshape(start.shape)
+        # on a periodic axis, measure each start from the key's own index,
+        # wrapped into [-n/2, n/2): boxes on both sides of the seam then form
+        # one short window.  A window that reaches n is the whole ring [0, n)
+        key = keys.T[:, None, :]
+        centred = np.where(periodic, key + np.mod(start - key + n // 2, n) - n // 2, start)
         # a key with no live input gets an empty window: it reads false, so
         # its states are checked, and found blocked.  int32 sentinels keep
         # its hi - lo inside int64
         low, high = np.iinfo(np.int32).min, np.iinfo(np.int32).max
         live = (length > 0).all(axis=2)[..., None]
-        lo = np.where(live, start, high).min(axis=1)[:, None]
-        hi = np.where(live, start + length, low).max(axis=1)[:, None]
+        lo = np.where(live, centred, high).min(axis=1)
+        hi = np.where(live, centred + length, low).max(axis=1)
+        ring = periodic & (hi - lo >= n)
+        lo, hi = np.where(ring, 0, lo), np.where(ring, n, hi)
+        cover = _Lookup.build(self.grid_x, self.invariant, idx, lo[:, None],
+                              (hi - lo)[:, None])
         return (_Lookup.build(self.grid_x, self.invariant, idx, start, length),
-                _Lookup.build(self.grid_x, self.invariant, idx, lo, hi - lo))
+                cover, cover.base + cover.at[kappa, 0])
 
     def controllable(self, Z: np.ndarray, states: np.ndarray,
                      fresh: np.ndarray | None = None
@@ -286,13 +320,12 @@ class Abstraction:
         others' answers cannot have changed.  Without ``fresh`` every state
         is read.
         """
-        pairs, cover = self._lookups
-        kappa = self._index[1]
+        pairs, cover, cover_at = self._lookups
         rows = np.arange(states.size)
         if fresh is not None:
-            rows = np.flatnonzero(~cover.read(~fresh, states, kappa[states])[:, 0])
+            rows = np.flatnonzero(~cover.tables(~fresh)[cover_at[states]])
         near = states[rows]
-        ok = pairs.read(Z, near, kappa[near])
+        ok = pairs.read(Z, near, self._index[1][near])
         ok &= np.unpackbits(self._enabled_bits[near], axis=1, count=self.n_inputs,
                             bitorder="little").view(bool)
         return rows, ok

@@ -3,13 +3,13 @@
 Works from the trace CSV and the scenario alone (never the controller or
 the abstraction cache), so it is a genuine second opinion on a logged
 run: timing and quantization bookkeeping, obstacle and activated-street
-avoidance, detection monotonicity, bounded-LTL satisfaction of the
-mission objective, and the reroute shape around the first detection.
+avoidance, detection monotonicity, and bounded-LTL satisfaction of the
+mission objective.  Each check is a requirement on every correct run, from
+any start: a FAIL (exit 1 from ``kaware check``) means the run broke one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +26,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
-
-
-def _planar_distance_to_box(pos, box) -> float:
-    dx = max(0.0, box.lower[0] - pos[0], pos[0] - box.upper[0])
-    dy = max(0.0, box.lower[1] - pos[1], pos[1] - box.upper[1])
-    return math.hypot(dx, dy)
 
 
 def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
@@ -101,27 +95,6 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
         add("objective holds on the trace",
             check_trace(scenario.objective, props))
         add("final cell is a target cell", bool(in_target[-1]))
-
-    # reroute shape around the first detection
-    first_det = next((s for s in trace.steps if s.detected), None)
-    if first_det is not None:
-        street_box = None
-        for sign_cells, _, sign in links:
-            if np.isin(first_det.detected, sign_cells).any():
-                street_box = sign.street_box
-                break
-        if street_box is not None:
-            pos = first_det.state
-            near = (min(max(pos[0], street_box.lower[0]), street_box.upper[0]),
-                    min(max(pos[1], street_box.lower[1]), street_box.upper[1]))
-            dirx, diry = near[0] - pos[0], near[1] - pos[1]
-            heading_toward = (dirx * math.cos(pos[2])
-                              + diry * math.sin(pos[2])) > 0
-            add("pre-detection heading points at the street", heading_toward)
-            d0 = _planar_distance_to_box(pos, street_box)
-            d_end = _planar_distance_to_box(trace.steps[-1].state, street_box)
-            add("post-detection path diverges from the street", d_end > d0,
-                f"distance {d0:.3f} -> {d_end:.3f}")
 
     return results
 

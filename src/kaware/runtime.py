@@ -121,6 +121,9 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
         if cell in target:
             outcome = Outcome.REACHED_TARGET
             break
+        if i == 0 and not controller.winning_mask[cell]:
+            raise InitialStateNotWinning(
+                f"initial cell {cell} outside the winning region")
         newly = sensor_step(world.interp, sign_extent, cell, known)
         resynth = bool(newly)
         if resynth:
@@ -138,7 +141,8 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
         if not controller.winning_mask[cell]:
             if i == 0:
                 raise InitialStateNotWinning(
-                    f"initial cell {cell} outside the winning region")
+                    f"initial cell {cell} left the winning region when the "
+                    f"{len(newly)} sign cells detected at step 0 shrank it")
             outcome = Outcome.SYNTHESIS_FAILED
             break
         if i == max_steps:

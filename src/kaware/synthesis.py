@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _NO_RANK = np.iinfo(np.int32).max
+_CSV_BLOCK = 4096  # controller CSV rows formatted per write
 
 
 def _as_bool_mask(n: int, cells: frozenset[int]) -> np.ndarray:
@@ -54,13 +55,17 @@ class Controller:
 
     def export_csv(self, path: str):
         """Winning cells with their rank and chosen input (-1 at target),
-        as ``csv.writer`` would write them: comma-separated, CRLF."""
+        as ``csv.writer`` would write them: comma-separated, CRLF.  Rows
+        are formatted ``_CSV_BLOCK`` at a time, so the text in memory stays
+        small whatever the winning region's size."""
         cells = np.flatnonzero(self.winning_mask)
         rows = np.column_stack((cells, self.rank_array[cells],
                                 self.policy_array[cells]))
         with open(path, "w", newline="") as fh:
             fh.write("cell_index,rank,policy_input_index\r\n")
-            fh.write("%d,%d,%d\r\n" * len(cells) % tuple(rows.ravel().tolist()))
+            for i in range(0, len(rows), _CSV_BLOCK):
+                block = rows[i:i + _CSV_BLOCK]
+                fh.write("%d,%d,%d\r\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def solve_reach_avoid(ts, objective) -> Controller:

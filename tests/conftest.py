@@ -31,6 +31,12 @@ def desk_abstraction(desk_scenario):
 
 
 @pytest.fixture(scope="session")
+def full_abstraction(full_scenario):
+    return build_abstraction(full_scenario.system(), full_scenario.state_grid(),
+                             full_scenario.input_grid())
+
+
+@pytest.fixture(scope="session")
 def desk_world(desk_scenario, desk_abstraction):
     return build_world(desk_scenario, desk_abstraction)
 

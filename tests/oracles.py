@@ -7,8 +7,9 @@ on in the tests -- an explicit transition system given by successor lists
 and an explicit role given by its pairs -- the per-pair successor lists of
 the table abstraction, the scalar Proximity relation that the
 vectorized kernel is checked against, the safety fixpoint
-(``respected_region``) and the set-valued controller (``allowed_inputs``)
-that only the tests use.  Imports from the library
+(``respected_region``), the set-valued controller (``allowed_inputs``)
+and the bundled run's reroute shape (``reroute_shape``) that only the
+tests use.  Imports from the library
 are limited to the flow, the growth bound, a table's ``boxes``, the
 grid's ``HyperRect``, and the AST node types a converter has to
 pattern-match.
@@ -662,3 +663,41 @@ def mc_soundness(abs_, sys, n_samples, rng, pieces=4):
         if grid_x.quantize(x) not in succ:
             violations += 1
     return violations
+
+
+# ---------------------------------------------------------------------------
+# the bundled run's reroute shape
+
+
+def _planar_distance_to_box(pos, box) -> float:
+    dx = max(0.0, box.lower[0] - pos[0], pos[0] - box.upper[0])
+    dy = max(0.0, box.lower[1] - pos[1], pos[1] - box.upper[1])
+    return math.hypot(dx, dy)
+
+
+def reroute_shape(scenario, trace) -> dict[str, bool]:
+    """The approach-then-reroute shape around a run's first detection:
+    ``{check name: ok}``, empty when no step detects a sign cell.
+    The vehicle heads at the detected sign's street when it detects it and
+    ends farther from that street than it was then.  This describes the
+    bundled start, which heads north at the middle street; a correct run
+    from another start can fail it, so it is no audit requirement."""
+    first = next((s for s in trace.steps if s.detected), None)
+    if first is None:
+        return {}
+    grid = scenario.state_grid()
+    box = next((sign.street_box for sign in scenario.signs
+                if np.isin(first.detected, grid.cells_intersecting(sign.sign_box)).any()),
+               None)
+    if box is None:
+        return {}
+    pos = first.state
+    dirx = min(max(pos[0], box.lower[0]), box.upper[0]) - pos[0]
+    diry = min(max(pos[1], box.lower[1]), box.upper[1]) - pos[1]
+    return {
+        "pre-detection heading points at the street":
+            dirx * math.cos(pos[2]) + diry * math.sin(pos[2]) > 0,
+        "post-detection path diverges from the street":
+            _planar_distance_to_box(trace.steps[-1].state, box)
+            > _planar_distance_to_box(pos, box),
+    }

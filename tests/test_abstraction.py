@@ -178,26 +178,40 @@ def test_table_solve_matches_flat_solve(small_dubins, desk_world):
                                solve_reach_avoid(flat, objective))
 
 
-def test_fresh_filter_skips_only_unchanged_states(small_dubins):
+def test_fresh_filter_skips_only_unchanged_states(small_dubins, desk_abstraction,
+                                                 full_abstraction):
     """Given the cells added to Z since a call that found none of the
     states' pairs controllable, the table checks only states whose boxes can
-    meet them, and answers as if it had checked them all."""
-    _, abs_ = small_dubins
-    n = abs_.n_states
-    rng = np.random.default_rng(11)
-    gained = read = checked = 0
-    for _ in range(6):
-        holes = rng.random(n) < 0.05
-        before = ~holes
-        states = np.flatnonzero(~dense_controllable(abs_, before, np.arange(n)).any(axis=1))
-        fresh = holes & (rng.random(n) < 0.5)
-        after = before | fresh
-        want = dense_controllable(abs_, after, states)
-        read += assert_rows_answer(abs_, after, states, fresh, want).size
-        checked += states.size
-        gained += int(want.any(axis=1).sum())
-    assert gained > 50
-    assert read < checked
+    meet them, and answers as if it had checked them all.  At full scale the
+    covering windows of the headings next to the seam wrap around it."""
+    for abs_ in (small_dubins[1], desk_abstraction, full_abstraction):
+        n = abs_.n_states
+        rng = np.random.default_rng(11)
+        gained = read = checked = 0
+        for _ in range(6):
+            holes = rng.random(n) < 0.05
+            before = ~holes
+            states = np.flatnonzero(~dense_controllable(abs_, before, np.arange(n)).any(axis=1))
+            fresh = holes & (rng.random(n) < 0.5)
+            after = before | fresh
+            want = dense_controllable(abs_, after, states)
+            read += assert_rows_answer(abs_, after, states, fresh, want).size
+            checked += states.size
+            gained += int(want.any(axis=1).sum())
+        assert gained > 50
+        assert read < checked
+
+
+def test_full_scale_cover_windows_are_circular(full_abstraction):
+    """Each heading key's covering window is measured around the ring from
+    the key itself: at full scale every key's boxes fit in 11 of the 24
+    heading cells, also on the keys whose boxes cross the seam between the
+    last heading cell and the first, and the windows take 3 length rows."""
+    cover = full_abstraction._lookups[1]
+    assert full_abstraction.grid_x.counts[2] == 24
+    assert len(cover.lengths) == 3 and (cover.lengths[:, 2] == 11).all()
+    size = cover.spread(np.ones(full_abstraction.n_states, dtype=bool)).size
+    assert (cover.at[:, 0] < len(cover.lengths) * size).all()
 
 
 def strip_clipped_rows(abs_):

@@ -81,8 +81,34 @@ def test_initial_state_not_winning(desk_world, desk_controller,
     sc2 = dataclasses.replace(desk_world.scenario,
                               initial_state=grid.center(cell))
     world2 = build_world(sc2, desk_abstraction)
-    with pytest.raises(InitialStateNotWinning):
+    with pytest.raises(InitialStateNotWinning, match="outside the winning region$"):
         run_closed_loop(world2, seed=0, max_steps=5)
+
+
+def test_drawn_winning_desk_starts_pass_the_audit(desk_world, desk_controller):
+    """Closed loops from the centres of 50 seeded cells that the no-sign
+    controller wins with rank >= 1 each end in ReachedTarget and pass every
+    audit check, whichever way they head.  A start that a sign detected at
+    step 0 takes out of the winning region does not start, and its error
+    names that detection."""
+    controller, _ = desk_controller
+    grid = desk_world.grid_x
+    rng = np.random.default_rng(0)
+    won = np.flatnonzero(controller.winning_mask & (controller.rank_array >= 1))
+    ran = 0
+    for cell in rng.choice(won, size=50, replace=False):
+        scenario = dataclasses.replace(desk_world.scenario,
+                                       initial_state=grid.center(cell))
+        world = dataclasses.replace(desk_world, scenario=scenario)
+        try:
+            trace = run_closed_loop(world, seed=1, max_steps=scenario.max_steps)
+        except InitialStateNotWinning as exc:
+            assert "detected at step 0" in str(exc)
+            continue
+        ran += 1
+        assert trace.outcome is Outcome.REACHED_TARGET, cell
+        assert audit_ok(audit_trace(scenario, trace)), cell
+    assert ran >= 40
 
 
 def test_initial_state_in_obstacle_enters_avoid(desk_world, desk_abstraction):

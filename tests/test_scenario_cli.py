@@ -308,6 +308,23 @@ def test_cli_check_passes_on_genuine_trace(cli_artifacts):
                  cli_artifacts["scn"]]) == 0
 
 
+def test_cli_check_passes_a_correct_run_from_a_south_facing_start(
+        cli_artifacts, tmp_path, capsys):
+    """From this start the vehicle heads away from the middle street when
+    it detects the sign, and the run still reaches the target: the audit
+    passes each of its eight checks."""
+    def start(raw):
+        raw["initial_state"] = [0.9, 2.1, -3.141592653589793]
+    scn = _mutate(DESK_SCENARIO, tmp_path, start)
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", scn, "--cache", str(cli_artifacts["cache"]),
+                 "-o", str(trace)]) == 0
+    assert "outcome: ReachedTarget" in capsys.readouterr().out
+    assert main(["check", str(trace), scn]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(ln.startswith("PASS") for ln in lines)
+
+
 def test_cli_check_fails_on_corrupted_trace(cli_artifacts, tmp_path):
     sc = load_scenario(cli_artifacts["scn"])
     grid = sc.state_grid()
