@@ -18,6 +18,7 @@ closed-loop runs, not a synthesis engine.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Set
 
@@ -300,20 +301,76 @@ def _holds(phi: Formula, trace: Sequence[Set[str]]) -> np.ndarray:
 # game objective
 
 
+class CellSet(AbstractSet):
+    """A read-only set of state cells, held as one boolean mask over the
+    state grid.
+
+    The set owns its mask: the constructor copies the given array and
+    makes the copy read-only, so no caller's array is frozen or aliased.
+    Two cell sets are equal when they hold the same cells.  The hash is
+    taken over the packed mask without its trailing zero bytes, so it
+    agrees with that equality among cell sets; set algebra (``a - b``,
+    ``a | b``) gives a plain frozenset.
+    """
+
+    __slots__ = ("mask", "_len", "_hash")
+
+    def __init__(self, mask: np.ndarray):
+        mask = np.array(mask)
+        if mask.dtype != bool or mask.ndim != 1:
+            raise ValueError("a cell set needs a 1-D boolean mask, "
+                             f"got {mask.dtype} of shape {mask.shape}")
+        mask.flags.writeable = False
+        self.mask = mask
+        self._len = int(np.count_nonzero(mask))
+        self._hash = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, cell) -> bool:
+        return (isinstance(cell, (int, np.integer)) and 0 <= cell < self.mask.size
+                and bool(self.mask[int(cell)]))
+
+    def __iter__(self) -> Iterator[int]:
+        return map(int, np.flatnonzero(self.mask))
+
+    def __eq__(self, other):
+        if isinstance(other, CellSet) and other.mask.size == self.mask.size:
+            return self._len == other._len and bool(np.array_equal(self.mask, other.mask))
+        return AbstractSet.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(np.packbits(self.mask).tobytes().rstrip(b"\0"))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"CellSet({self._len} of {self.mask.size} cells)"
+
+    @classmethod
+    def _from_iterable(cls, cells):
+        return frozenset(cells)
+
+
 @dataclass(frozen=True)
 class GameObjective:
     """Reach the target cells while never visiting the avoid cells.
 
-    Frozensets, so that an objective can key the controller memo.
+    Both are :class:`CellSet` masks over the same state grid; they hash,
+    so an objective can key the controller memo.
     """
 
-    target: frozenset[int]
-    avoid: frozenset[int]
+    target: CellSet
+    avoid: CellSet
 
     def __post_init__(self):
-        overlap = self.target & self.avoid
+        if self.target.mask.size != self.avoid.mask.size:
+            raise ValueError(f"target covers {self.target.mask.size} cells, "
+                             f"avoid {self.avoid.mask.size}")
+        overlap = np.count_nonzero(self.target.mask & self.avoid.mask)
         if overlap:
-            raise ValueError(f"target and avoid overlap on {len(overlap)} cells")
+            raise ValueError(f"target and avoid overlap on {overlap} cells")
 
 
 def compile_objective(interp, sign_links: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -321,12 +378,17 @@ def compile_objective(interp, sign_links: Sequence[tuple[np.ndarray, np.ndarray]
     """Fold the activated invariance obligations into an enlarged avoid set.
 
     ``sign_links`` pairs each sign's cell indices with its linked street
-    cells; a sign is active once any of its cells is among ``known_signs``.
+    cells; a sign is active once any of its cells is among ``known_signs``,
+    which must be cells of the grid.
     """
     target = interp.extent("Target")
     avoid = interp.extent("Obstacle").copy()
+    signs = np.array(list(known_signs), dtype=np.int64)
+    outside = signs[(signs < 0) | (signs >= avoid.size)]
+    if outside.size:
+        raise ValueError(f"known sign cell {outside[0]} outside [0, {avoid.size})")
     known = np.zeros(avoid.size, dtype=bool)
-    known[np.fromiter(known_signs, dtype=np.int64)] = True
+    known[signs] = True
     for sign_cells, street_cells in sign_links:
         if known[sign_cells].any():
             avoid[street_cells] = True
@@ -335,5 +397,4 @@ def compile_objective(interp, sign_links: Sequence[tuple[np.ndarray, np.ndarray]
     if target.any() and not reachable.any():
         warnings.warn("avoid set covers the whole target region",
                       TargetUnreachableWarning)
-    return GameObjective(target=frozenset(np.flatnonzero(reachable).tolist()),
-                         avoid=frozenset(np.flatnonzero(avoid).tolist()))
+    return GameObjective(target=CellSet(reachable), avoid=CellSet(avoid))

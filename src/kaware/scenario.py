@@ -83,7 +83,8 @@ class World:
 
     ``sign_links`` pairs each sign's sorted cell indices with its street's.
     ``controllers`` memoizes solved games by compiled objective ``(target,
-    avoid)``, each entry tagged with the abstraction it was solved on.
+    avoid)``, a pair of ``CellSet`` masks that hash by their packed bits,
+    each entry tagged with the abstraction it was solved on.
     ``dataclasses.replace`` copies share it, so a later run that reaches
     the same knowledge state reuses the controller.
     """

@@ -3,17 +3,20 @@
 The controlled predecessor treats abstraction nondeterminism (disturbance
 plus quantization) adversarially: an input counts only if every successor
 lands in the goal set.  Reach-avoid is the least fixpoint of CPre seeded
-with the target.  The loop asks the transition system's ``controllable``
-hook which pairs of the given states have all their successors in the goal
-set.  The hook answers ``(rows, ok)``: ``rows`` are the positions of the
-states it read, ``ok`` their pairs' answers, and a state it did not read
-has no controllable pair.  The table abstraction reads only the states
-whose boxes can meet the cells the last sweep added, and answers each pair
-by one lookup into erosion tables of the goal set.  The sweep that wins a
-cell also picks its policy input, the lowest controllable one; the
-controller keeps that one input per cell, not the set of inputs the sweep
-found.  Any object with ``n_states`` and that hook can be solved, which is
-how the tests solve their reference systems.
+with the target.  The game comes in as a ``GameObjective``, whose target
+and avoid ``CellSet``s are disjoint boolean masks over the states; the
+solver reads those masks and never writes them.  The loop asks the
+transition system's ``controllable`` hook which pairs of the given states
+have all their successors in the goal set.  The hook answers ``(rows,
+ok)``: ``rows`` are the positions of the states it read, ``ok`` their
+pairs' answers, and a state it did not read has no controllable pair.  The
+table abstraction reads only the states whose boxes can meet the cells the
+last sweep added, and answers each pair by one lookup into erosion tables
+of the goal set.  The sweep that wins a cell also picks its policy input,
+the lowest controllable one; the controller keeps that one input per cell,
+not the set of inputs the sweep found.  Any object with ``n_states`` and
+that hook can be solved, which is how the tests solve their reference
+systems.
 """
 
 from __future__ import annotations
@@ -24,12 +27,6 @@ import numpy as np
 
 _NO_RANK = np.iinfo(np.int32).max
 _CSV_BLOCK = 4096  # controller CSV rows formatted per write
-
-
-def _as_bool_mask(n: int, cells: frozenset[int]) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[np.fromiter(cells, np.int64, len(cells))] = True
-    return mask
 
 
 @dataclass
@@ -78,10 +75,10 @@ def solve_reach_avoid(ts, objective) -> Controller:
     lowest input controllable in that sweep as its policy input.
     """
     n = ts.n_states
-    target = _as_bool_mask(n, objective.target)
-    avoid = _as_bool_mask(n, objective.avoid)
-    if (target & avoid).any():
-        raise ValueError("target and avoid sets overlap")
+    target, avoid = objective.target.mask, objective.avoid.mask
+    if target.size != n:
+        raise ValueError(f"objective covers {target.size} cells, "
+                         f"the system has {n} states")
     rank = np.full(n, _NO_RANK, dtype=np.int32)
     rank[target] = 0
     policy = np.full(n, -1, dtype=np.int32)

@@ -11,7 +11,8 @@ vectorized kernel is checked against, the safety fixpoint
 and the bundled run's reroute shape (``reroute_shape``) that only the
 tests use.  Imports from the library
 are limited to the flow, the growth bound, a table's ``boxes``, the
-grid's ``HyperRect``, and the AST node types a converter has to
+grid's ``HyperRect``, the game objective types that ``objective`` builds
+from cell indices, and the AST node types a converter has to
 pattern-match.
 """
 
@@ -240,6 +241,16 @@ def cells_by_index_interval(grid, lo, hi):
 
 # ---------------------------------------------------------------------------
 # games
+
+
+def objective(n, target, avoid=()):
+    """The game objective over ``n`` cells with the given target and avoid
+    cell indices."""
+    from kaware.ltl import CellSet, GameObjective
+    masks = np.zeros((2, n), dtype=bool)
+    masks[0, list(target)] = True
+    masks[1, list(avoid)] = True
+    return GameObjective(CellSet(masks[0]), CellSet(masks[1]))
 
 
 class ExplicitTransitions:

@@ -9,7 +9,7 @@ from kaware.abstraction import Abstraction, _Lookup, build_abstraction
 from kaware.dynamics import ContinuousSystem, dubins_car
 from kaware.errors import CacheFormatError
 from kaware.grid import HyperRect, make_grid
-from kaware.ltl import GameObjective, compile_objective
+from kaware.ltl import compile_objective
 from kaware.synthesis import solve_reach_avoid
 
 import oracles
@@ -157,8 +157,8 @@ def test_table_solve_matches_flat_solve(small_dubins, desk_world):
     _, small = small_dubins
     target = region_cells(small.grid_x, [2.6, 2.6], [3.4, 3.4])
     wall = region_cells(small.grid_x, [1.2, 0.0], [1.6, 2.8])
-    games = [(small, GameObjective(target, frozenset())),
-             (small, GameObjective(target, wall))]
+    games = [(small, oracles.objective(small.n_states, target)),
+             (small, oracles.objective(small.n_states, target, wall))]
     signs = set().union(*(c for c, _ in desk_world.sign_links))
     for known in (set(), signs):
         games.append((desk_world.abstraction,

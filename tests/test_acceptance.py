@@ -21,7 +21,7 @@ from kaware import (Outcome, build_abstraction, build_world, compile_objective,
 from kaware.cli import main
 from kaware.dynamics import dubins_car, flow
 from kaware.grid import make_grid
-from kaware.ltl import GameObjective, check_trace
+from kaware.ltl import check_trace
 from kaware.runtime import write_trace_csv
 
 import oracles
@@ -84,8 +84,7 @@ def test_criterion_4_fixpoint_oracle_equivalence():
         avoid = set(int(s) for s in
                     rng.choice(rest, size=len(rest) // 6, replace=False)) \
             if rest else set()
-        ctrl = solve_reach_avoid(ts, GameObjective(frozenset(target),
-                                                   frozenset(avoid)))
+        ctrl = solve_reach_avoid(ts, oracles.objective(n, target, avoid))
         win, rank = oracles.reach_avoid_bruteforce(n, m, ts.post, target,
                                                    avoid)
         if set(np.flatnonzero(ctrl.winning_mask).tolist()) != win \
@@ -274,10 +273,8 @@ def test_criterion_9_monotonicity_suite(desk_world, desk_trace):
         big = small | set(int(s) for s in rng.choice(range(1, n),
                                                      size=(n - 1) // 6 or 1,
                                                      replace=False))
-        w1 = solve_reach_avoid(ts, GameObjective(frozenset({0}),
-                                                 frozenset(small))).winning_mask
-        w2 = solve_reach_avoid(ts, GameObjective(frozenset({0}),
-                                                 frozenset(big))).winning_mask
+        w1 = solve_reach_avoid(ts, oracles.objective(n, {0}, small)).winning_mask
+        w2 = solve_reach_avoid(ts, oracles.objective(n, {0}, big)).winning_mask
         if (w2 & ~w1).any():
             graph_ok = False
 

@@ -1,17 +1,19 @@
+import dataclasses
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kaware import build_world
 from kaware.errors import LtlSyntaxError, TargetUnreachableWarning
 from kaware.knowledge import Interpretation
-from kaware.ltl import (MAX_DEPTH, Always, And, Atomic, Eventually,
-                        GameObjective, Implies, Next, Not, Or, Top, Until,
-                        check_trace, compile_objective, parse_concept, parse_ltl,
-                        propositions)
+from kaware.ltl import (MAX_DEPTH, Always, And, Atomic, CellSet, Eventually,
+                        Implies, Next, Not, Or, Top, Until, check_trace,
+                        compile_objective, parse_concept, parse_ltl, propositions)
 
 import oracles
 
@@ -224,7 +226,7 @@ def test_empty_trace_rejected():
 
 def test_game_objective_overlap_rejected():
     with pytest.raises(ValueError):
-        GameObjective(target=frozenset({1, 2}), avoid=frozenset({2}))
+        oracles.objective(30, {1, 2}, {2})
 
 
 def _mask(cells):
@@ -285,3 +287,51 @@ def test_compile_objective_warns_when_target_swallowed():
     with pytest.warns(TargetUnreachableWarning):
         obj = compile_objective(interp, links, {10})
     assert obj.target == frozenset()
+
+
+@pytest.mark.parametrize("cell", [-1, 30])
+def test_compile_objective_rejects_a_known_sign_outside_the_grid(cell):
+    """A negative index would otherwise mark a cell counted from the end of
+    the grid, and one past the end would raise numpy's ``IndexError``."""
+    interp = _interp({1}, {5})
+    with pytest.raises(ValueError, match=f"known sign cell {cell} outside"):
+        compile_objective(interp, [_link([10], [11])], {10, cell})
+
+
+def test_cell_set_is_a_read_only_set_of_its_mask_cells():
+    source = _mask({3, 7})
+    cells = CellSet(source)
+    source[4] = True
+    assert list(cells) == [3, 7] and all(type(c) is int for c in cells)
+    assert len(cells) == 2 and cells == {3, 7}
+    assert 7 in cells and np.int64(3) in cells
+    assert all(c not in cells for c in (4, -27, 30, 3.0, "3"))
+    assert not cells.mask.flags.writeable
+    # equal cells over grids of other sizes: equal sets, equal hashes
+    wider = CellSet(np.append(_mask({3, 7}), np.zeros(9, dtype=bool)))
+    assert cells == wider and hash(cells) == hash(wider)
+    assert cells != CellSet(_mask({3})) and cells != CellSet(source)
+    with pytest.raises(ValueError, match="1-D boolean mask"):
+        CellSet([3, 7])
+
+
+def test_full_scale_compile_keeps_cells_as_masks(full_scenario, full_abstraction):
+    """The full-scale objective's 2 688 target and 23 664 avoid cells stay
+    boolean masks: compiling peaks under 1 MB of traced memory, where
+    frozensets of Python ints took about 4 MB, and no field is a set."""
+    world = build_world(full_scenario, full_abstraction)
+    compile_objective(world.interp, world.sign_links, set())  # memoizes extents
+    tracemalloc.start()
+    try:
+        obj = compile_objective(world.interp, world.sign_links, set())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(obj.target), len(obj.avoid)) == (2688, 23664)
+    assert peak < 1 << 20, f"compile_objective peaked at {peak} bytes"
+    for field in dataclasses.fields(obj):
+        cells = getattr(obj, field.name)
+        assert type(cells) is CellSet
+        assert type(cells.mask) is np.ndarray and cells.mask.dtype == bool
+        assert not any(isinstance(getattr(cells, slot), (set, frozenset))
+                       for slot in CellSet.__slots__)

@@ -60,7 +60,7 @@ def test_cpre_hand_graph_with_nondeterminism():
 
 def test_chain_ranks():
     ts = chain(5)
-    ctrl = solve_reach_avoid(ts, GameObjective(frozenset({4}), frozenset()))
+    ctrl = solve_reach_avoid(ts, oracles.objective(5, {4}))
     assert [ctrl.rank_array[i] for i in range(5)] == [4, 3, 2, 1, 0]
     assert won(ctrl) == {0, 1, 2, 3, 4}
     for i in range(4):
@@ -69,22 +69,28 @@ def test_chain_ranks():
 
 def test_target_everything():
     ts = chain(4)
-    ctrl = solve_reach_avoid(ts, GameObjective(frozenset(range(4)),
-                                               frozenset()))
+    ctrl = solve_reach_avoid(ts, oracles.objective(4, range(4)))
     assert won(ctrl) == set(range(4))
     assert all(ctrl.rank_array[i] == 0 for i in range(4))
 
 
 def test_avoid_cuts_the_chain():
     ts = chain(5)
-    ctrl = solve_reach_avoid(ts, GameObjective(frozenset({4}),
-                                               frozenset({2})))
+    ctrl = solve_reach_avoid(ts, oracles.objective(5, {4}, {2}))
     assert won(ctrl) == {3, 4}
 
 
 def test_overlapping_objective_rejected():
     with pytest.raises(ValueError):
-        GameObjective(frozenset({1}), frozenset({1}))
+        oracles.objective(2, {1}, {1})
+
+
+def test_objective_of_another_size_rejected():
+    with pytest.raises(ValueError, match="target covers 4 cells, avoid 5"):
+        GameObjective(oracles.objective(4, {3}).target,
+                      oracles.objective(5, {3}).avoid)
+    with pytest.raises(ValueError, match="objective covers 4 cells"):
+        solve_reach_avoid(chain(5), oracles.objective(4, {3}))
 
 
 def test_random_graphs_match_bruteforce_oracle():
@@ -99,8 +105,7 @@ def test_random_graphs_match_bruteforce_oracle():
                                                size=max(1, len(remaining) // 5),
                                                replace=False)) \
             if remaining else set()
-        ctrl = solve_reach_avoid(ts, GameObjective(frozenset(target),
-                                                   frozenset(avoid)))
+        ctrl = solve_reach_avoid(ts, oracles.objective(n, target, avoid))
         win, rank = oracles.reach_avoid_bruteforce(
             n, m, ts.post, target, avoid)
         assert won(ctrl) == win
@@ -125,8 +130,7 @@ def test_policy_is_rank_decreasing_and_lowest_index():
         n, m, succ = oracles.random_game(rng, max_states=25)
         ts = ExplicitTransitions(n, m, succ)
         target = {0}
-        ctrl = solve_reach_avoid(ts, GameObjective(frozenset(target),
-                                                   frozenset()))
+        ctrl = solve_reach_avoid(ts, oracles.objective(n, target))
         sets = allowed(ts, ctrl)
         for s in won(ctrl) - target:
             inputs = sets[s]
@@ -145,8 +149,7 @@ def test_adversarial_rollout_reaches_target_within_rank():
         ts = ExplicitTransitions(n, m, succ)
         target = {0, 1} & set(range(n)) or {0}
         avoid = {n - 1} - target
-        ctrl = solve_reach_avoid(ts, GameObjective(frozenset(target),
-                                                   frozenset(avoid)))
+        ctrl = solve_reach_avoid(ts, oracles.objective(n, target, avoid))
         for start in won(ctrl) - target:
             s = start
             for _ in range(ctrl.rank_array[start]):
@@ -172,10 +175,8 @@ def test_winning_shrinks_when_avoid_grows():
                                                size=(n - 1) // 6 or 1,
                                                replace=False))
         big = small | extra
-        w_small = won(solve_reach_avoid(
-            ts, GameObjective(frozenset(target), frozenset(small))))
-        w_big = won(solve_reach_avoid(
-            ts, GameObjective(frozenset(target), frozenset(big))))
+        w_small = won(solve_reach_avoid(ts, oracles.objective(n, target, small)))
+        w_big = won(solve_reach_avoid(ts, oracles.objective(n, target, big)))
         assert w_big <= w_small
 
 
@@ -207,7 +208,7 @@ def test_respected_region_matches_bruteforce():
 
 def test_export_csv_deterministic(tmp_path):
     ts = chain(5)
-    obj = GameObjective(frozenset({4}), frozenset())
+    obj = oracles.objective(5, {4})
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     solve_reach_avoid(ts, obj).export_csv(str(p1))
     solve_reach_avoid(ts, obj).export_csv(str(p2))
@@ -232,3 +233,23 @@ def test_desk_controllers_match_benchmark_references(desk_world, known,
     solve_reach_avoid(desk_world.abstraction, objective).export_csv(str(path))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == ref["controller_all" if known == "all" else "controller"]
+
+
+def test_compile_and_solve_write_no_mask_they_read(desk_world):
+    """The objective owns copies of the interpretation's memoized extents,
+    which stay unchanged and writeable, and the solve leaves the
+    objective's masks as compiled."""
+    interp, links = desk_world.interp, desk_world.sign_links
+    extents = {name: interp.extent(name) for name in ("Obstacle", "Target")}
+    before = {name: mask.copy() for name, mask in extents.items()}
+    signs = set().union(*(c for c, _ in links))
+    objective = compile_objective(interp, links, signs)
+    for name, mask in extents.items():
+        assert interp.extent(name) is mask and mask.flags.writeable
+        assert np.array_equal(mask, before[name])
+    compiled = [cells.mask.copy() for cells in (objective.target, objective.avoid)]
+    for cells in (objective.target, objective.avoid):
+        assert not any(np.shares_memory(cells.mask, m) for m in extents.values())
+    solve_reach_avoid(desk_world.abstraction, objective)
+    assert np.array_equal(objective.target.mask, compiled[0])
+    assert np.array_equal(objective.avoid.mask, compiled[1])
