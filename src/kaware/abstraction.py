@@ -9,7 +9,8 @@ fixed offset, and a pair is blocked exactly when the cell lies outside a
 fixed index range.  The abstraction is therefore a table with one row per
 (index on the other dimensions, input) -- per (heading, input) for the
 Dubins car -- holding the box offset and length on every dimension and the
-non-blocked index range on every invariant dimension.  The state grid
+non-blocked index range on every non-periodic dimension, all or none of a
+keyed one.  The state grid
 turns each reach rectangle into index windows (``Grid.index_bounds``,
 ``Grid.window``) by the rules it applies to scenario regions; on its
 periodic dimensions (the heading) it wraps a flowed state, and a box may
@@ -55,6 +56,11 @@ def _grid_fields(grid: Grid) -> list[np.ndarray]:
             grid.counts]
 
 
+def _ranged(grid: Grid) -> list[int]:
+    """The non-periodic dimensions, where each row has an enabled range."""
+    return np.flatnonzero(~grid.periodic).tolist()
+
+
 def fingerprint(sys: ContinuousSystem, grid_x: Grid, grid_u: Grid) -> bytes:
     """SHA-256 of what an abstraction depends on: the model and its Jacobian
     bound, τ, the disturbance, and both grids (bounds, η, periodicity,
@@ -76,10 +82,10 @@ class _Lookup:
     longest box less one cell on each axis, flat and row-major with strides
     ``stride``.  Each distinct length row (``lengths``) has a table: entry
     ``i`` is true when the mask holds every cell of the box of that length
-    starting at ``first + i``.  One more table, all false, serves the empty
-    boxes.  A box starts in the tables at ``base[state] + at[key,
-    column]``: ``base`` holds the state's invariant indices, ``at`` its
-    length row's table and the rest of its start.
+    starting at ``first + i``; every box is nonempty.  A box starts in the
+    tables at ``base[state] + at[key, column]``: ``base`` holds the state's
+    invariant indices, ``at`` its length row's table and the rest of its
+    start.
 
     A mask reaches the erosion grid axis by axis (:meth:`spread`): along
     axis ``d`` it takes the state grid's indices ``axes[d]``, wrapped on a
@@ -103,15 +109,15 @@ class _Lookup:
         dimensions, where a cell adds its index (``idx``, ``(d,
         n_states)``), and spans ``length`` cells."""
         inv = np.isin(np.arange(grid.ndim), invariant)
-        live = (length > 0).all(axis=2)
-        q = start[live] if live.any() else np.zeros((1, grid.ndim), dtype=np.int64)
-        length = np.where(grid.periodic, np.minimum(length, grid.counts), length)[live]
-        lengths, lid = np.unique(length.astype(np.int64), axis=0, return_inverse=True)
+        length = np.where(grid.periodic, np.minimum(length, grid.counts), length)
+        lengths, lid = np.unique(length.reshape(-1, grid.ndim).astype(np.int64),
+                                 axis=0, return_inverse=True)
+        q = start.reshape(-1, grid.ndim)
         first = q.min(axis=0)
         span = q.max(axis=0) + np.where(inv, grid.counts - 1, 0) - first + 1
         axes, clip = [], []
         for d, n in enumerate(grid.counts):
-            i = np.arange(first[d], first[d] + span[d] + lengths[:, d].max(initial=1) - 1)
+            i = np.arange(first[d], first[d] + span[d] + lengths[:, d].max() - 1)
             if grid.periodic[d]:
                 axes.append(np.mod(i, n))
                 clip.append((0, 0))
@@ -121,8 +127,7 @@ class _Lookup:
         shape = tuple(len(i) for i in axes)
         stride = np.cumprod((1,) + shape[:0:-1])[::-1]
         size = int(np.prod(shape))
-        at = np.full(live.shape, len(lengths) * size, dtype=np.int64)
-        at[live] = lid.ravel() * size + (start[live] - first) @ stride
+        at = lid.reshape(start.shape[:-1]) * size + (start - first) @ stride
         return cls(counts=tuple(grid.counts.tolist()), axes=tuple(axes),
                    clip=tuple(clip), stride=stride, lengths=lengths, at=at,
                    base=(idx[inv].T @ stride[inv]).astype(np.int64))
@@ -138,16 +143,15 @@ class _Lookup:
         return a.ravel()
 
     def tables(self, mask: np.ndarray) -> np.ndarray:
-        """The tables of ``mask``, flat and concatenated, the empty boxes'
-        last.  Each length row ANDs the mask, spread over the erosion grid,
-        with itself shifted by whole steps along each axis, each doubling
-        the length covered.  A box starting in the span ends inside the
-        erosion grid, so no shift it needs crosses into another row of that
-        axis; entries of starts outside the span mean nothing, and no box
-        reads them."""
+        """The tables of ``mask``, flat and concatenated.  Each length row
+        ANDs the mask, spread over the erosion grid, with itself shifted by
+        whole steps along each axis, each doubling the length covered.  A
+        box starting in the span ends inside the erosion grid, so no shift it
+        needs crosses into another row of that axis; entries of starts
+        outside the span mean nothing, and no box reads them."""
         spread = self.spread(mask)
         size = spread.size
-        out = np.zeros((len(self.lengths) + 1) * size, dtype=bool)
+        out = np.zeros(len(self.lengths) * size, dtype=bool)
         for c, row in enumerate(self.lengths):
             a = spread
             for d, n in enumerate(row):
@@ -161,8 +165,7 @@ class _Lookup:
 
     def read(self, mask: np.ndarray, states: np.ndarray, key: np.ndarray) -> np.ndarray:
         """Per state of ``states``, with row keys ``key``, and column:
-        whether the box is nonempty and ``mask`` holds each of its cells
-        inside the grid."""
+        whether ``mask`` holds each cell of the box inside the grid."""
         return self.tables(mask)[self.base[states, None] + self.at[key]]
 
 
@@ -175,8 +178,8 @@ class Abstraction:
     under input ``u``.  Such a cell's successor box starts at its own index
     plus ``offset`` and has ``length`` cells on each dimension, and the grid
     wraps or clips it (:meth:`Grid.window`).  The pair is blocked unless the
-    cell's index on each invariant dimension lies in ``enabled``; a row
-    with length 0 on every dimension is blocked for every cell.
+    cell's index on each non-periodic dimension lies in that dimension's
+    ``enabled`` range.
     """
 
     grid_x: Grid
@@ -185,7 +188,7 @@ class Abstraction:
     invariant: tuple[int, ...]  # translation-invariant dims of the system
     offset: np.ndarray          # (rows, d) box start minus the cell index
     length: np.ndarray          # (rows, d) box length
-    enabled: np.ndarray         # (rows, len(invariant), 2) non-blocked [first, stop)
+    enabled: np.ndarray         # (rows, non-periodic d, 2) non-blocked [first, stop)
     fingerprint: bytes
     _flat: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -220,8 +223,8 @@ class Abstraction:
         little-endian): whether the pair is enabled."""
         counts, m = tuple(self.grid_x.counts), self.n_inputs
         shape = [1 if d in self.invariant else n for d, n in enumerate(counts)] + [m]
-        on = (self.length[:, 0] > 0).reshape(shape)
-        for a, d in enumerate(self.invariant):
+        on = np.ones(shape, dtype=bool)
+        for a, d in enumerate(_ranged(self.grid_x)):
             first, stop = self.enabled[:, a].T.reshape([2] + shape)
             i = np.arange(counts[d]).reshape([-1 if k == d else 1 for k in range(len(shape))])
             on = on & ((first <= i) & (i < stop))
@@ -248,21 +251,20 @@ class Abstraction:
         """Sizes read off the table.  Along an invariant dimension a box's
         length depends only on the cell's index there, so a row's enabled
         pairs and transitions are products of per-dimension sums."""
-        rows = np.arange(self.length.shape[0])
-        pairs = (self.length[:, 0] > 0).astype(np.int64)
+        rows, ranged = np.arange(self.length.shape[0]), _ranged(self.grid_x)
+        pairs = np.ones(rows.size, dtype=np.int64)
         transitions = pairs.copy()
         for d, n in enumerate(self.grid_x.counts):
             at = np.arange(n) if d in self.invariant \
                 else self._index[2][d][rows // self.n_inputs, None]
             lo, hi = self.grid_x.window(d, at + self.offset[:, d, None],
                                         self.length[:, d, None])
-            if d in self.invariant:
-                first, stop = self.enabled[:, self.invariant.index(d)].T
+            inside = np.ones(hi.shape, dtype=bool)
+            if d in ranged:
+                first, stop = self.enabled[:, ranged.index(d)].T
                 inside = (first[:, None] <= at) & (at < stop[:, None])
-                pairs *= inside.sum(axis=1)
-                transitions *= ((hi - lo) * inside).sum(axis=1)
-            else:
-                transitions *= (hi - lo)[:, 0]
+            pairs *= inside.sum(axis=1)
+            transitions *= ((hi - lo) * inside).sum(axis=1)
         n_pairs = self.n_states * self.n_inputs
         return {
             "n_states": self.n_states,
@@ -275,8 +277,8 @@ class Abstraction:
     def _lookups(self) -> tuple[_Lookup, _Lookup, np.ndarray]:
         """What :meth:`controllable` reads, built once: the lookup of each
         pair's box; the lookup of each row key's window covering the boxes
-        of all its inputs with a nonempty box; and per state, where its
-        window starts in the latter's tables."""
+        of all its inputs; and per state, where its window starts in the
+        latter's tables."""
         m, d = self.n_inputs, self.grid_x.ndim
         n, periodic = self.grid_x.counts, self.grid_x.periodic
         idx, kappa, keys = self._index
@@ -287,13 +289,7 @@ class Abstraction:
         # one short window.  A window that reaches n is the whole ring [0, n)
         key = keys.T[:, None, :]
         centred = np.where(periodic, key + np.mod(start - key + n // 2, n) - n // 2, start)
-        # a key with no live input gets an empty window: it reads false, so
-        # its states are checked, and found blocked.  int32 sentinels keep
-        # its hi - lo inside int64
-        low, high = np.iinfo(np.int32).min, np.iinfo(np.int32).max
-        live = (length > 0).all(axis=2)[..., None]
-        lo = np.where(live, centred, high).min(axis=1)
-        hi = np.where(live, centred + length, low).max(axis=1)
+        lo, hi = centred.min(axis=1), (centred + length).max(axis=1)
         ring = periodic & (hi - lo >= n)
         lo, hi = np.where(ring, 0, lo), np.where(ring, n, hi)
         cover = _Lookup.build(self.grid_x, self.invariant, idx, lo[:, None],
@@ -418,15 +414,16 @@ class Abstraction:
             raise CacheFormatError("bad invariant dimension list")
         rows = grid_u.size * int(np.prod(
             [grid_x.counts[a] for a in range(d) if a not in invariant]))
-        width = 2 * d + 2 * k
+        ranged = len(_ranged(grid_x))
+        width = 2 * (d + ranged)
         if len(buf) - off != 4 * rows * width:
             raise CacheFormatError("table size disagrees with the grids")
         table = np.frombuffer(buf, "<i4", rows * width, off).reshape(rows, width)
-        if (table[:, d:2 * d] < 0).any():
-            raise CacheFormatError("negative box length in the table")
+        if (table[:, d:2 * d] < 1).any():
+            raise CacheFormatError("box length below one in the table")
         return cls(grid_x=grid_x, grid_u=grid_u, tau=tau, invariant=invariant,
                    offset=table[:, :d].copy(), length=table[:, d:2 * d].copy(),
-                   enabled=table[:, 2 * d:].reshape(rows, k, 2).copy(),
+                   enabled=table[:, 2 * d:].reshape(rows, ranged, 2).copy(),
                    fingerprint=dynamics)
 
 
@@ -465,8 +462,9 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
     dilated by the growth bound, and the resulting rectangle becomes index
     ranges relative to the reference cell.  On each non-periodic invariant
     dimension, the cells whose translated rectangle stays inside the bounds
-    form the row's non-blocked range; a rectangle that leaves the bounds on
-    another non-periodic dimension blocks the whole row.
+    form the row's non-blocked range; on a non-periodic keyed dimension the
+    range is the whole axis, or empty when the rectangle leaves the bounds
+    there.
     """
     m, d = grid_u.size, grid_x.ndim
     counts, eta = grid_x.counts, grid_x.eta
@@ -493,22 +491,20 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
     length = k_hi - k_lo + 1
     length[:, grid_x.periodic] = np.minimum(length[:, grid_x.periodic],
                                             counts[grid_x.periodic])
-    enabled = np.zeros((ref.shape[0], len(invariant), 2), dtype=np.int64)
-    for a, dim in enumerate(invariant):
+    ranged = _ranged(grid_x)
+    enabled = np.zeros((ref.shape[0], len(ranged), 2), dtype=np.int64)
+    for a, dim in enumerate(ranged):
         n = int(counts[dim])
-        enabled[:, a, 1] = n
-        if grid_x.periodic[dim]:
+        if dim in keyed:
+            # the row serves one index here: all of it or none
+            out = (r_lo[:, dim] < xlo[dim] - _TOL) | (r_hi[:, dim] > xhi[dim] + _TOL)
+            enabled[:, a, 1] = np.where(out, 0, n)
             continue
         # the flow's displacement is the same for every cell of the row
         moved = (xlo[dim] + np.arange(n) * eta[dim]) \
             + (c_out[:, dim] - start[:, dim])[:, None]
         enabled[:, a, 0] = (moved - radius[dim] < xlo[dim] - _TOL).sum(axis=1)
-        enabled[:, a, 1] -= (moved + radius[dim] > xhi[dim] + _TOL).sum(axis=1)
-    blocked = np.zeros(ref.shape[0], dtype=bool)
-    for dim in keyed:
-        if not grid_x.periodic[dim]:
-            blocked |= (r_lo[:, dim] < xlo[dim] - _TOL) | (r_hi[:, dim] > xhi[dim] + _TOL)
-    length[blocked] = 0
+        enabled[:, a, 1] = n - (moved + radius[dim] > xhi[dim] + _TOL).sum(axis=1)
     return Abstraction(grid_x=grid_x, grid_u=grid_u, tau=sys.tau,
                        invariant=invariant,
                        offset=(k_lo - ref).astype(np.int32),

@@ -52,7 +52,11 @@ class Trace:
     seed: int
     steps: list[TraceStep]
     outcome: Outcome
-    resynth_count: int
+
+    @property
+    def resynth_count(self) -> int:
+        """Rows whose detection re-synthesized, the terminal row included."""
+        return sum(1 for s in self.steps if s.resynthesized)
 
 
 def sensor_step(interp, sign_extent: np.ndarray, cell: int,
@@ -108,7 +112,6 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
     target = objective.target
     avoid = objective.avoid
     steps: list[TraceStep] = []
-    resynth_count = 0
     x = np.asarray(world.initial_state, dtype=float)
     outcome = Outcome.STEP_LIMIT
 
@@ -132,7 +135,6 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
             controller, solve_s = _controller_for(world, objective)
             target = objective.target
             avoid = objective.avoid
-            resynth_count += 1
             log.debug("step %d: detected %d cells (%s); objective %s; "
                       "controller %s", i, len(newly), ";".join(map(str, newly)),
                       "unchanged" if objective == previous else "changed",
@@ -158,8 +160,7 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
         steps.append(TraceStep(i, i * sys.tau, x, cell, -1, 0.0,
                                newly, resynth))
 
-    return Trace(seed=seed, steps=steps, outcome=outcome,
-                 resynth_count=resynth_count)
+    return Trace(seed=seed, steps=steps, outcome=outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -226,5 +227,4 @@ def read_trace_csv(path: str) -> Trace:
         raise TraceFormatError(f"{path}: {where}: {exc}") from None
     if outcome is None:
         raise TraceFormatError(f"{path}: trace has no outcome marker")
-    return Trace(seed=seed, steps=steps, outcome=outcome,
-                 resynth_count=sum(1 for s in steps if s.resynthesized))
+    return Trace(seed=seed, steps=steps, outcome=outcome)

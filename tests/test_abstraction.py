@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -210,19 +211,19 @@ def test_full_scale_cover_windows_are_circular(full_abstraction):
     cover = full_abstraction._lookups[1]
     assert full_abstraction.grid_x.counts[2] == 24
     assert len(cover.lengths) == 3 and (cover.lengths[:, 2] == 11).all()
-    size = cover.spread(np.ones(full_abstraction.n_states, dtype=bool)).size
-    assert (cover.at[:, 0] < len(cover.lengths) * size).all()
 
 
 def strip_clipped_rows(abs_):
-    """Live rows whose box, for some enabled cell, runs past the last cell
-    of a non-periodic invariant dimension (into the trailing strip)."""
+    """Rows whose box, for some enabled cell, runs past the last cell of a
+    non-periodic invariant dimension (into the trailing strip).  ``enabled``
+    holds a range per non-periodic dimension."""
+    first, stop = abs_.enabled[..., 0], abs_.enabled[..., 1]
     clipped = np.zeros(len(abs_.offset), dtype=bool)
-    for a, d in enumerate(abs_.invariant):
-        if not abs_.grid_x.periodic[d]:
-            last = abs_.enabled[:, a, 1] - 1 + abs_.offset[:, d] + abs_.length[:, d]
+    for a, d in enumerate(np.flatnonzero(~abs_.grid_x.periodic)):
+        if d in abs_.invariant:
+            last = stop[:, a] - 1 + abs_.offset[:, d] + abs_.length[:, d]
             clipped |= last > abs_.grid_x.counts[d]
-    return int((clipped & (abs_.length > 0).all(axis=1)).sum())
+    return int((clipped & (first < stop).all(axis=1)).sum())
 
 
 def assert_rows_answer(abs_, Z, states, fresh, want):
@@ -265,28 +266,35 @@ DRAWN_DUBINS = dict(
     eta=st.lists(st.floats(0.15, 1.0), min_size=3, max_size=3),
     u_max=st.floats(0.0, 4.0), eta_u=st.floats(0.3, 3.0),
     tau=st.floats(0.05, 1.5),
-    dist=st.lists(st.floats(0.0, 0.2), min_size=3, max_size=3))
+    dist=st.lists(st.floats(0.0, 0.2), min_size=3, max_size=3),
+    periodic=st.lists(st.booleans(), min_size=2, max_size=2))
 
 
-def drawn_dubins(lower, span, eta, u_max, eta_u, tau, dist):
+def drawn_dubins(lower, span, eta, u_max, eta_u, tau, dist, periodic):
+    """A Dubins abstraction; ``periodic`` says whether x1 and the heading
+    wrap.  A non-periodic heading is keyed, so whole rows can be blocked.  A
+    periodic x1 takes at least one cell."""
+    if periodic[0]:
+        eta = [min(eta[0], span[0])] + eta[1:]
     sys = dubins_car(tau=tau, dist_halfwidth=dist)
     grid_x = make_grid(lower + [-PI], [lo + s for lo, s in zip(lower, span)] + [PI],
-                       eta, periodic=[False, False, True])
+                       eta, periodic=[periodic[0], False, periodic[1]])
     grid_u = make_grid([-u_max], [u_max], [eta_u])
     return sys, build_abstraction(sys, grid_x, grid_u)
 
 
 # a grid whose boxes reach into the trailing strip (see the test below)
 STRIP_GRID = dict(lower=[0.0, 0.0], span=[2.29, 3.83], eta=[0.27, 0.96, 0.52],
-                  u_max=1.0, eta_u=0.5, tau=0.5, dist=[0.01, 0.01, 0.01])
+                  u_max=1.0, eta_u=0.5, tau=0.5, dist=[0.01, 0.01, 0.01],
+                  periodic=[False, True])
 
 
 @settings(max_examples=30, deadline=None)
 @example(**STRIP_GRID)
 @given(**DRAWN_DUBINS)
 def test_controllable_matches_summed_area_drawn(lower, span, eta, u_max,
-                                               eta_u, tau, dist):
-    _, abs_ = drawn_dubins(lower, span, eta, u_max, eta_u, tau, dist)
+                                               eta_u, tau, dist, periodic):
+    _, abs_ = drawn_dubins(lower, span, eta, u_max, eta_u, tau, dist, periodic)
     assert_controllable_matches_summed_area(abs_, np.random.default_rng(6))
 
 
@@ -310,17 +318,15 @@ def test_controllable_matches_summed_area_desk(desk_abstraction):
 
 
 def lookup_bruteforce(grid, invariant, idx, start, length, mask, key):
-    """Per cell (row) and column, as ``_Lookup.read`` answers it: the box is
-    nonempty and ``mask`` holds each of its cells inside the grid, box by
-    box and cell by cell."""
+    """Per cell (row) and column, as ``_Lookup.read`` answers it: ``mask``
+    holds each cell of the box inside the grid, box by box and cell by
+    cell."""
     inv = np.isin(np.arange(grid.ndim), invariant)
     counts = tuple(grid.counts)
     out = np.zeros((grid.size, start.shape[1]), dtype=bool)
     for s in range(grid.size):
         for j in range(start.shape[1]):
             k = key[s]
-            if (length[k, j] <= 0).any():
-                continue
             q = start[k, j] + np.where(inv, idx[:, s], 0)
             ln = np.where(grid.periodic, np.minimum(length[k, j], counts), length[k, j])
             cells = map(np.array, itertools.product(*map(range, q, q + ln)))
@@ -345,8 +351,7 @@ def test_lookup_reads_boxes_like_bruteforce():
         idx = np.indices(tuple(counts)).reshape(d, -1)
         keys, columns = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         start = rng.integers(-3, counts + 2, size=(keys, columns, d))
-        length = rng.integers(0, 6, size=(keys, columns, d)) \
-            * (rng.random((keys, columns, 1)) < 0.9)
+        length = rng.integers(1, 6, size=(keys, columns, d))
         lookup = _Lookup.build(grid, invariant, idx, start, length)
         key = rng.integers(0, keys, size=grid.size)
         for holes in (0.0, 0.2, 0.6):
@@ -403,8 +408,8 @@ def test_table_matches_per_cell_construction_full(full_scenario):
 @settings(max_examples=30, deadline=None)
 @given(**DRAWN_DUBINS)
 def test_table_matches_per_cell_construction_drawn(lower, span, eta, u_max,
-                                                   eta_u, tau, dist):
-    sys, abs_ = drawn_dubins(lower, span, eta, u_max, eta_u, tau, dist)
+                                                   eta_u, tau, dist, periodic):
+    sys, abs_ = drawn_dubins(lower, span, eta, u_max, eta_u, tau, dist, periodic)
     assert_matches_per_cell(sys, abs_, np.random.default_rng(5), samples=20)
 
 
@@ -456,6 +461,37 @@ def test_cache_bad_version(small_dubins, tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CacheFormatError):
         Abstraction.load(str(path))
+
+
+def test_cache_rejects_box_length_below_one(small_dubins, tmp_path):
+    """Every box has at least one cell on each dimension, so a zero length
+    is refused even under a valid digest."""
+    _, abs_ = small_dubins
+    path = tmp_path / "cache.kaw"
+    abs_.save(str(path))
+    body = bytearray(path.read_bytes()[:-32])
+    rows, d = abs_.offset.shape
+    width = 2 * d + 2 * abs_.enabled.shape[1]
+    at = len(body) - 4 * rows * width + 4 * d  # first row's first length
+    body[at:at + 4] = (0).to_bytes(4, "little")
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    with pytest.raises(CacheFormatError, match="box length below one"):
+        Abstraction.load(str(path))
+
+
+# SHA-256 of the bundled scenarios' cache files
+DESK_CACHE = "c4ac56ff1f0cbeeed48958ed504d071067075de54923b36aaf294b51d022dac4"
+FULL_CACHE = "b4a3902e412087784813e373eab44247da24af24165d001917c1213f16ce9091"
+
+
+def test_bundled_cache_files_are_pinned(desk_abstraction, full_abstraction,
+                                        tmp_path):
+    """The bundled scenarios' cache files keep their bytes, so a change of
+    the format cannot pass unnoticed."""
+    for abs_, want in ((desk_abstraction, DESK_CACHE), (full_abstraction, FULL_CACHE)):
+        path = tmp_path / "cache.kaw"
+        abs_.save(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
 def test_explicit_transitions_surface():
