@@ -18,7 +18,6 @@ closed-loop runs, not a synthesis engine.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Set
 
@@ -301,16 +300,14 @@ def _holds(phi: Formula, trace: Sequence[Set[str]]) -> np.ndarray:
 # game objective
 
 
-class CellSet(AbstractSet):
+class CellSet:
     """A read-only set of state cells, held as one boolean mask over the
     state grid.
 
     The set owns its mask: the constructor copies the given array and
     makes the copy read-only, so no caller's array is frozen or aliased.
-    Two cell sets are equal when they hold the same cells.  The hash is
-    taken over the packed mask without its trailing zero bytes, so it
-    agrees with that equality among cell sets; set algebra (``a - b``,
-    ``a | b``) gives a plain frozenset.
+    Two cell sets are equal when their masks are, so cell sets over grids
+    of other sizes differ; the hash is taken over the packed mask.
     """
 
     __slots__ = ("mask", "_len", "_hash")
@@ -332,25 +329,18 @@ class CellSet(AbstractSet):
         return (isinstance(cell, (int, np.integer)) and 0 <= cell < self.mask.size
                 and bool(self.mask[int(cell)]))
 
-    def __iter__(self) -> Iterator[int]:
-        return map(int, np.flatnonzero(self.mask))
-
     def __eq__(self, other):
-        if isinstance(other, CellSet) and other.mask.size == self.mask.size:
-            return self._len == other._len and bool(np.array_equal(self.mask, other.mask))
-        return AbstractSet.__eq__(self, other)
+        if not isinstance(other, CellSet):
+            return NotImplemented
+        return self._len == other._len and bool(np.array_equal(self.mask, other.mask))
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(np.packbits(self.mask).tobytes().rstrip(b"\0"))
+            self._hash = hash(np.packbits(self.mask).tobytes())
         return self._hash
 
     def __repr__(self) -> str:
         return f"CellSet({self._len} of {self.mask.size} cells)"
-
-    @classmethod
-    def _from_iterable(cls, cells):
-        return frozenset(cells)
 
 
 @dataclass(frozen=True)

@@ -79,13 +79,12 @@ def _controller_for(world, objective):
     Returns ``(controller, seconds)``; ``seconds`` is None on a hit.  Only
     an entry solved on ``world.abstraction`` itself is a hit.
     """
-    key = (objective.target, objective.avoid)
-    hit = world.controllers.get(key)
+    hit = world.controllers.get(objective)
     if hit is not None and hit[0] is world.abstraction:
         return hit[1], None
     t0 = time.perf_counter()
     controller = solve_reach_avoid(world.abstraction, objective)
-    world.controllers[key] = (world.abstraction, controller)
+    world.controllers[objective] = (world.abstraction, controller)
     return controller, time.perf_counter() - t0
 
 
@@ -105,12 +104,9 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
                                         " outside the state space") from None
     rng = np.random.default_rng(seed)
     known: set[int] = set()
-    sign_extent = world.interp.extent("NoEntrySign") if world.sign_links \
-        else np.zeros(grid_x.size, dtype=bool)
+    sign_extent = world.interp.extent("NoEntrySign")
     objective = compile_objective(world.interp, world.sign_links, known)
     controller, _ = _controller_for(world, objective)
-    target = objective.target
-    avoid = objective.avoid
     steps: list[TraceStep] = []
     x = np.asarray(world.initial_state, dtype=float)
     outcome = Outcome.STEP_LIMIT
@@ -118,10 +114,10 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
     for i in range(max_steps + 1):
         cell = grid_x.quantize(x)
         newly, resynth = (), False
-        if cell in avoid:
+        if cell in objective.avoid:
             outcome = Outcome.ENTERED_AVOID
             break
-        if cell in target:
+        if cell in objective.target:
             outcome = Outcome.REACHED_TARGET
             break
         if i == 0 and not controller.winning_mask[cell]:
@@ -133,8 +129,6 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
             previous = objective
             objective = compile_objective(world.interp, world.sign_links, known)
             controller, solve_s = _controller_for(world, objective)
-            target = objective.target
-            avoid = objective.avoid
             log.debug("step %d: detected %d cells (%s); objective %s; "
                       "controller %s", i, len(newly), ";".join(map(str, newly)),
                       "unchanged" if objective == previous else "changed",

@@ -2,7 +2,8 @@
 
 A scenario declares the system block (model, sampling time, bounds,
 discretization, disturbance), the map (concept regions plus no-entry
-signs, each linked to exactly one street region), the knowledge section
+signs, each linked to exactly one street region; the signs alone make up
+the ``NoEntrySign`` concept), the knowledge section
 (declared concepts, role range, TBox axioms), the mission objective, and
 the run parameters.  Region boxes may omit trailing dimensions; missing
 dimensions default to the full range (a planar box means "all headings").
@@ -71,20 +72,19 @@ class Scenario:
         )
 
     def all_regions(self) -> dict[str, list[HyperRect]]:
-        out = {k: list(v) for k, v in self.regions.items()}
-        out.setdefault("NoEntrySign", [])
-        out["NoEntrySign"].extend(s.sign_box for s in self.signs)
-        return out
+        """The regions plus ``NoEntrySign``, exactly the signs' boxes."""
+        return {**self.regions, "NoEntrySign": [s.sign_box for s in self.signs]}
 
 
 @dataclass
 class World:
     """Everything the control loop needs, built once per scenario.
 
-    ``sign_links`` pairs each sign's sorted cell indices with its street's.
-    ``controllers`` memoizes solved games by compiled objective ``(target,
-    avoid)``, a pair of ``CellSet`` masks that hash by their packed bits,
-    each entry tagged with the abstraction it was solved on.
+    ``sign_links`` pairs each sign's sorted cell indices with its street's;
+    the ``NoEntrySign`` extent is the union of their sign cells.
+    ``controllers`` memoizes solved games by their ``GameObjective``, which
+    hashes as its two cell masks, each entry tagged with the abstraction it
+    was solved on.
     ``dataclasses.replace`` copies share it, so a later run that reaches
     the same knowledge state reuses the controller.
     """
@@ -199,6 +199,11 @@ def _typed(value, kind, where: str):
     return value
 
 
+# the game forbids the streets of the signs in map.signs, so the sensor's
+# NoEntrySign concept must hold exactly those signs' boxes
+_SIGNS_ONLY = "NoEntrySign holds exactly the map.signs sign boxes"
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -235,6 +240,9 @@ def load_scenario(path: str) -> Scenario:
     regions: dict[str, list[HyperRect]] = {}
     for name, boxes in _typed(_require(mapblk, "regions", "map"), dict,
                               "map.regions").items():
+        if name == "NoEntrySign":
+            raise ScenarioValidationError("map.regions.NoEntrySign",
+                                          _SIGNS_ONLY)
         regions[name] = [
             _box(b, state_bounds, f"map.regions.{name}[{i}]")
             for i, b in enumerate(_typed(boxes, list, f"map.regions.{name}"))
@@ -262,6 +270,8 @@ def load_scenario(path: str) -> Scenario:
         where = f"knowledge.tbox[{i}]"
         name = _typed(_require(_typed(ax, dict, where), "define", where), str,
                       f"{where}.define")
+        if name == "NoEntrySign":
+            raise ScenarioValidationError(f"{where}.define", _SIGNS_ONLY)
         if any(name == earlier.name for earlier in tbox):
             raise ScenarioValidationError(f"{where}.define",
                                           f"{name} is already defined")

@@ -12,6 +12,8 @@ SCENARIO_DIR = (pathlib.Path(__file__).resolve().parents[1]
                 / "src" / "kaware" / "scenarios")
 DESK_SCENARIO = SCENARIO_DIR / "urban_desk.scn.json"
 FULL_SCENARIO = SCENARIO_DIR / "urban.scn.json"
+# the benchmark's reference digests, keyed by the scenario file's SHA-256
+REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
 
 @pytest.fixture(scope="session")

@@ -201,8 +201,10 @@ def test_criterion_7_end_to_end_urban_run():
             f"{t_solve_full:.1f} s, run {t_run:.1f} s")
 
 
-# SHA-256 of the full-resolution default-seed trace and all-signs controller
+# SHA-256 of the full-resolution default-seed trace, its rendering and the
+# all-signs controller
 FULL_TRACE = "aaa68a97c35730ba70f8197eb5e87ee1388e275bc9d2eceb285dad564e3ba0fa"
+FULL_SVG = "28d596f854275132e51b91ceab811a6f36f5955596332ec7d6c3732268f7cdfd"
 FULL_CONTROLLER_ALL = \
     "4795aa7b3fe6ff913d104d4aebdfbfcfda2c283b06070023ac31d7824da8b7e8"
 
@@ -214,26 +216,29 @@ def _sha256(path) -> str:
 @pytest.mark.slow
 def test_criterion_7_full_scale_urban_mission(tmp_path, capsys):
     """The full-resolution mission through the command line: abstract,
-    simulate, audit, and synthesize with every sign known."""
+    simulate, audit, render, and synthesize with every sign known."""
     scn = str(FULL_SCENARIO)
-    cache, trace, ctrl = (tmp_path / f for f in ("urban.kaw", "trace.csv",
-                                                 "ctrl.csv"))
+    cache, trace, svg, ctrl = (tmp_path / f for f in (
+        "urban.kaw", "trace.csv", "trace.svg", "ctrl.csv"))
     t0 = time.perf_counter()
     assert main(["abstract", scn, "-o", str(cache)]) == 0
     assert main(["simulate", scn, "--cache", str(cache), "-o", str(trace)]) == 0
     reached = "outcome: ReachedTarget" in capsys.readouterr().out
     audit_code = main(["check", str(trace), scn])
     passes = capsys.readouterr().out.count("PASS  ")
+    assert main(["render", str(trace), scn, "-o", str(svg)]) == 0
     assert main(["synthesize", scn, "--cache", str(cache), "--known-signs",
                  "all", "-o", str(ctrl)]) == 0
     elapsed = time.perf_counter() - t0
     trace_ok = _sha256(trace) == FULL_TRACE
+    svg_ok = _sha256(svg) == FULL_SVG
     ctrl_ok = _sha256(ctrl) == FULL_CONTROLLER_ALL
     _report("7f", "full-scale mission: ReachedTarget, audit 8/8, pinned "
-            "trace and all-signs controller",
-            reached and audit_code == 0 and passes == 8 and trace_ok and ctrl_ok,
+            "trace, rendering and all-signs controller",
+            reached and audit_code == 0 and passes == 8 and trace_ok
+            and svg_ok and ctrl_ok,
             f"reached {reached}, audit {passes}/8, trace {trace_ok}, "
-            f"controller {ctrl_ok}, {elapsed:.1f} s")
+            f"svg {svg_ok}, controller {ctrl_ok}, {elapsed:.1f} s")
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):

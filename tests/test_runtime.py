@@ -74,9 +74,7 @@ def test_initial_state_not_winning(desk_world, desk_controller,
                                    desk_abstraction):
     controller, objective = desk_controller
     grid = desk_world.grid_x
-    dead = ~controller.winning_mask.copy()
-    for c in objective.avoid | objective.target:
-        dead[c] = False
+    dead = ~controller.winning_mask & ~objective.avoid.mask & ~objective.target.mask
     cell = int(np.flatnonzero(dead)[0])
     sc2 = dataclasses.replace(desk_world.scenario,
                               initial_state=grid.center(cell))

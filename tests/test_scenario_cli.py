@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from kaware.knowledge import assemble_interpretation
 from kaware.ltl import MAX_DEPTH, compile_objective, parse_ltl
 from kaware.scenario import load_scenario
 
-from conftest import DESK_SCENARIO, FULL_SCENARIO
+from conftest import DESK_SCENARIO, FULL_SCENARIO, REFS
 
 PI = np.pi
 
@@ -215,13 +216,19 @@ def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
         define="NoEntrySignDetected")),
     ("system.eta_x", lambda raw: raw["system"]["state_bounds"].update(
         upper=[1e12, 1e12, PI])),
+    # NoEntrySign holds exactly the map.signs boxes: a region would add
+    # cells no street is linked to, an axiom would replace the boxes
+    ("map.regions.NoEntrySign", lambda raw: raw["map"]["regions"].update(
+        NoEntrySign=[{"lower": [3.0, 1.8], "upper": [3.4, 2.2]}])),
+    ("knowledge.tbox[0].define", lambda raw: raw["knowledge"]["tbox"].insert(
+        0, {"define": "NoEntrySign", "concept": "Obstacle"})),
 ], ids=["tau", "initial_state", "proximity_range", "seed", "max_steps",
         "regions", "negative_seed", "signs", "sign_entry", "objective", "tbox",
         "define", "concept", "temporal", "undeclared_atom",
         "undeclared_role", "infinite_state_bound", "nan_input_bound",
         "inverted_target", "infinite_street", "infinite_disturbance",
         "undeclared_objective_atom", "undeclared_temporal_atom",
-        "defined_twice", "huge_state_grid"])
+        "defined_twice", "huge_state_grid", "sign_region", "sign_axiom"])
 def test_cli_rejects_ill_typed_scenario_fields(tmp_path, capsys, where, mutate):
     path = _mutate(DESK_SCENARIO, tmp_path, mutate)
     code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
@@ -342,6 +349,17 @@ def test_cli_check_fails_on_corrupted_trace(cli_artifacts, tmp_path):
     assert main(["check", str(corrupted), cli_artifacts["scn"]]) == 1
 
 
+# SHA-256 of the desk map rendered with its default-seed trace, and of the
+# default-seed trace on the desk map with no signs
+DESK_SVG = "d5f5722d8254415e0ed900c355922e06471565019590512557cc0a8059fd7ab7"
+DESK_NO_SIGN_TRACE = \
+    "92e15645f05ff158fb25135c6fd85a9f7c35fdbd6d4c73c120f057458f5e7284"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_cli_render(cli_artifacts, tmp_path):
     out = tmp_path / "out.svg"
     assert main(["render", str(cli_artifacts["trace"]),
@@ -349,6 +367,31 @@ def test_cli_render(cli_artifacts, tmp_path):
     svg = out.read_text()
     assert svg.startswith("<svg")
     assert "polyline" in svg
+    assert _sha256(out) == DESK_SVG
+
+
+def test_cli_desk_trace_matches_benchmark_reference(cli_artifacts):
+    """The default-seed desk trace is the benchmark's reference trace, read
+    from refs.json by the scenario's SHA-256."""
+    key = hashlib.sha256(DESK_SCENARIO.read_bytes()).hexdigest()
+    ref = json.loads(REFS.read_text())[key]
+    assert _sha256(cli_artifacts["trace"]) == ref["trace"]
+
+
+def test_cli_desk_without_signs_detects_nothing(cli_artifacts, tmp_path,
+                                                capsys):
+    """With no sign the NoEntrySign extent is empty: the default-seed run
+    never re-synthesizes, writes the pinned trace and passes the audit."""
+    path = _mutate(DESK_SCENARIO, tmp_path,
+                   lambda raw: raw["map"].update(signs=[]))
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", path, "--cache", str(cli_artifacts["cache"]),
+                 "-o", str(trace)]) == 0
+    assert "resyntheses: 0" in capsys.readouterr().out
+    assert _sha256(trace) == DESK_NO_SIGN_TRACE
+    assert main(["check", str(trace), path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(ln.startswith("PASS") for ln in lines)
 
 
 def _two_field_row(lines):

@@ -1,18 +1,16 @@
 import hashlib
 import json
-import pathlib
 
 import numpy as np
 import pytest
 
 from kaware.ltl import GameObjective, compile_objective
+from kaware.scenario import build_world
 from kaware.synthesis import solve_reach_avoid
 
 import oracles
-from conftest import DESK_SCENARIO
+from conftest import DESK_SCENARIO, FULL_SCENARIO, REFS
 from oracles import ExplicitTransitions, cpre, respected_region
-
-REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
 
 def won(ctrl):
@@ -233,6 +231,19 @@ def test_desk_controllers_match_benchmark_references(desk_world, known,
     solve_reach_avoid(desk_world.abstraction, objective).export_csv(str(path))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == ref["controller_all" if known == "all" else "controller"]
+
+
+def test_full_controller_matches_benchmark_reference(full_scenario,
+                                                     full_abstraction, tmp_path):
+    """The full-resolution controller with no sign known is byte-identical
+    to the benchmark's reference."""
+    key = hashlib.sha256(FULL_SCENARIO.read_bytes()).hexdigest()
+    world = build_world(full_scenario, full_abstraction)
+    objective = compile_objective(world.interp, world.sign_links, set())
+    path = tmp_path / "ctrl.csv"
+    solve_reach_avoid(full_abstraction, objective).export_csv(str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == json.loads(REFS.read_text())[key]["controller"]
 
 
 def test_compile_and_solve_write_no_mask_they_read(desk_world):
