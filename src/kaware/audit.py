@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import knowledge
 from .errors import OutOfDomain
 from .ltl import check_trace, propositions
 from .runtime import Outcome, Trace
@@ -30,16 +29,11 @@ class CheckResult:
 
 def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     grid_x = scenario.state_grid()
-    kb = scenario.knowledge_base()
-    interp = knowledge.assemble_interpretation(
-        kb, scenario.all_regions(), grid_x)
+    interp, links = scenario.ground(grid_x)
     # membership by np.isin: a trace cell outside the grid lies in no set
     cells = np.array([s.cell for s in trace.steps])
     in_obstacle = np.isin(cells, np.flatnonzero(interp.extent("Obstacle")))
     in_target = np.isin(cells, np.flatnonzero(interp.extent("Target")))
-    links = [(grid_x.cells_intersecting(sign.sign_box),
-              grid_x.cells_intersecting(sign.street_box), sign)
-             for sign in scenario.signs]
     results: list[CheckResult] = []
 
     def add(name: str, ok: bool, detail: str = ""):
@@ -74,7 +68,7 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     # street avoidance after each sign's first detection
     street_ok = True
     detail = ""
-    for sign_cells, street_cells, sign in links:
+    for (sign_cells, street_cells), sign in zip(links, scenario.signs):
         det_step = None
         for s, on_street in zip(trace.steps, np.isin(cells, street_cells)):
             if det_step is None and np.isin(s.detected, sign_cells).any():

@@ -187,10 +187,6 @@ def _parse(text: str, temporal: bool) -> Formula:
         return tok, at
 
     def expect(want):
-        # LTL names the token it wants, a concept also the one it found
-        tok, at = peek()
-        if temporal and tok != want:
-            raise LtlSyntaxError(f"expected {want!r}", at)
         tok, at = take()
         if tok != want:
             raise LtlSyntaxError(f"expected {want!r}, found {tok!r}", at)

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import knowledge
-from .errors import UndeclaredName
 from .grid import HyperRect
 from .runtime import Trace
 from .scenario import Scenario
@@ -81,13 +79,10 @@ def render_svg(scenario: Scenario, trace: Trace | None = None) -> str:
     for sign in scenario.signs:
         canvas.rect(sign.sign_box, "#d62728")
 
-    # detection zone: planar projection of the derived detection concept
-    kb = scenario.knowledge_base()
-    interp = knowledge.assemble_interpretation(kb, scenario.all_regions(), grid_x)
-    try:
-        detected = interp.extent("NoEntrySignDetected")
-    except UndeclaredName:  # a scenario without the concept has no zone
-        detected = np.zeros(grid_x.size, dtype=bool)
+    # detection zone: planar projection of the cells the sensor sees a sign
+    # from, by the relation the closed loop senses with
+    interp, _ = scenario.ground(grid_x)
+    detected = interp.roles["Proximity"].preimage(interp.extent("NoEntrySign"))
     counts = grid_x.counts
     cols = detected.reshape(counts[0], counts[1], -1).any(axis=2)
     lower, upper = grid_x.rects(np.flatnonzero(cols) * counts[2])

@@ -3,7 +3,8 @@
 A scenario declares the system block (model, sampling time, bounds,
 discretization, disturbance), the map (concept regions plus no-entry
 signs, each linked to exactly one street region; the signs alone make up
-the ``NoEntrySign`` concept), the knowledge section
+the ``NoEntrySign`` concept, and every concept name takes its cells from
+one source: its region boxes, the signs, or one axiom), the knowledge section
 (declared concepts, role range, TBox axioms), the mission objective, and
 the run parameters.  Region boxes may omit trailing dimensions; missing
 dimensions default to the full range (a planar box means "all headings").
@@ -71,9 +72,17 @@ class Scenario:
             tbox=list(self.tbox),
         )
 
-    def all_regions(self) -> dict[str, list[HyperRect]]:
-        """The regions plus ``NoEntrySign``, exactly the signs' boxes."""
-        return {**self.regions, "NoEntrySign": [s.sign_box for s in self.signs]}
+    def ground(self, grid_x: Grid) -> tuple[knowledge.Interpretation,
+                                            list[tuple[np.ndarray, np.ndarray]]]:
+        """The interpretation over ``grid_x``, and each sign's sorted cells
+        paired with its street's.  ``NoEntrySign`` holds exactly the signs'
+        boxes; every other atom holds its ``map.regions`` boxes."""
+        boxes = {**self.regions, "NoEntrySign": [s.sign_box for s in self.signs]}
+        interp = knowledge.assemble_interpretation(self.knowledge_base(), boxes,
+                                                   grid_x)
+        links = [(grid_x.cells_intersecting(s.sign_box),
+                  grid_x.cells_intersecting(s.street_box)) for s in self.signs]
+        return interp, links
 
 
 @dataclass
@@ -105,11 +114,7 @@ class World:
 
 def build_world(scenario: Scenario, abstraction) -> World:
     grid_x = abstraction.grid_x
-    kb = scenario.knowledge_base()
-    interp = knowledge.assemble_interpretation(kb, scenario.all_regions(), grid_x)
-    links = [(grid_x.cells_intersecting(sign.sign_box),
-              grid_x.cells_intersecting(sign.street_box))
-             for sign in scenario.signs]
+    interp, links = scenario.ground(grid_x)
     return World(scenario=scenario, system=scenario.system(),
                  grid_x=grid_x, grid_u=abstraction.grid_u,
                  abstraction=abstraction, interp=interp, sign_links=links)
@@ -199,11 +204,6 @@ def _typed(value, kind, where: str):
     return value
 
 
-# the game forbids the streets of the signs in map.signs, so the sensor's
-# NoEntrySign concept must hold exactly those signs' boxes
-_SIGNS_ONLY = "NoEntrySign holds exactly the map.signs sign boxes"
-
-
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -237,12 +237,17 @@ def load_scenario(path: str) -> Scenario:
                                       "half-widths must be non-negative")
 
     mapblk = _require(raw, "map", "scenario")
+    # where each concept name takes its cells from: one source per name.  The
+    # game forbids the streets of the signs in map.signs, so the sensor's
+    # NoEntrySign concept holds exactly those signs' boxes
+    sources = {"NoEntrySign": "map.signs"}
     regions: dict[str, list[HyperRect]] = {}
     for name, boxes in _typed(_require(mapblk, "regions", "map"), dict,
                               "map.regions").items():
-        if name == "NoEntrySign":
-            raise ScenarioValidationError("map.regions.NoEntrySign",
-                                          _SIGNS_ONLY)
+        if name in sources:
+            raise ScenarioValidationError(
+                f"map.regions.{name}", f"{name} takes its cells from {sources[name]}")
+        sources[name] = f"map.regions.{name}"
         regions[name] = [
             _box(b, state_bounds, f"map.regions.{name}[{i}]")
             for i, b in enumerate(_typed(boxes, list, f"map.regions.{name}"))
@@ -270,11 +275,10 @@ def load_scenario(path: str) -> Scenario:
         where = f"knowledge.tbox[{i}]"
         name = _typed(_require(_typed(ax, dict, where), "define", where), str,
                       f"{where}.define")
-        if name == "NoEntrySign":
-            raise ScenarioValidationError(f"{where}.define", _SIGNS_ONLY)
-        if any(name == earlier.name for earlier in tbox):
-            raise ScenarioValidationError(f"{where}.define",
-                                          f"{name} is already defined")
+        if name in sources:
+            raise ScenarioValidationError(
+                f"{where}.define", f"{name} takes its cells from {sources[name]}")
+        sources[name] = where
         kind = "concept" if "concept" in ax else "temporal"
         if kind not in ax:
             raise ScenarioValidationError(where, "need 'concept' or 'temporal'")

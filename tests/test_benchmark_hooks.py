@@ -4,13 +4,15 @@
 fields of their results; a renamed function or a changed result type
 silently drops per-layer metrics.  ``perfbench/missions.py`` looks names up
 on the ``kaware`` package; one that leaves the namespace fails every
-mission.  ``perfbench/run.py`` parses counts out of the CLI's stdout and
-audits the output of ``check``; a changed line drops a traced run's
-counts or fails the run.  These tests read ``perfbench/`` and change
-nothing in it.
+mission, and so does an attribute it reads from a kaware object, such as
+a World, a Controller or a Trace.  ``perfbench/run.py`` parses counts out
+of the CLI's stdout and audits the output of ``check``; a changed line
+drops a traced run's counts or fails the run.  These tests read
+``perfbench/`` and change nothing in it.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -77,6 +79,39 @@ def test_every_kaware_name_the_missions_look_up_resolves():
         if isinstance(node, ast.ImportFrom) and node.module.startswith("kaware"):
             module = importlib.import_module(node.module)
             assert all(hasattr(module, a.name) for a in node.names)
+
+
+def test_every_attribute_the_missions_read_exists(desk_scenario, desk_abstraction,
+                                                 desk_world, desk_controller,
+                                                 desk_trace):
+    """``<name>.<attr>`` reads of ``perfbench/missions.py`` on the kaware
+    objects it names so, and the fields its ``dataclasses.replace`` calls
+    set, read from its syntax tree and checked on desk's objects."""
+    tree = ast.parse((PERFBENCH / "missions.py").read_text())
+    objects = {"scenario": desk_scenario, "built": desk_abstraction,
+               "world": desk_world, "controller": desk_controller[0],
+               "trace": desk_trace}
+    read = {name: set() for name in objects}
+    replaced = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in objects):
+            read[node.value.id].add(node.attr)
+        if (isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "dataclasses.replace"):
+            replaced[ast.unparse(node.args[0])] = {kw.arg for kw in node.keywords}
+    assert read == {
+        "scenario": {"system", "state_grid", "input_grid", "max_steps"},
+        "built": {"save", "stats"},
+        "world": {"interp", "sign_links", "abstraction", "grid_x"},
+        "controller": {"winning_mask", "export_csv"},
+        "trace": {"steps", "resynth_count", "outcome"},
+    }
+    assert replaced == {"world": {"scenario"}, "scenario": {"initial_state"}}
+    for name, obj in objects.items():
+        assert [a for a in sorted(read[name]) if not hasattr(obj, a)] == []
+    for name, keys in replaced.items():
+        assert keys <= {f.name for f in dataclasses.fields(objects[name])}
 
 
 def test_compiled_objective_fields_the_tracer_reads(desk_world):

@@ -246,8 +246,7 @@ def test_preimage_matches_scalar_proximity_per_sign_rectangle(desk_scenario):
     whose planar gap to it is below the range + 1, and is empty beyond."""
     g = desk_scenario.state_grid()
     rng = desk_scenario.proximity_range
-    interp = assemble_interpretation(desk_scenario.knowledge_base(),
-                                     desk_scenario.all_regions(), g)
+    interp = desk_scenario.ground(g)[0]
     role = interp.roles["Proximity"]
     signs = np.flatnonzero(interp.extent("NoEntrySign"))
     planar = np.ravel_multi_index(np.unravel_index(signs, g.counts)[:2],
@@ -356,9 +355,7 @@ def test_kb_name_check_covers_temporal_axioms():
 
 
 def test_derived_concept_is_evaluated_on_first_use(desk_scenario):
-    interp = assemble_interpretation(desk_scenario.knowledge_base(),
-                                     desk_scenario.all_regions(),
-                                     desk_scenario.state_grid())
+    interp = desk_scenario.ground(desk_scenario.state_grid())[0]
     assert "NoEntrySignDetected" not in interp.concept_extents
     zone = interp.extent("NoEntrySignDetected")
     assert interp.extent("NoEntrySignDetected") is zone

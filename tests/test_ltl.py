@@ -60,19 +60,36 @@ def test_precedence_ladder():
     assert parse_ltl("X a & b") == And(Next(Atomic("a")), Atomic("b"))
 
 
-@pytest.mark.parametrize("text,pos", [
-    ("", 0),
-    ("a U", 3),
-    ("(a", 2),
-    ("a b", 2),
-    ("a -", 2),
-    ("a # b", 2),
-    ("a . b", 2),
-])
-def test_parse_errors_carry_position(text, pos):
+# each LTL case and its concept-mode twin: the concepts' `|` for `U`, LTL's
+# `->` for the concepts' `.`
+PARSE_ERRORS = {
+    parse_ltl: [("", 0), ("a U", 3), ("(a", 2), ("a b", 2), ("a -", 2),
+                ("a # b", 2), ("a . b", 2)],
+    parse_concept: [("", 0), ("a |", 3), ("(a", 2), ("a b", 2), ("a -", 2),
+                    ("a # b", 2), ("a -> b", 2)],
+}
+
+
+@pytest.mark.parametrize("parse,text,pos", [
+    pytest.param(parse, text, pos,
+                 id=("concept:" if parse is parse_concept else "") + f"{text}-{pos}")
+    for parse, cases in PARSE_ERRORS.items() for text, pos in cases])
+def test_parse_errors_carry_position(parse, text, pos):
     with pytest.raises(LtlSyntaxError) as exc:
-        parse_ltl(text)
+        parse(text)
     assert exc.value.pos == pos
+
+
+@pytest.mark.parametrize("parse,end", [(parse_ltl, "formula"),
+                                       (parse_concept, "concept")])
+def test_a_missing_token_is_reported_alike_in_both_modes(parse, end):
+    """A truncated input reports its end; a wrong token is named with the
+    one that was expected."""
+    with pytest.raises(LtlSyntaxError, match=f"^unexpected end of {end} "):
+        parse("(a")
+    with pytest.raises(LtlSyntaxError,
+                       match=r"^expected '\)', found 'b' \(at position 3\)"):
+        parse("(a b")
 
 
 def _nested_chains(n):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kaware.cli import main
 from kaware.errors import ScenarioParseError, ScenarioValidationError
-from kaware.knowledge import assemble_interpretation
 from kaware.ltl import MAX_DEPTH, compile_objective, parse_ltl
 from kaware.scenario import load_scenario
 
@@ -64,7 +63,7 @@ def test_obstacle_in_the_trailing_strip_is_avoided(tmp_path):
         "Obstacle"].append({"lower": [7.96, 0.0], "upper": [8.0, 11.0]}))
     sc = load_scenario(path)
     grid = sc.state_grid()
-    interp = assemble_interpretation(sc.knowledge_base(), sc.all_regions(), grid)
+    interp = sc.ground(grid)[0]
     avoid = compile_objective(interp, [], set()).avoid
     assert grid.quantize([7.98, 5.0, 0.0]) == 11754
     assert 11754 in avoid
@@ -222,18 +221,29 @@ def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
         NoEntrySign=[{"lower": [3.0, 1.8], "upper": [3.4, 2.2]}])),
     ("knowledge.tbox[0].define", lambda raw: raw["knowledge"]["tbox"].insert(
         0, {"define": "NoEntrySign", "concept": "Obstacle"})),
+    # a name takes its cells from its boxes or from one axiom: an axiom on a
+    # region name would drop the region's boxes from the game and the audit
+    ("knowledge.tbox[2].define", lambda raw: raw["knowledge"]["tbox"].append(
+        {"define": "Obstacle", "concept": "bottom"})),
+    ("knowledge.tbox[0].define", lambda raw: raw["knowledge"]["tbox"].insert(
+        0, {"define": "Target", "concept": "top"})),
+    ("knowledge.tbox[2].define", lambda raw: raw["knowledge"]["tbox"].append(
+        {"define": "Target", "temporal": "F Obstacle"})),
 ], ids=["tau", "initial_state", "proximity_range", "seed", "max_steps",
         "regions", "negative_seed", "signs", "sign_entry", "objective", "tbox",
         "define", "concept", "temporal", "undeclared_atom",
         "undeclared_role", "infinite_state_bound", "nan_input_bound",
         "inverted_target", "infinite_street", "infinite_disturbance",
         "undeclared_objective_atom", "undeclared_temporal_atom",
-        "defined_twice", "huge_state_grid", "sign_region", "sign_axiom"])
+        "defined_twice", "huge_state_grid", "sign_region", "sign_axiom",
+        "obstacle_axiom", "region_axiom", "temporal_region_axiom"])
 def test_cli_rejects_ill_typed_scenario_fields(tmp_path, capsys, where, mutate):
     path = _mutate(DESK_SCENARIO, tmp_path, mutate)
     code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
     assert code == 2
-    assert f"error:validation: {where}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error:validation: {where}" in err
+    assert "Traceback" not in err
 
 
 def _objective(text):
@@ -392,6 +402,41 @@ def test_cli_desk_without_signs_detects_nothing(cli_artifacts, tmp_path,
     assert main(["check", str(trace), path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8 and all(ln.startswith("PASS") for ln in lines)
+
+
+def test_cli_obstacle_defined_by_an_axiom_gives_the_bundled_run(cli_artifacts,
+                                                                 tmp_path):
+    """A name with no boxes may be defined: desk with its obstacle boxes
+    named ``Wall`` and ``Obstacle = Wall`` solves the bundled game."""
+    def wall(raw):
+        raw["map"]["regions"]["Wall"] = raw["map"]["regions"].pop("Obstacle")
+        raw["knowledge"]["tbox"].append({"define": "Obstacle", "concept": "Wall"})
+    path = _mutate(DESK_SCENARIO, tmp_path, wall)
+    cache = str(cli_artifacts["cache"])
+    controller, trace = tmp_path / "controller.csv", tmp_path / "trace.csv"
+    assert main(["synthesize", path, "--cache", cache, "-o", str(controller)]) == 0
+    assert main(["simulate", path, "--cache", cache, "-o", str(trace)]) == 0
+    ref = json.loads(REFS.read_text())[_sha256(DESK_SCENARIO)]
+    assert _sha256(controller) == ref["controller"]
+    assert _sha256(trace) == ref["trace"]
+
+
+def test_cli_render_draws_the_sensor_zone_without_a_detection_axiom(
+        cli_artifacts, tmp_path):
+    """The zone is the Proximity preimage of the signs, whatever the tbox
+    defines: desk with no axioms renders the bundled picture."""
+    path = _mutate(DESK_SCENARIO, tmp_path,
+                   lambda raw: raw["knowledge"].update(tbox=[]))
+    out = tmp_path / "out.svg"
+    assert main(["render", str(cli_artifacts["trace"]), path, "-o", str(out)]) == 0
+    assert _sha256(out) == DESK_SVG
+
+
+def test_world_sign_links_are_the_scenario_grounding(desk_scenario, desk_world):
+    _, links = desk_scenario.ground(desk_world.grid_x)
+    assert len(links) == len(desk_world.sign_links) == 2
+    for (sign, street), (w_sign, w_street) in zip(links, desk_world.sign_links):
+        assert np.array_equal(sign, w_sign) and np.array_equal(street, w_street)
 
 
 def _two_field_row(lines):
