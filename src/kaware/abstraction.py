@@ -27,19 +27,29 @@ states whose covering window can meet them, one more lookup per state.  A
 row key's window covers the boxes of all its inputs; on a periodic
 dimension it is measured around the ring from the key's own index, so
 boxes on both sides of the seam give one short window, not the whole
-ring.  A goal set reaches the erosion grid by one ``take`` per axis, not
-by a gather over the whole grid.  The cache file stores the table and a
+ring.  A goal set reaches the erosion grid by a few slab copies per axis,
+not by a gather over the whole grid.  The cache file stores the table and a
 fingerprint of the dynamics it was built for.  The tests check the table
 against per-pair successor lists and a per-cell construction of their own.
+
+Per cell, the abstraction keeps only what a sweep reads: the packed
+enabled bits (one bit a pair), the cell's row key (int32), where the pair
+lookup's tables place its invariant indices, and where its covering window
+starts in the cover's tables (both int32 whenever the tables fit).
+No per-cell multi-index is kept: ``boxes`` unravels the states it is
+given, and ``stats`` reads only the row keys.  The sweep reuses fixed
+scratch arrays for its tables and gathers (:class:`_Lookup`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +59,7 @@ from .grid import _TOL, Grid, HyperRect
 
 _MAGIC = b"KAW1"
 _VERSION = 2
+_GATHER = 1 << 15  # gather indices per block of _Lookup.read
 
 
 def _grid_fields(grid: Grid) -> list[np.ndarray]:
@@ -72,6 +83,35 @@ def fingerprint(sys: ContinuousSystem, grid_x: Grid, grid_u: Grid) -> bytes:
     return h.digest()
 
 
+def _per_cell(counts, *parts: np.ndarray, dtype) -> np.ndarray:
+    """Per cell of a grid with ``counts``, flat and row-major: the sum of
+    ``parts``, each an array that broadcasts over the grid's shape (an
+    index times a stride along one axis, or a value per row key).  Each
+    part is added in place, so nothing of the grid's size but the result
+    is allocated."""
+    out = np.zeros(tuple(counts), dtype=dtype)
+    for part in parts:
+        out += part.astype(dtype, copy=False)
+    return out.ravel()
+
+
+def _along(ndim: int, d: int, values: np.ndarray) -> np.ndarray:
+    """``values`` laid along axis ``d`` of an ``ndim``-axis grid."""
+    return values.reshape([-1 if k == d else 1 for k in range(ndim)])
+
+
+class _Scratch(NamedTuple):
+    """A :class:`_Lookup`'s reused arrays, with the views its calls write
+    through."""
+
+    spread: np.ndarray       # the mask on the erosion grid, flat
+    copies: list             # per axis: (step's array, [(its slab, source slab)])
+    slabs: list              # views of the slabs outside non-periodic axes
+    erode: list              # (a, b, out) views, out = a & b, in order
+    tables: np.ndarray
+    index: np.ndarray        # one block of gather indices
+
+
 @dataclass(frozen=True)
 class _Lookup:
     """Boxes given per ``(row key, column)``, each read from a cell mask by
@@ -85,17 +125,28 @@ class _Lookup:
     starting at ``first + i``; every box is nonempty.  A box starts in the
     tables at ``base[state] + at[key, column]``: ``base`` holds the state's
     invariant indices, ``at`` its length row's table and the rest of its
-    start.
+    start.  ``base`` is the one per-cell array, int32 when the tables fit.
 
     A mask reaches the erosion grid axis by axis (:meth:`spread`): along
-    axis ``d`` it takes the state grid's indices ``axes[d]``, wrapped on a
-    periodic axis and clipped on the others, and then the ``clip[d]``
-    leading and trailing slabs that lie outside a non-periodic axis read
-    true; so a box reads as clipped to the grid.
+    axis ``d`` it copies the slabs ``runs[d]``, each ``(to, start, stop)``:
+    the state grid's indices ``start`` to ``stop`` land from erosion index
+    ``to`` on, wrapped around a periodic axis.  The ``clip[d]`` leading and
+    trailing slabs that lie outside a non-periodic axis then read true; so
+    a box reads as clipped to the grid.
+
+    Every call writes into the same scratch arrays (:attr:`_scratch`),
+    allocated on first use: the spread mask, two ping-pong buffers, the
+    tables and one block of gather indices.  A table a call returns is
+    valid until the next call, and two threads must not read one lookup at
+    once.  Reuse is what keeps a solve's page faults low, not only its
+    peak: arrays of more than 128 KiB that are allocated
+    and freed on every sweep each come from a fresh ``mmap`` unless some
+    larger freed block has happened to raise glibc's mmap threshold.
     """
 
     counts: tuple[int, ...]
-    axes: tuple[np.ndarray, ...]
+    shape: tuple[int, ...]
+    runs: tuple[tuple[tuple[int, int, int], ...], ...]
     clip: tuple[tuple[int, int], ...]
     stride: np.ndarray
     lengths: np.ndarray
@@ -103,11 +154,11 @@ class _Lookup:
     at: np.ndarray
 
     @classmethod
-    def build(cls, grid: Grid, invariant, idx, start, length) -> "_Lookup":
+    def build(cls, grid: Grid, invariant, start, length) -> "_Lookup":
         """``start`` and ``length`` are ``(keys, columns, d)``: a box starts
         at ``start`` for the cell with index 0 on the ``invariant``
-        dimensions, where a cell adds its index (``idx``, ``(d,
-        n_states)``), and spans ``length`` cells."""
+        dimensions, where a cell adds its index, and spans ``length``
+        cells."""
         inv = np.isin(np.arange(grid.ndim), invariant)
         length = np.where(grid.periodic, np.minimum(length, grid.counts), length)
         lengths, lid = np.unique(length.reshape(-1, grid.ndim).astype(np.int64),
@@ -115,32 +166,91 @@ class _Lookup:
         q = start.reshape(-1, grid.ndim)
         first = q.min(axis=0)
         span = q.max(axis=0) + np.where(inv, grid.counts - 1, 0) - first + 1
-        axes, clip = [], []
-        for d, n in enumerate(grid.counts):
-            i = np.arange(first[d], first[d] + span[d] + lengths[:, d].max() - 1)
-            if grid.periodic[d]:
-                axes.append(np.mod(i, n))
+        shape = tuple((span + lengths.max(axis=0) - 1).tolist())
+        runs, clip = [], []
+        for lo, e, n, periodic in zip(first.tolist(), shape, grid.counts.tolist(),
+                                      grid.periodic.tolist()):
+            if periodic:
+                axis, k = [], 0
+                while k < e:
+                    i = (lo + k) % n
+                    axis.append((k, i, min(n, i + e - k)))
+                    k += axis[-1][2] - i
+                runs.append(tuple(axis))
                 clip.append((0, 0))
             else:
-                axes.append(np.clip(i, 0, n - 1))
-                clip.append((int((i < 0).sum()), int((i >= n).sum())))
-        shape = tuple(len(i) for i in axes)
+                head, tail = min(e, max(0, -lo)), min(e, max(0, lo + e - n))
+                runs.append(((head, lo + head, lo + e - tail),) if head + tail < e else ())
+                clip.append((head, tail))
         stride = np.cumprod((1,) + shape[:0:-1])[::-1]
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         at = lid.reshape(start.shape[:-1]) * size + (start - first) @ stride
-        return cls(counts=tuple(grid.counts.tolist()), axes=tuple(axes),
-                   clip=tuple(clip), stride=stride, lengths=lengths, at=at,
-                   base=(idx[inv].T @ stride[inv]).astype(np.int64))
+        dtype = np.int32 if len(lengths) * size <= np.iinfo(np.int32).max else np.int64
+        base = _per_cell(grid.counts, *(_along(grid.ndim, d, np.arange(n) * stride[d])
+                                        for d, n in enumerate(grid.counts) if inv[d]),
+                         dtype=dtype)
+        return cls(counts=tuple(grid.counts.tolist()), shape=shape,
+                   runs=tuple(runs), clip=tuple(clip), stride=stride, lengths=lengths,
+                   at=at.astype(np.intp), base=base)
+
+    @cached_property
+    def _scratch(self) -> _Scratch:
+        """The arrays every call reuses, and the views into them that
+        :meth:`spread` and :meth:`tables` write through.  Two ping-pong
+        buffers hold the spread's steps, one axis at a time, and then the
+        erosion's."""
+        size, ndim = math.prod(self.shape), len(self.shape)
+        steps = [self.shape[:d + 1] + self.counts[d + 1:] for d in range(ndim)]
+        pp = max([size] + [math.prod(shape) for shape in steps[:-1]])
+        spread, ping, pong = (np.empty(n, dtype=bool) for n in (size, pp, pp))
+        copies = []
+        for d, (shape, runs) in enumerate(zip(steps, self.runs)):
+            buf = spread if d == ndim - 1 else (ping, pong)[d % 2]
+            lead = (slice(None),) * d
+            copies.append((buf[:math.prod(shape)].reshape(shape),
+                           [(lead + (slice(to, to + stop - start),),
+                             lead + (slice(start, stop),)) for to, start, stop in runs]))
+        grid = spread.reshape(self.shape)
+        slabs = [grid[(slice(None),) * d + (cut,)]
+                 for d, (head, tail) in enumerate(self.clip)
+                 for n, cut in ((head, slice(None, head)),
+                                (tail, slice(self.shape[d] - tail, None))) if n]
+        tables = np.empty(len(self.lengths) * size, dtype=bool)
+        erode = []
+        for c, row in enumerate(self.lengths):
+            shifts = []
+            for d, n in enumerate(row):
+                k = 1
+                while k < n:
+                    step = min(k, n - k)
+                    shifts.append(step * int(self.stride[d]))
+                    k += step
+            slot = tables[c * size:(c + 1) * size]
+            a, valid = spread, size
+            for j, shift in enumerate(shifts):
+                dst = slot if j == len(shifts) - 1 else (ping, pong)[j % 2]
+                valid -= shift
+                erode.append((a[:valid], a[shift:valid + shift], dst[:valid]))
+                a = dst
+            if not shifts:
+                erode.append((spread, spread, slot))  # x & x copies x
+        columns = self.at.shape[1]
+        return _Scratch(spread, copies, slabs, erode, tables,
+                        np.empty((max(1, _GATHER // columns), columns), dtype=np.intp))
 
     def spread(self, mask: np.ndarray) -> np.ndarray:
         """``mask`` on the erosion grid, flat."""
+        scratch = self._scratch
         a = mask.reshape(self.counts)
-        for d, i in enumerate(self.axes):
-            a = a.take(i, axis=d)
-        for d, (head, tail) in enumerate(self.clip):
-            a[(slice(None),) * d + (slice(None, head),)] = True
-            a[(slice(None),) * d + (slice(a.shape[d] - tail, None),)] = True
-        return a.ravel()
+        for out, runs in scratch.copies:
+            for dst, src in runs:
+                out[dst] = a[src]
+            a = out
+        # the slabs outside a non-periodic axis still hold what the buffers
+        # held before; these make them true
+        for slab in scratch.slabs:
+            slab[...] = True
+        return scratch.spread
 
     def tables(self, mask: np.ndarray) -> np.ndarray:
         """The tables of ``mask``, flat and concatenated.  Each length row
@@ -148,25 +258,35 @@ class _Lookup:
         whole steps along each axis, each doubling the length covered.  A
         box starting in the span ends inside the erosion grid, so no shift it
         needs crosses into another row of that axis; entries of starts
-        outside the span mean nothing, and no box reads them."""
-        spread = self.spread(mask)
-        size = spread.size
-        out = np.zeros(len(self.lengths) * size, dtype=bool)
-        for c, row in enumerate(self.lengths):
-            a = spread
-            for d, n in enumerate(row):
-                k = 1
-                while k < n:
-                    step = min(k, n - k)
-                    shift = step * self.stride[d]
-                    a, k = a[:-shift] & a[shift:], k + step
-            out[c * size:c * size + a.size] = a
-        return out
+        outside the span mean nothing, no box reads them, and they keep
+        whatever an earlier call left there."""
+        self.spread(mask)
+        for a, b, dst in self._scratch.erode:
+            np.bitwise_and(a, b, out=dst)
+        return self._scratch.tables
 
-    def read(self, mask: np.ndarray, states: np.ndarray, key: np.ndarray) -> np.ndarray:
+    def read(self, mask: np.ndarray, states: np.ndarray,
+             key: np.ndarray | None) -> np.ndarray:
         """Per state of ``states``, with row keys ``key``, and column:
-        whether ``mask`` holds each cell of the box inside the grid."""
-        return self.tables(mask)[self.base[states, None] + self.at[key]]
+        whether ``mask`` holds each cell of the box inside the grid.  With
+        ``key`` None each state reads the one box starting at its ``base``,
+        for a lookup whose ``base`` already holds where its cells' boxes
+        start (see :attr:`Abstraction._lookups`).  The states are read a
+        block at a time through one index buffer."""
+        tables, index = self.tables(mask), self._scratch.index
+        out = np.empty((states.size, self.at.shape[1]), dtype=bool)
+        for i in range(0, states.size, len(index)):
+            j = min(i + len(index), states.size)
+            block = index[:j - i]
+            if key is None:
+                block[:, 0] = self.base[states[i:j]]
+            else:
+                np.take(self.at, key[i:j], axis=0, out=block)
+                block += self.base[states[i:j], None]
+            # the indices lie inside the tables; "clip" lets take write
+            # straight into ``out``
+            np.take(tables, block, out=out[i:j], mode="clip")
+        return out
 
 
 @dataclass
@@ -200,49 +320,63 @@ class Abstraction:
     def n_inputs(self) -> int:
         return self.grid_u.size
 
+    @property
+    def _keyed(self) -> list[int]:
+        return [d for d in range(self.grid_x.ndim) if d not in self.invariant]
+
     @cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per cell: its index on each dimension ``(d, n_states)`` and its row
-        key ``kappa``.  Per row key: its index on each keyed dimension ``(d,
-        keys)``, zero on the invariant ones."""
-        counts = self.grid_x.counts
-        keyed = [d for d in range(self.grid_x.ndim) if d not in self.invariant]
-        idx = np.indices(tuple(counts)).reshape(self.grid_x.ndim, -1)
-        kappa = np.zeros(self.n_states, dtype=np.int64)
-        for d in keyed:
-            kappa = kappa * counts[d] + idx[d]
+    def _keys(self) -> np.ndarray:
+        """Per row key, its index on each keyed dimension ``(d, keys)``,
+        zero on the invariant ones."""
+        counts, keyed = self.grid_x.counts, self._keyed
         keys = np.zeros((self.grid_x.ndim, self.length.shape[0] // self.n_inputs),
                         dtype=np.int64)
         if keyed:
-            keys[keyed] = np.indices(tuple(counts[keyed])).reshape(len(keyed), -1)
-        return idx, kappa, keys
+            keys[keyed] = np.unravel_index(np.arange(keys.shape[1]), tuple(counts[keyed]))
+        return keys
+
+    def _key_shape(self) -> list[int]:
+        """The grid's shape with the invariant dimensions collapsed: a value
+        per row key, reshaped to it, broadcasts over the grid."""
+        return [1 if d in self.invariant else int(n)
+                for d, n in enumerate(self.grid_x.counts)]
 
     @cached_property
     def _enabled_bits(self) -> np.ndarray:
         """Per state, one bit per input (``np.packbits`` along the inputs,
-        little-endian): whether the pair is enabled."""
+        little-endian): whether the pair is enabled.  Each non-periodic
+        dimension's range test is packed on its own, over that dimension's
+        index and the row keys, and the packed bytes are ANDed: the same
+        bytes as packing the whole test, with no (states, inputs) array."""
         counts, m = tuple(self.grid_x.counts), self.n_inputs
-        shape = [1 if d in self.invariant else n for d, n in enumerate(counts)] + [m]
-        on = np.ones(shape, dtype=bool)
+        shape = self._key_shape() + [m]
+        bits = np.packbits(np.ones(shape, dtype=bool), axis=-1, bitorder="little")
         for a, d in enumerate(_ranged(self.grid_x)):
             first, stop = self.enabled[:, a].T.reshape([2] + shape)
-            i = np.arange(counts[d]).reshape([-1 if k == d else 1 for k in range(len(shape))])
-            on = on & ((first <= i) & (i < stop))
-        on = np.broadcast_to(on, counts + (m,)).reshape(self.n_states, m)
-        return np.packbits(on, axis=1, bitorder="little")
+            i = _along(len(shape), d, np.arange(counts[d]))
+            bits = bits & np.packbits((first <= i) & (i < stop), axis=-1,
+                                      bitorder="little")
+        return np.broadcast_to(bits, counts + bits.shape[-1:]).reshape(self.n_states, -1)
 
     def boxes(self, states, inputs) -> tuple[np.ndarray, np.ndarray]:
         """Successor boxes of the pairs ``(states, inputs)`` (broadcast
         together): index windows ``[lo, hi)``, each of shape ``(d,
         *pairs)``.  Periodic windows start in ``[0, n)`` and may run past
         ``n``, meaning they wrap; a blocked pair's box is empty."""
-        idx, kappa, _ = self._index
         states, inputs = np.asarray(states), np.asarray(inputs)
-        row = kappa[states] * self.n_inputs + inputs
+        counts = self.grid_x.counts
+        # unravel the flat states and broadcast after: numpy 2.4's
+        # unravel_index gets rows of an (N, 1) input wrong past 8 192 of them
+        idx = [i.reshape(states.shape)
+               for i in np.unravel_index(states.ravel(), tuple(counts))]
+        kappa = np.zeros(states.shape, dtype=np.int64)
+        for d in self._keyed:
+            kappa = kappa * counts[d] + idx[d]
+        row = kappa * self.n_inputs + inputs
         lo = np.empty((self.grid_x.ndim,) + row.shape, dtype=np.int64)
         hi = np.empty_like(lo)
         for d in range(self.grid_x.ndim):
-            lo[d], hi[d] = self.grid_x.window(d, idx[d][states] + self.offset[row, d],
+            lo[d], hi[d] = self.grid_x.window(d, idx[d] + self.offset[row, d],
                                               self.length[row, d])
         on = self._enabled_bits[states, inputs >> 3] >> (inputs & 7) & 1
         return lo, np.where(on > 0, hi, lo)
@@ -256,7 +390,7 @@ class Abstraction:
         transitions = pairs.copy()
         for d, n in enumerate(self.grid_x.counts):
             at = np.arange(n) if d in self.invariant \
-                else self._index[2][d][rows // self.n_inputs, None]
+                else self._keys[d][rows // self.n_inputs, None]
             lo, hi = self.grid_x.window(d, at + self.offset[:, d, None],
                                         self.length[:, d, None])
             inside = np.ones(hi.shape, dtype=bool)
@@ -277,11 +411,12 @@ class Abstraction:
     def _lookups(self) -> tuple[_Lookup, _Lookup, np.ndarray]:
         """What :meth:`controllable` reads, built once: the lookup of each
         pair's box; the lookup of each row key's window covering the boxes
-        of all its inputs; and per state, where its window starts in the
-        latter's tables."""
+        of all its inputs; and per state, its row key.  The cover's ``base``
+        also holds where each cell's own window starts in its tables, so it
+        is read with no key, and no second per-cell array is kept for it."""
         m, d = self.n_inputs, self.grid_x.ndim
         n, periodic = self.grid_x.counts, self.grid_x.periodic
-        idx, kappa, keys = self._index
+        keys = self._keys
         start = (self.offset + np.repeat(keys, m, axis=1).T).reshape(-1, m, d)
         length = self.length.reshape(start.shape)
         # on a periodic axis, measure each start from the key's own index,
@@ -292,10 +427,14 @@ class Abstraction:
         lo, hi = centred.min(axis=1), (centred + length).max(axis=1)
         ring = periodic & (hi - lo >= n)
         lo, hi = np.where(ring, 0, lo), np.where(ring, n, hi)
-        cover = _Lookup.build(self.grid_x, self.invariant, idx, lo[:, None],
+        cover = _Lookup.build(self.grid_x, self.invariant, lo[:, None],
                               (hi - lo)[:, None])
-        return (_Lookup.build(self.grid_x, self.invariant, idx, start, length),
-                cover, cover.base + cover.at[kappa, 0])
+        shape = self._key_shape()
+        folded = cover.base.reshape(tuple(n))
+        folded += cover.at[:, 0].reshape(shape).astype(folded.dtype)
+        cover = replace(cover, at=np.zeros_like(cover.at))
+        kappa = _per_cell(n, np.arange(keys.shape[1]).reshape(shape), dtype=np.int32)
+        return (_Lookup.build(self.grid_x, self.invariant, start, length), cover, kappa)
 
     def controllable(self, Z: np.ndarray, states: np.ndarray,
                      fresh: np.ndarray | None = None
@@ -316,14 +455,17 @@ class Abstraction:
         others' answers cannot have changed.  Without ``fresh`` every state
         is read.
         """
-        pairs, cover, cover_at = self._lookups
+        pairs, cover, kappa = self._lookups
         rows = np.arange(states.size)
         if fresh is not None:
-            rows = np.flatnonzero(~cover.tables(~fresh)[cover_at[states]])
+            rows = np.flatnonzero(~cover.read(~fresh, states, None)[:, 0])
         near = states[rows]
-        ok = pairs.read(Z, near, self._index[1][near])
-        ok &= np.unpackbits(self._enabled_bits[near], axis=1, count=self.n_inputs,
-                            bitorder="little").view(bool)
+        ok = pairs.read(Z, near, kappa[near])
+        step = _GATHER // self.n_inputs
+        for i in range(0, near.size, step):
+            ok[i:i + step] &= np.unpackbits(
+                self._enabled_bits[near[i:i + step]], axis=1, count=self.n_inputs,
+                bitorder="little").view(bool)
         return rows, ok
 
     def flat_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -54,15 +54,16 @@ class Controller:
         """Winning cells with their rank and chosen input (-1 at target),
         as ``csv.writer`` would write them: comma-separated, CRLF.  Rows
         are formatted ``_CSV_BLOCK`` at a time, so the text in memory stays
-        small whatever the winning region's size."""
+        small whatever the winning region's size; so are the rows gathered,
+        a block of winning cells at a time."""
         cells = np.flatnonzero(self.winning_mask)
-        rows = np.column_stack((cells, self.rank_array[cells],
-                                self.policy_array[cells]))
         with open(path, "w", newline="") as fh:
             fh.write("cell_index,rank,policy_input_index\r\n")
-            for i in range(0, len(rows), _CSV_BLOCK):
-                block = rows[i:i + _CSV_BLOCK]
-                fh.write("%d,%d,%d\r\n" * len(block) % tuple(block.ravel().tolist()))
+            for i in range(0, len(cells), _CSV_BLOCK):
+                block = cells[i:i + _CSV_BLOCK]
+                rows = np.column_stack((block, self.rank_array[block],
+                                        self.policy_array[block]))
+                fh.write("%d,%d,%d\r\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def solve_reach_avoid(ts, objective) -> Controller:

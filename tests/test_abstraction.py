@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from kaware.dynamics import ContinuousSystem, dubins_car
 from kaware.errors import CacheFormatError
 from kaware.grid import HyperRect, make_grid
 from kaware.ltl import compile_objective
+from kaware.scenario import build_world
 from kaware.synthesis import solve_reach_avoid
 
 import oracles
@@ -213,6 +215,89 @@ def test_full_scale_cover_windows_are_circular(full_abstraction):
     assert len(cover.lengths) == 3 and (cover.lengths[:, 2] == 11).all()
 
 
+@pytest.mark.parametrize("scale", ["desk", "full"])
+def test_scratch_reuse_answers_like_a_fresh_load(scale, desk_abstraction,
+                                                 full_abstraction, tmp_path):
+    """The lookups' scratch arrays outlive every call: one abstraction asked
+    about growing, shrinking, full and empty goal sets, with and without
+    ``fresh``, answers each time as a freshly loaded copy does."""
+    abs_ = desk_abstraction if scale == "desk" else full_abstraction
+    path = tmp_path / "cache.kaw"
+    abs_.save(str(path))
+    reused = Abstraction.load(str(path))
+    n = abs_.n_states
+    rng = np.random.default_rng(13)
+    small = rng.random(n) < 0.1
+    grown = small | (rng.random(n) < 0.3)
+    calls = [(small, None), (grown, grown & ~small), (grown | (rng.random(n) < 0.4), None),
+             (small, small), (np.ones(n, dtype=bool), ~small),
+             (np.zeros(n, dtype=bool), None), (np.zeros(n, dtype=bool), small),
+             (grown, grown)]
+    for Z, fresh in calls:
+        states = np.flatnonzero(~Z & (rng.random(n) < 0.8))
+        got = reused.controllable(Z, states, fresh)
+        want = Abstraction.load(str(path)).controllable(Z, states, fresh)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def held_arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through its attributes
+    (cached properties included), tuples and lists."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return []
+    return [a for item in items for a in held_arrays(item, seen)]
+
+
+def test_full_scale_synthesis_working_set_is_bounded(full_scenario,
+                                                     full_abstraction, tmp_path):
+    """From loading the cache through writing the controller, full-scale
+    synthesis traces under 9 MiB of allocations (13.0 MiB before the
+    per-cell index arrays went and the sweep's scratch was reused); and no
+    array the abstraction keeps is as large as a per-cell index matrix
+    (ndim × n_states intp), which the packed enabled bits (7 bytes a cell)
+    and the lookups' tables stay below.  tracemalloc counts numpy's buffers
+    and is deterministic for a given numpy."""
+    path = tmp_path / "cache.kaw"
+    full_abstraction.save(str(path))
+    tracemalloc.start()
+    try:
+        abs_ = Abstraction.load(str(path))
+        world = build_world(full_scenario, abs_)
+        objective = compile_objective(world.interp, world.sign_links, set())
+        solve_reach_avoid(abs_, objective).export_csv(str(tmp_path / "ctrl.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
+    arrays = held_arrays(abs_)
+    assert any(a.size == abs_.n_states for a in arrays)  # the walk reached them
+    index_matrix = abs_.grid_x.ndim * abs_.n_states * np.dtype(np.intp).itemsize
+    assert max(a.nbytes for a in arrays) < index_matrix
+
+
+def test_boxes_of_a_state_column_equal_boxes_of_flat_states(desk_abstraction):
+    """``boxes`` broadcasts an (N, 1) column of states against the inputs;
+    past 8 192 rows numpy 2.4's ``unravel_index`` would get such a column
+    wrong, so the answer must equal each input's boxes of the flat states."""
+    abs_ = desk_abstraction
+    states = np.arange(abs_.n_states)
+    assert states.size > 8192
+    lo, hi = abs_.boxes(states[:, None], np.arange(abs_.n_inputs))
+    for u in range(abs_.n_inputs):
+        flat_lo, flat_hi = abs_.boxes(states, u)
+        assert np.array_equal(lo[:, :, u], flat_lo) and np.array_equal(hi[:, :, u], flat_hi)
+
+
 def strip_clipped_rows(abs_):
     """Rows whose box, for some enabled cell, runs past the last cell of a
     non-periodic invariant dimension (into the trailing strip).  ``enabled``
@@ -352,7 +437,7 @@ def test_lookup_reads_boxes_like_bruteforce():
         keys, columns = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         start = rng.integers(-3, counts + 2, size=(keys, columns, d))
         length = rng.integers(1, 6, size=(keys, columns, d))
-        lookup = _Lookup.build(grid, invariant, idx, start, length)
+        lookup = _Lookup.build(grid, invariant, start, length)
         key = rng.integers(0, keys, size=grid.size)
         for holes in (0.0, 0.2, 0.6):
             mask = rng.random(grid.size) >= holes
