@@ -33,9 +33,9 @@ fingerprint of the dynamics it was built for.  The tests check the table
 against per-pair successor lists and a per-cell construction of their own.
 
 Per cell, the abstraction keeps only what a sweep reads: the packed
-enabled bits (one bit a pair), the cell's row key (int32), where the pair
-lookup's tables place its invariant indices, and where its covering window
-starts in the cover's tables (both int32 whenever the tables fit).
+enabled bits (one bit a pair), the cell's row key (int32), and where each
+of the two lookups' tables place its invariant indices (int32 whenever the
+tables fit).
 No per-cell multi-index is kept: ``boxes`` unravels the states it is
 given, and ``stats`` reads only the row keys.  The sweep reuses fixed
 scratch arrays for its tables and gathers (:class:`_Lookup`).
@@ -47,7 +47,7 @@ import hashlib
 import io
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -101,13 +101,11 @@ def _along(ndim: int, d: int, values: np.ndarray) -> np.ndarray:
 
 
 class _Scratch(NamedTuple):
-    """A :class:`_Lookup`'s reused arrays, with the views its calls write
-    through."""
+    """The arrays every call of one :class:`_Lookup` reuses."""
 
     spread: np.ndarray       # the mask on the erosion grid, flat
-    copies: list             # per axis: (step's array, [(its slab, source slab)])
-    slabs: list              # views of the slabs outside non-periodic axes
-    erode: list              # (a, b, out) views, out = a & b, in order
+    ping: np.ndarray         # two buffers for the spread's and the erosion's steps
+    pong: np.ndarray
     tables: np.ndarray
     index: np.ndarray        # one block of gather indices
 
@@ -189,68 +187,44 @@ class _Lookup:
         base = _per_cell(grid.counts, *(_along(grid.ndim, d, np.arange(n) * stride[d])
                                         for d, n in enumerate(grid.counts) if inv[d]),
                          dtype=dtype)
+        # read gathers with mode="clip", which would hide an index outside
+        # the tables; every start lies in the span, so none can be
+        if at.min() < 0 or int(base.max()) + int(at.max()) >= len(lengths) * size:
+            raise IndexError("a box starts outside the lookup's tables")
         return cls(counts=tuple(grid.counts.tolist()), shape=shape,
                    runs=tuple(runs), clip=tuple(clip), stride=stride, lengths=lengths,
                    at=at.astype(np.intp), base=base)
 
     @cached_property
     def _scratch(self) -> _Scratch:
-        """The arrays every call reuses, and the views into them that
-        :meth:`spread` and :meth:`tables` write through.  Two ping-pong
-        buffers hold the spread's steps, one axis at a time, and then the
-        erosion's."""
-        size, ndim = math.prod(self.shape), len(self.shape)
-        steps = [self.shape[:d + 1] + self.counts[d + 1:] for d in range(ndim)]
-        pp = max([size] + [math.prod(shape) for shape in steps[:-1]])
-        spread, ping, pong = (np.empty(n, dtype=bool) for n in (size, pp, pp))
-        copies = []
-        for d, (shape, runs) in enumerate(zip(steps, self.runs)):
-            buf = spread if d == ndim - 1 else (ping, pong)[d % 2]
-            lead = (slice(None),) * d
-            copies.append((buf[:math.prod(shape)].reshape(shape),
-                           [(lead + (slice(to, to + stop - start),),
-                             lead + (slice(start, stop),)) for to, start, stop in runs]))
-        grid = spread.reshape(self.shape)
-        slabs = [grid[(slice(None),) * d + (cut,)]
-                 for d, (head, tail) in enumerate(self.clip)
-                 for n, cut in ((head, slice(None, head)),
-                                (tail, slice(self.shape[d] - tail, None))) if n]
-        tables = np.empty(len(self.lengths) * size, dtype=bool)
-        erode = []
-        for c, row in enumerate(self.lengths):
-            shifts = []
-            for d, n in enumerate(row):
-                k = 1
-                while k < n:
-                    step = min(k, n - k)
-                    shifts.append(step * int(self.stride[d]))
-                    k += step
-            slot = tables[c * size:(c + 1) * size]
-            a, valid = spread, size
-            for j, shift in enumerate(shifts):
-                dst = slot if j == len(shifts) - 1 else (ping, pong)[j % 2]
-                valid -= shift
-                erode.append((a[:valid], a[shift:valid + shift], dst[:valid]))
-                a = dst
-            if not shifts:
-                erode.append((spread, spread, slot))  # x & x copies x
-        columns = self.at.shape[1]
-        return _Scratch(spread, copies, slabs, erode, tables,
+        """The spread mask, two ping-pong buffers as large as the largest
+        step of the spread or the erosion, the tables, and one block of
+        gather indices."""
+        size, columns = math.prod(self.shape), self.at.shape[1]
+        steps = (self.shape[:d + 1] + self.counts[d + 1:] for d in range(len(self.shape) - 1))
+        pp = max([size] + [math.prod(shape) for shape in steps])
+        return _Scratch(np.empty(size, dtype=bool), np.empty(pp, dtype=bool),
+                        np.empty(pp, dtype=bool),
+                        np.empty(len(self.lengths) * size, dtype=bool),
                         np.empty((max(1, _GATHER // columns), columns), dtype=np.intp))
 
     def spread(self, mask: np.ndarray) -> np.ndarray:
         """``mask`` on the erosion grid, flat."""
-        scratch = self._scratch
-        a = mask.reshape(self.counts)
-        for out, runs in scratch.copies:
-            for dst, src in runs:
-                out[dst] = a[src]
+        spread, ping, pong = self._scratch[:3]
+        a, last = mask.reshape(self.counts), len(self.shape) - 1
+        for d, runs in enumerate(self.runs):
+            shape = self.shape[:d + 1] + self.counts[d + 1:]
+            out = (spread if d == last else (ping, pong)[d % 2])[:math.prod(shape)]
+            out, lead = out.reshape(shape), (slice(None),) * d
+            for to, start, stop in runs:
+                out[lead + (slice(to, to + stop - start),)] = a[lead + (slice(start, stop),)]
             a = out
         # the slabs outside a non-periodic axis still hold what the buffers
-        # held before; these make them true
-        for slab in scratch.slabs:
-            slab[...] = True
-        return scratch.spread
+        # held before; make them true
+        for d, (head, tail) in enumerate(self.clip):
+            a[(slice(None),) * d + (slice(None, head),)] = True
+            a[(slice(None),) * d + (slice(a.shape[d] - tail, None),)] = True
+        return spread
 
     def tables(self, mask: np.ndarray) -> np.ndarray:
         """The tables of ``mask``, flat and concatenated.  Each length row
@@ -260,31 +234,42 @@ class _Lookup:
         needs crosses into another row of that axis; entries of starts
         outside the span mean nothing, no box reads them, and they keep
         whatever an earlier call left there."""
-        self.spread(mask)
-        for a, b, dst in self._scratch.erode:
-            np.bitwise_and(a, b, out=dst)
-        return self._scratch.tables
+        spread = self.spread(mask)
+        _, ping, pong, tables, _ = self._scratch
+        size = spread.size
+        for c, row in enumerate(self.lengths.tolist()):
+            shifts = []
+            for d, n in enumerate(row):
+                k = 1
+                while k < n:
+                    step = min(k, n - k)
+                    shifts.append(step * int(self.stride[d]))
+                    k += step
+            slot = tables[c * size:(c + 1) * size]
+            if not shifts:
+                slot[:] = spread
+            a, valid = spread, size
+            for j, shift in enumerate(shifts):
+                out = slot if j == len(shifts) - 1 else (ping, pong)[j % 2]
+                valid -= shift
+                np.bitwise_and(a[:valid], a[shift:valid + shift], out=out[:valid])
+                a = out
+        return tables
 
-    def read(self, mask: np.ndarray, states: np.ndarray,
-             key: np.ndarray | None) -> np.ndarray:
-        """Per state of ``states``, with row keys ``key``, and column:
-        whether ``mask`` holds each cell of the box inside the grid.  With
-        ``key`` None each state reads the one box starting at its ``base``,
-        for a lookup whose ``base`` already holds where its cells' boxes
-        start (see :attr:`Abstraction._lookups`).  The states are read a
-        block at a time through one index buffer."""
+    def read(self, mask: np.ndarray, states: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Per state of ``states`` and column: whether ``mask`` holds each
+        cell of the box inside the grid; ``key`` holds every cell's row key.
+        The states are read a block at a time through one index buffer."""
         tables, index = self.tables(mask), self._scratch.index
         out = np.empty((states.size, self.at.shape[1]), dtype=bool)
         for i in range(0, states.size, len(index)):
             j = min(i + len(index), states.size)
-            block = index[:j - i]
-            if key is None:
-                block[:, 0] = self.base[states[i:j]]
-            else:
-                np.take(self.at, key[i:j], axis=0, out=block)
-                block += self.base[states[i:j], None]
-            # the indices lie inside the tables; "clip" lets take write
-            # straight into ``out``
+            block, cells = index[:j - i], states[i:j]
+            # every key is a row of ``at`` and build checked that every
+            # index lies inside the tables; "clip" lets take write straight
+            # into ``block`` and ``out``, where "raise" would buffer a copy
+            np.take(self.at, key[cells], axis=0, out=block, mode="clip")
+            block += self.base[cells][:, None]
             np.take(tables, block, out=out[i:j], mode="clip")
         return out
 
@@ -411,9 +396,7 @@ class Abstraction:
     def _lookups(self) -> tuple[_Lookup, _Lookup, np.ndarray]:
         """What :meth:`controllable` reads, built once: the lookup of each
         pair's box; the lookup of each row key's window covering the boxes
-        of all its inputs; and per state, its row key.  The cover's ``base``
-        also holds where each cell's own window starts in its tables, so it
-        is read with no key, and no second per-cell array is kept for it."""
+        of all its inputs; and per state, its row key, which both read."""
         m, d = self.n_inputs, self.grid_x.ndim
         n, periodic = self.grid_x.counts, self.grid_x.periodic
         keys = self._keys
@@ -427,14 +410,14 @@ class Abstraction:
         lo, hi = centred.min(axis=1), (centred + length).max(axis=1)
         ring = periodic & (hi - lo >= n)
         lo, hi = np.where(ring, 0, lo), np.where(ring, n, hi)
-        cover = _Lookup.build(self.grid_x, self.invariant, lo[:, None],
-                              (hi - lo)[:, None])
-        shape = self._key_shape()
-        folded = cover.base.reshape(tuple(n))
-        folded += cover.at[:, 0].reshape(shape).astype(folded.dtype)
-        cover = replace(cover, at=np.zeros_like(cover.at))
-        kappa = _per_cell(n, np.arange(keys.shape[1]).reshape(shape), dtype=np.int32)
-        return (_Lookup.build(self.grid_x, self.invariant, start, length), cover, kappa)
+        kappa = _per_cell(n, np.arange(keys.shape[1]).reshape(self._key_shape()),
+                          dtype=np.int32)
+        # read gathers the row keys with mode="clip"; check them once here
+        if kappa.min() < 0 or kappa.max() >= keys.shape[1]:
+            raise IndexError("a cell's row key lies outside the table")
+        return (_Lookup.build(self.grid_x, self.invariant, start, length),
+                _Lookup.build(self.grid_x, self.invariant, lo[:, None], (hi - lo)[:, None]),
+                kappa)
 
     def controllable(self, Z: np.ndarray, states: np.ndarray,
                      fresh: np.ndarray | None = None
@@ -458,10 +441,10 @@ class Abstraction:
         pairs, cover, kappa = self._lookups
         rows = np.arange(states.size)
         if fresh is not None:
-            rows = np.flatnonzero(~cover.read(~fresh, states, None)[:, 0])
+            rows = np.flatnonzero(~cover.read(~fresh, states, kappa)[:, 0])
         near = states[rows]
-        ok = pairs.read(Z, near, kappa[near])
-        step = _GATHER // self.n_inputs
+        ok = pairs.read(Z, near, kappa)
+        step = max(1, _GATHER // self.n_inputs)
         for i in range(0, near.size, step):
             ok[i:i + step] &= np.unpackbits(
                 self._enabled_bits[near[i:i + step]], axis=1, count=self.n_inputs,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kaware import abstraction
 from kaware.abstraction import Abstraction, _Lookup, build_abstraction
 from kaware.dynamics import ContinuousSystem, dubins_car
 from kaware.errors import CacheFormatError
@@ -395,6 +396,16 @@ def test_controllable_matches_summed_area_identity(periodic, tau):
     grid_u = make_grid([0.0], [1.0], [0.5])
     abs_ = build_abstraction(identity_system(tau), grid_x, grid_u)
     assert_controllable_matches_summed_area(abs_, np.random.default_rng(7))
+
+
+def test_controllable_matches_summed_area_many_inputs():
+    """A few states under more inputs than one gather block holds: each
+    block reads one state at a time."""
+    grid_x = make_grid([-1.0], [1.0], [0.3], periodic=[False])
+    grid_u = make_grid([0.0], [1.0], [2.5e-5])
+    abs_ = build_abstraction(identity_system(0.5), grid_x, grid_u)
+    assert abs_.n_inputs > abstraction._GATHER
+    assert_controllable_matches_summed_area(abs_, np.random.default_rng(9))
 
 
 def test_controllable_matches_summed_area_desk(desk_abstraction):
