@@ -19,8 +19,8 @@ run past the last cell.
 ``boxes`` reads the table as index windows and ``flat_transitions``
 expands every pair into flat successor lists.  ``controllable`` answers
 the fixpoint's question for each pair by one lookup into erosion tables of
-the goal set, one per distinct box length, ANDed with the pair's bit in a
-per-state mask of enabled pairs that ``boxes`` reads too.  It returns
+the goal set, one per distinct box length, ANDed with the pair's enabled
+bit, which ``boxes`` reads too.  It returns
 ``(rows, ok)``: the positions of the states it read and their pairs'
 answers; given the cells added since the last call, it reads only the
 states whose covering window can meet them, one more lookup per state.  A
@@ -28,25 +28,28 @@ row key's window covers the boxes of all its inputs; on a periodic
 dimension it is measured around the ring from the key's own index, so
 boxes on both sides of the seam give one short window, not the whole
 ring.  A goal set reaches the erosion grid by a few slab copies per axis,
-not by a gather over the whole grid.  The cache file stores the table and a
-fingerprint of the dynamics it was built for.  The tests check the table
-against per-pair successor lists and a per-cell construction of their own.
+not by a gather over the whole grid.  The cache file stores the table, a
+CRC-32 fingerprint of the dynamics it was built for and a CRC-32 of
+itself.  The tests check the table against per-pair successor lists and a
+per-cell construction of their own.
 
-Per cell, the abstraction keeps only what a sweep reads: the packed
-enabled bits (one bit a pair), the cell's row key (int32), and where each
-of the two lookups' tables place its invariant indices (int32 whenever the
-tables fit).
-No per-cell multi-index is kept: ``boxes`` unravels the states it is
-given, and ``stats`` reads only the row keys.  The sweep reuses fixed
-scratch arrays for its tables and gathers (:class:`_Lookup`).
+Per cell, the abstraction keeps only what a sweep reads: the cell's row
+key (int32), and where each of the two lookups' tables place its
+invariant indices (int32 whenever the tables fit).  The enabled bits are
+not kept per cell: each non-periodic dimension keeps its range test packed
+over its own index and the row keys, and a cell's bits are those parts'
+words at the cell, ANDed.  No per-cell multi-index is kept: ``boxes`` and
+``controllable`` unravel the states they are given, and ``stats`` reads
+only the row keys.  Both lookups read through one workspace of fixed
+buffers, reused by every sweep (:class:`_Lookup`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -58,8 +61,22 @@ from .errors import CacheFormatError
 from .grid import _TOL, Grid, HyperRect
 
 _MAGIC = b"KAW1"
-_VERSION = 2
-_GATHER = 1 << 15  # gather indices per block of _Lookup.read
+_VERSION = 3
+_DIGEST = 4  # bytes of a CRC-32: the dynamics fingerprint and the file's trailer
+# gather indices per block of _Lookup.read: its per-block temporaries stay
+# under glibc's 128 KiB mmap threshold
+_GATHER = 1 << 14
+
+
+def _crc32(*chunks: bytes) -> bytes:
+    """CRC-32 of the concatenated ``chunks``, little-endian.  Neither the
+    fingerprint nor the file's checksum is a security boundary, and zlib
+    comes with numpy, where a cryptographic hash would load OpenSSL into
+    every process."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return crc.to_bytes(_DIGEST, "little")
 
 
 def _grid_fields(grid: Grid) -> list[np.ndarray]:
@@ -73,14 +90,14 @@ def _ranged(grid: Grid) -> list[int]:
 
 
 def fingerprint(sys: ContinuousSystem, grid_x: Grid, grid_u: Grid) -> bytes:
-    """SHA-256 of what an abstraction depends on: the model and its Jacobian
+    """CRC-32 of what an abstraction depends on: the model and its Jacobian
     bound, τ, the disturbance, and both grids (bounds, η, periodicity,
-    counts)."""
-    h = hashlib.sha256(sys.name.encode())
-    for arr in ([sys.tau], sys.lipschitz, sys.dist_halfwidth,
-                *_grid_fields(grid_x), *_grid_fields(grid_u)):
-        h.update(np.asarray(arr, dtype="<f8").tobytes())
-    return h.digest()
+    counts).  It tells a cache built for other dynamics from the right
+    one; it is no defence against a crafted file."""
+    return _crc32(sys.name.encode(),
+                  *(np.asarray(arr, dtype="<f8").tobytes()
+                    for arr in ([sys.tau], sys.lipschitz, sys.dist_halfwidth,
+                                *_grid_fields(grid_x), *_grid_fields(grid_u))))
 
 
 def _per_cell(counts, *parts: np.ndarray, dtype) -> np.ndarray:
@@ -101,13 +118,26 @@ def _along(ndim: int, d: int, values: np.ndarray) -> np.ndarray:
 
 
 class _Scratch(NamedTuple):
-    """The arrays every call of one :class:`_Lookup` reuses."""
+    """The buffers both lookups of an abstraction read through, each as
+    large as the larger lookup needs; a lookup uses views of its own size
+    from the front of each."""
 
     spread: np.ndarray       # the mask on the erosion grid, flat
     ping: np.ndarray         # two buffers for the spread's and the erosion's steps
     pong: np.ndarray
     tables: np.ndarray
-    index: np.ndarray        # one block of gather indices
+    index: np.ndarray        # one block of gather indices, flat
+    key: np.ndarray          # one block of row keys (int32)
+    base: np.ndarray         # one block of ``base`` entries, viewed as its dtype
+
+    @classmethod
+    def fit(cls, *lookups: "_Lookup") -> "_Scratch":
+        size, pp, tables, index, block = np.max([lk.needs for lk in lookups],
+                                                axis=0).tolist()
+        return cls(np.empty(size, dtype=bool), np.empty(pp, dtype=bool),
+                   np.empty(pp, dtype=bool), np.empty(tables, dtype=bool),
+                   np.empty(index, dtype=np.intp), np.empty(block, dtype=np.int32),
+                   np.empty(block, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -117,36 +147,38 @@ class _Lookup:
 
     Every start a box can take is ``first + i`` with ``0 <= i < span`` on
     each axis.  The tables lie on the erosion grid, the span extended by the
-    longest box less one cell on each axis, flat and row-major with strides
-    ``stride``.  Each distinct length row (``lengths``) has a table: entry
-    ``i`` is true when the mask holds every cell of the box of that length
-    starting at ``first + i``; every box is nonempty.  A box starts in the
-    tables at ``base[state] + at[key, column]``: ``base`` holds the state's
-    invariant indices, ``at`` its length row's table and the rest of its
-    start.  ``base`` is the one per-cell array, int32 when the tables fit.
+    longest box less one cell on each axis, flat and row-major.  Each
+    distinct length row (``lengths``) has a table: entry ``i`` is true when
+    the mask holds every cell of the box of that length starting at
+    ``first + i``; every box is nonempty.  A table is the spread mask ANDed
+    with itself shifted by the flat steps ``shifts[row]``.  A box starts in
+    the tables at ``base[state] + at[key, column]``: ``base`` holds the
+    state's invariant indices, ``at`` its length row's table and the rest
+    of its start.  ``base`` is the one per-cell array, int32 when the
+    tables fit.
 
-    A mask reaches the erosion grid axis by axis (:meth:`spread`): along
-    axis ``d`` it copies the slabs ``runs[d]``, each ``(to, start, stop)``:
-    the state grid's indices ``start`` to ``stop`` land from erosion index
-    ``to`` on, wrapped around a periodic axis.  The ``clip[d]`` leading and
-    trailing slabs that lie outside a non-periodic axis then read true; so
-    a box reads as clipped to the grid.
+    A mask reaches the erosion grid axis by axis (:meth:`spread`): step
+    ``d`` of ``steps`` gives the shape after it and the slab copies
+    ``(to, from)`` along axis ``d``, a periodic axis wrapping the state
+    grid's indices.  The slabs ``fills``, outside a non-periodic axis, then
+    read true; so a box reads as clipped to the grid.  The shifts, steps
+    and fills are worked out once, in :meth:`build`.
 
-    Every call writes into the same scratch arrays (:attr:`_scratch`),
-    allocated on first use: the spread mask, two ping-pong buffers, the
-    tables and one block of gather indices.  A table a call returns is
-    valid until the next call, and two threads must not read one lookup at
-    once.  Reuse is what keeps a solve's page faults low, not only its
-    peak: arrays of more than 128 KiB that are allocated
-    and freed on every sweep each come from a fresh ``mmap`` unless some
-    larger freed block has happened to raise glibc's mmap threshold.
+    Every call works in the caller's :class:`_Scratch`, which an
+    :class:`Abstraction` shares between its two lookups: a table a call
+    returns is valid until the next call of either lookup, and two threads
+    must not read an abstraction's lookups at once.  Reuse is what keeps a
+    solve's page faults low, not only its peak: arrays of more than 128 KiB
+    that are allocated and freed on every sweep each come from a fresh
+    ``mmap`` unless some larger freed block has happened to raise glibc's
+    mmap threshold.
     """
 
     counts: tuple[int, ...]
     shape: tuple[int, ...]
-    runs: tuple[tuple[tuple[int, int, int], ...], ...]
-    clip: tuple[tuple[int, int], ...]
-    stride: np.ndarray
+    steps: tuple
+    fills: tuple
+    shifts: tuple[tuple[int, ...], ...]
     lengths: np.ndarray
     base: np.ndarray
     at: np.ndarray
@@ -165,22 +197,38 @@ class _Lookup:
         first = q.min(axis=0)
         span = q.max(axis=0) + np.where(inv, grid.counts - 1, 0) - first + 1
         shape = tuple((span + lengths.max(axis=0) - 1).tolist())
-        runs, clip = [], []
-        for lo, e, n, periodic in zip(first.tolist(), shape, grid.counts.tolist(),
-                                      grid.periodic.tolist()):
+        counts = tuple(grid.counts.tolist())
+        steps, fills = [], []
+        for d, (lo, e, n, periodic) in enumerate(zip(first.tolist(), shape, counts,
+                                                     grid.periodic.tolist())):
+            head = tail = 0
             if periodic:
-                axis, k = [], 0
+                runs, k = [], 0
                 while k < e:
                     i = (lo + k) % n
-                    axis.append((k, i, min(n, i + e - k)))
-                    k += axis[-1][2] - i
-                runs.append(tuple(axis))
-                clip.append((0, 0))
+                    runs.append((k, i, min(n, i + e - k)))
+                    k += runs[-1][2] - i
             else:
                 head, tail = min(e, max(0, -lo)), min(e, max(0, lo + e - n))
-                runs.append(((head, lo + head, lo + e - tail),) if head + tail < e else ())
-                clip.append((head, tail))
+                runs = [(head, lo + head, lo + e - tail)] if head + tail < e else []
+            lead = (slice(None),) * d
+            steps.append((shape[:d + 1] + counts[d + 1:],
+                          tuple((lead + (slice(to, to + stop - start),),
+                                 lead + (slice(start, stop),)) for to, start, stop in runs)))
+            if head:
+                fills.append(lead + (slice(0, head),))
+            if tail:
+                fills.append(lead + (slice(e - tail, e),))
         stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+        shifts = []
+        for row in lengths.tolist():
+            row_shifts = []
+            for d, n in enumerate(row):
+                k = 1
+                while k < n:  # each shift doubles the length covered
+                    row_shifts.append(min(k, n - k) * int(stride[d]))
+                    k += min(k, n - k)
+            shifts.append(tuple(row_shifts))
         size = math.prod(shape)
         at = lid.reshape(start.shape[:-1]) * size + (start - first) @ stride
         dtype = np.int32 if len(lengths) * size <= np.iinfo(np.int32).max else np.int64
@@ -191,42 +239,42 @@ class _Lookup:
         # the tables; every start lies in the span, so none can be
         if at.min() < 0 or int(base.max()) + int(at.max()) >= len(lengths) * size:
             raise IndexError("a box starts outside the lookup's tables")
-        return cls(counts=tuple(grid.counts.tolist()), shape=shape,
-                   runs=tuple(runs), clip=tuple(clip), stride=stride, lengths=lengths,
-                   at=at.astype(np.intp), base=base)
+        return cls(counts=counts, shape=shape, steps=tuple(steps), fills=tuple(fills),
+                   shifts=tuple(shifts), lengths=lengths, at=at.astype(np.intp),
+                   base=base)
 
-    @cached_property
-    def _scratch(self) -> _Scratch:
-        """The spread mask, two ping-pong buffers as large as the largest
-        step of the spread or the erosion, the tables, and one block of
-        gather indices."""
-        size, columns = math.prod(self.shape), self.at.shape[1]
-        steps = (self.shape[:d + 1] + self.counts[d + 1:] for d in range(len(self.shape) - 1))
-        pp = max([size] + [math.prod(shape) for shape in steps])
-        return _Scratch(np.empty(size, dtype=bool), np.empty(pp, dtype=bool),
-                        np.empty(pp, dtype=bool),
-                        np.empty(len(self.lengths) * size, dtype=bool),
-                        np.empty((max(1, _GATHER // columns), columns), dtype=np.intp))
+    @property
+    def block(self) -> int:
+        """States per gather block of :meth:`read`."""
+        return max(1, _GATHER // self.at.shape[1])
 
-    def spread(self, mask: np.ndarray) -> np.ndarray:
+    @property
+    def needs(self) -> tuple[int, ...]:
+        """Elements of each :class:`_Scratch` buffer a call uses: the spread
+        mask, each ping-pong buffer (the largest step of the spread or the
+        erosion), the tables, a block of gather indices, and a block of
+        states."""
+        size = math.prod(self.shape)
+        pp = max([size] + [math.prod(shape) for shape, _ in self.steps[:-1]])
+        return (size, pp, len(self.shifts) * size, self.block * self.at.shape[1],
+                self.block)
+
+    def spread(self, mask: np.ndarray, work: _Scratch) -> np.ndarray:
         """``mask`` on the erosion grid, flat."""
-        spread, ping, pong = self._scratch[:3]
-        a, last = mask.reshape(self.counts), len(self.shape) - 1
-        for d, runs in enumerate(self.runs):
-            shape = self.shape[:d + 1] + self.counts[d + 1:]
-            out = (spread if d == last else (ping, pong)[d % 2])[:math.prod(shape)]
-            out, lead = out.reshape(shape), (slice(None),) * d
-            for to, start, stop in runs:
-                out[lead + (slice(to, to + stop - start),)] = a[lead + (slice(start, stop),)]
+        a, last = mask.reshape(self.counts), len(self.steps) - 1
+        for d, (shape, copies) in enumerate(self.steps):
+            out = work.spread if d == last else (work.ping, work.pong)[d % 2]
+            out = out[:math.prod(shape)].reshape(shape)
+            for to, frm in copies:
+                out[to] = a[frm]
             a = out
         # the slabs outside a non-periodic axis still hold what the buffers
         # held before; make them true
-        for d, (head, tail) in enumerate(self.clip):
-            a[(slice(None),) * d + (slice(None, head),)] = True
-            a[(slice(None),) * d + (slice(a.shape[d] - tail, None),)] = True
-        return spread
+        for fill in self.fills:
+            a[fill] = True
+        return work.spread[:a.size]
 
-    def tables(self, mask: np.ndarray) -> np.ndarray:
+    def tables(self, mask: np.ndarray, work: _Scratch) -> np.ndarray:
         """The tables of ``mask``, flat and concatenated.  Each length row
         ANDs the mask, spread over the erosion grid, with itself shifted by
         whole steps along each axis, each doubling the length covered.  A
@@ -234,43 +282,42 @@ class _Lookup:
         needs crosses into another row of that axis; entries of starts
         outside the span mean nothing, no box reads them, and they keep
         whatever an earlier call left there."""
-        spread = self.spread(mask)
-        _, ping, pong, tables, _ = self._scratch
+        spread = self.spread(mask, work)
         size = spread.size
-        for c, row in enumerate(self.lengths.tolist()):
-            shifts = []
-            for d, n in enumerate(row):
-                k = 1
-                while k < n:
-                    step = min(k, n - k)
-                    shifts.append(step * int(self.stride[d]))
-                    k += step
-            slot = tables[c * size:(c + 1) * size]
+        for c, shifts in enumerate(self.shifts):
+            slot = work.tables[c * size:(c + 1) * size]
             if not shifts:
                 slot[:] = spread
             a, valid = spread, size
             for j, shift in enumerate(shifts):
-                out = slot if j == len(shifts) - 1 else (ping, pong)[j % 2]
+                out = slot if j == len(shifts) - 1 else (work.ping, work.pong)[j % 2]
                 valid -= shift
                 np.bitwise_and(a[:valid], a[shift:valid + shift], out=out[:valid])
                 a = out
-        return tables
+        return work.tables[:len(self.shifts) * size]
 
-    def read(self, mask: np.ndarray, states: np.ndarray, key: np.ndarray) -> np.ndarray:
+    def read(self, mask: np.ndarray, states: np.ndarray, key: np.ndarray,
+             work: _Scratch) -> np.ndarray:
         """Per state of ``states`` and column: whether ``mask`` holds each
-        cell of the box inside the grid; ``key`` holds every cell's row key.
-        The states are read a block at a time through one index buffer."""
-        tables, index = self.tables(mask), self._scratch.index
-        out = np.empty((states.size, self.at.shape[1]), dtype=bool)
-        for i in range(0, states.size, len(index)):
-            j = min(i + len(index), states.size)
-            block, cells = index[:j - i], states[i:j]
-            # every key is a row of ``at`` and build checked that every
-            # index lies inside the tables; "clip" lets take write straight
-            # into ``block`` and ``out``, where "raise" would buffer a copy
-            np.take(self.at, key[cells], axis=0, out=block, mode="clip")
-            block += self.base[cells][:, None]
-            np.take(tables, block, out=out[i:j], mode="clip")
+        cell of the box inside the grid; ``key`` holds every cell's row key
+        (int32).  The states are read a block at a time through ``work``'s
+        buffers."""
+        tables, step, columns = self.tables(mask, work), self.block, self.at.shape[1]
+        index = work.index[:step * columns].reshape(step, columns)
+        base = work.base.view(self.base.dtype)
+        out = np.empty((states.size, columns), dtype=bool)
+        for i in range(0, states.size, step):
+            j = min(i + step, states.size)
+            cells, keys, block = states[i:j], work.key[:j - i], index[:j - i]
+            # the first take checks the states as indexing would (buffering
+            # one copy of the keys); then every index lies inside its array
+            # (build and _lookups checked the keys and the tables), and
+            # "wrap" and "clip" let take write straight into the buffers
+            key.take(cells, out=keys)
+            self.base.take(cells, out=base[:j - i], mode="wrap")
+            self.at.take(keys, axis=0, out=block, mode="clip")
+            block += base[:j - i, None]
+            tables.take(block, out=out[i:j], mode="clip")
         return out
 
 
@@ -327,21 +374,43 @@ class Abstraction:
                 for d, n in enumerate(self.grid_x.counts)]
 
     @cached_property
-    def _enabled_bits(self) -> np.ndarray:
-        """Per state, one bit per input (``np.packbits`` along the inputs,
-        little-endian): whether the pair is enabled.  Each non-periodic
-        dimension's range test is packed on its own, over that dimension's
-        index and the row keys, and the packed bytes are ANDed: the same
-        bytes as packing the whole test, with no (states, inputs) array."""
-        counts, m = tuple(self.grid_x.counts), self.n_inputs
+    def _enabled_parts(self) -> list[np.ndarray]:
+        """Per non-periodic dimension, whether its range admits each pair,
+        over that dimension's index and the row keys: an array of the grid's
+        shape with the other invariant dimensions collapsed to one, holding
+        the inputs' bits packed little-endian (``np.packbits``) into 64-bit
+        words, as (54, 1, 24, 1) and (1, 74, 24, 1) at full scale.  A pair
+        is enabled when every part's bit is set; with no non-periodic
+        dimension one all-set part stands for them.  Each part is read
+        through a view broadcast over the whole grid, which holds no memory
+        of its own; whole words make a cell's bits one element to gather,
+        which numpy gathers several times faster than seven bytes."""
+        counts, m = self.grid_x.counts, self.n_inputs
+
+        def words(test):
+            padded = np.zeros(test.shape[:-1] + (-(-m // 64) * 64,), dtype=bool)
+            padded[..., :m] = test
+            return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+
         shape = self._key_shape() + [m]
-        bits = np.packbits(np.ones(shape, dtype=bool), axis=-1, bitorder="little")
+        parts = []
         for a, d in enumerate(_ranged(self.grid_x)):
             first, stop = self.enabled[:, a].T.reshape([2] + shape)
             i = _along(len(shape), d, np.arange(counts[d]))
-            bits = bits & np.packbits((first <= i) & (i < stop), axis=-1,
-                                      bitorder="little")
-        return np.broadcast_to(bits, counts + bits.shape[-1:]).reshape(self.n_states, -1)
+            parts.append(words((first <= i) & (i < stop)))
+        parts = parts or [words(np.ones([1] * self.grid_x.ndim + [m], dtype=bool))]
+        return [np.broadcast_to(part, tuple(counts) + part.shape[-1:]) for part in parts]
+
+    def _enabled_bytes(self, idx) -> np.ndarray:
+        """The packed enabled bits of the cells with per-dimension indices
+        ``idx`` (flat arrays), ``(cells, bytes)``, zero past the last input:
+        each part's words at the cells, ANDed.  Every answer on whether a
+        pair is blocked comes from here."""
+        first, *rest = self._enabled_parts
+        bits = first[idx]
+        for part in rest:
+            bits &= part[idx]
+        return bits.view(np.uint8)
 
     def boxes(self, states, inputs) -> tuple[np.ndarray, np.ndarray]:
         """Successor boxes of the pairs ``(states, inputs)`` (broadcast
@@ -352,8 +421,8 @@ class Abstraction:
         counts = self.grid_x.counts
         # unravel the flat states and broadcast after: numpy 2.4's
         # unravel_index gets rows of an (N, 1) input wrong past 8 192 of them
-        idx = [i.reshape(states.shape)
-               for i in np.unravel_index(states.ravel(), tuple(counts))]
+        flat = np.unravel_index(states.ravel(), tuple(counts))
+        idx = [i.reshape(states.shape) for i in flat]
         kappa = np.zeros(states.shape, dtype=np.int64)
         for d in self._keyed:
             kappa = kappa * counts[d] + idx[d]
@@ -363,7 +432,8 @@ class Abstraction:
         for d in range(self.grid_x.ndim):
             lo[d], hi[d] = self.grid_x.window(d, idx[d] + self.offset[row, d],
                                               self.length[row, d])
-        on = self._enabled_bits[states, inputs >> 3] >> (inputs & 7) & 1
+        at = np.arange(states.size).reshape(states.shape)
+        on = self._enabled_bytes(flat)[at, inputs >> 3] >> (inputs & 7) & 1
         return lo, np.where(on > 0, hi, lo)
 
     def stats(self) -> dict:
@@ -393,10 +463,12 @@ class Abstraction:
         }
 
     @cached_property
-    def _lookups(self) -> tuple[_Lookup, _Lookup, np.ndarray]:
+    def _lookups(self) -> tuple[_Lookup, _Lookup, np.ndarray, _Scratch]:
         """What :meth:`controllable` reads, built once: the lookup of each
         pair's box; the lookup of each row key's window covering the boxes
-        of all its inputs; and per state, its row key, which both read."""
+        of all its inputs; per state, its row key, which both read; and the
+        one workspace both read through, allocated here and reused by every
+        sweep of every solve."""
         m, d = self.n_inputs, self.grid_x.ndim
         n, periodic = self.grid_x.counts, self.grid_x.periodic
         keys = self._keys
@@ -415,9 +487,9 @@ class Abstraction:
         # read gathers the row keys with mode="clip"; check them once here
         if kappa.min() < 0 or kappa.max() >= keys.shape[1]:
             raise IndexError("a cell's row key lies outside the table")
-        return (_Lookup.build(self.grid_x, self.invariant, start, length),
-                _Lookup.build(self.grid_x, self.invariant, lo[:, None], (hi - lo)[:, None]),
-                kappa)
+        pairs = _Lookup.build(self.grid_x, self.invariant, start, length)
+        cover = _Lookup.build(self.grid_x, self.invariant, lo[:, None], (hi - lo)[:, None])
+        return pairs, cover, kappa, _Scratch.fit(pairs, cover)
 
     def controllable(self, Z: np.ndarray, states: np.ndarray,
                      fresh: np.ndarray | None = None
@@ -438,17 +510,21 @@ class Abstraction:
         others' answers cannot have changed.  Without ``fresh`` every state
         is read.
         """
-        pairs, cover, kappa = self._lookups
+        pairs, cover, kappa, work = self._lookups
         rows = np.arange(states.size)
         if fresh is not None:
-            rows = np.flatnonzero(~cover.read(~fresh, states, kappa)[:, 0])
+            # the cover's tables are read to the end here, before the pair
+            # lookup overwrites the workspace
+            rows = np.flatnonzero(~cover.read(~fresh, states, kappa, work)[:, 0])
         near = states[rows]
-        ok = pairs.read(Z, near, kappa)
-        step = max(1, _GATHER // self.n_inputs)
+        ok = pairs.read(Z, near, kappa, work)
+        # a block's unpacked bits take 4 * _GATHER bytes, under the mmap
+        # threshold, in few enough blocks to keep the per-block calls cheap
+        step, counts = max(1, 4 * _GATHER // self.n_inputs), tuple(self.grid_x.counts)
         for i in range(0, near.size, step):
             ok[i:i + step] &= np.unpackbits(
-                self._enabled_bits[near[i:i + step]], axis=1, count=self.n_inputs,
-                bitorder="little").view(bool)
+                self._enabled_bytes(np.unravel_index(near[i:i + step], counts)),
+                axis=1, count=self.n_inputs, bitorder="little").view(bool)
         return rows, ok
 
     def flat_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -498,9 +574,9 @@ class Abstraction:
         fh.write(table.astype("<i4").tobytes())
         body = fh.getvalue()
         with open(path, "wb") as out:
-            # the fingerprint names the dynamics; this digest shows the file
-            # still holds what was built for them
-            out.write(body + hashlib.sha256(body).digest())
+            # the fingerprint names the dynamics; this checksum shows the
+            # file still holds what was built for them
+            out.write(body + _crc32(body))
 
     @classmethod
     def load(cls, path: str) -> "Abstraction":
@@ -523,13 +599,13 @@ class Abstraction:
         off += struct.calcsize("<Bd")
         if version != _VERSION:
             raise CacheFormatError(f"unsupported cache version {version}")
-        buf, digest = buf[:-32], buf[-32:]
-        if hashlib.sha256(buf).digest() != digest:
+        buf, digest = buf[:-_DIGEST], buf[-_DIGEST:]
+        if _crc32(buf) != digest:
             raise CacheFormatError("checksum mismatch (corrupt or truncated cache)")
         grid_x, off = _read_grid(buf, off)
         grid_u, off = _read_grid(buf, off)
-        (dynamics,) = struct.unpack_from("<32s", buf, off)
-        off += 32
+        (dynamics,) = struct.unpack_from(f"<{_DIGEST}s", buf, off)
+        off += _DIGEST
         (k,) = struct.unpack_from("<B", buf, off)
         off += 1
         invariant = tuple(struct.unpack_from(f"<{k}B", buf, off))

@@ -27,6 +27,9 @@ import numpy as np
 
 _NO_RANK = np.iinfo(np.int32).max
 _CSV_BLOCK = 4096  # controller CSV rows formatted per write
+# undecided states moved per compaction step: a step's copy (64 KiB) stays
+# under glibc's 128 KiB mmap threshold
+_COMPACT = 1 << 13
 
 
 @dataclass
@@ -73,7 +76,11 @@ def solve_reach_avoid(ts, objective) -> Controller:
     Z only grows, so each sweep asks ``ts.controllable`` about the pairs of
     the undecided states only, passing the cells the last sweep added; it
     reduces only the rows the hook read.  A state leaves once won, with the
-    lowest input controllable in that sweep as its policy input.
+    lowest input controllable in that sweep as its policy input.  The
+    undecided states are compacted in place, a block at a time, and the
+    mask of added cells is cleared and refilled, so a sweep copies
+    neither; the hook must not keep ``states`` or ``fresh`` past its
+    call.
     """
     n = ts.n_states
     target, avoid = objective.target.mask, objective.avoid.mask
@@ -84,7 +91,7 @@ def solve_reach_avoid(ts, objective) -> Controller:
     rank[target] = 0
     policy = np.full(n, -1, dtype=np.int32)
     Z = target.copy()
-    fresh = target
+    fresh = target.copy()
     states = np.flatnonzero(~(target | avoid))
     k = 0
     while True:
@@ -97,9 +104,19 @@ def solve_reach_avoid(ts, objective) -> Controller:
         rank[new] = k
         # argmax finds the first True: the lowest controllable input
         policy[new] = ok[won].argmax(axis=1)
-        fresh = np.zeros(n, dtype=bool)
+        fresh[:] = False
         fresh[new] = True
         Z |= fresh
-        states = np.delete(states, rows[won])
+        # compact the undecided states in place, a block at a time: each
+        # block's kept states are copied out before they move forward, and
+        # they never land on a state not yet read
+        keep = np.ones(states.size, dtype=bool)
+        keep[rows[won]] = False
+        kept = 0
+        for i in range(0, states.size, _COMPACT):
+            block = states[i:i + _COMPACT][keep[i:i + _COMPACT]]
+            states[kept:kept + block.size] = block
+            kept += block.size
+        states = states[:kept]
     return Controller(winning_mask=Z, rank_array=rank, policy_array=policy,
                       sweeps=k)

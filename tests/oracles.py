@@ -5,7 +5,7 @@ that agreement with the library is evidence, not tautology.  It also holds
 the reference systems the library's solvers and concept evaluation run
 on in the tests -- an explicit transition system given by successor lists
 and an explicit role given by its pairs -- the per-pair successor lists of
-the table abstraction, the scalar Proximity relation that the
+the table abstraction, its per-cell enabled bits, the scalar Proximity relation that the
 vectorized kernel is checked against, the safety fixpoint
 (``respected_region``), the set-valued controller (``allowed_inputs``)
 and the bundled run's reroute shape (``reroute_shape``) that only the
@@ -165,6 +165,28 @@ def controllable_summed(abs_, Z, states):
     lo, hi = abs_.boxes(states[:, None], np.arange(abs_.n_inputs))
     size = np.prod(hi - lo, axis=0)
     return (size > 0) & (box_counts(summed_area(Z, abs_.grid_x), lo, hi) == size)
+
+
+def enabled_bits(abs_):
+    """Per state, its pairs' enabled bits packed along the inputs
+    (``np.packbits``, little-endian), worked out cell by cell: a pair is
+    enabled when the cell's index on every non-periodic dimension lies in
+    its row's ``enabled`` range there.  This is the per-cell array (n_states
+    × 7 bytes at full scale) the abstraction kept before it factored the
+    bits per dimension."""
+    grid, m = abs_.grid_x, abs_.n_inputs
+    counts = tuple(int(n) for n in grid.counts)
+    idx = np.indices(counts).reshape(grid.ndim, -1)
+    keyed = [d for d in range(grid.ndim) if d not in abs_.invariant]
+    kappa = np.zeros(grid.size, dtype=np.int64)
+    for d in keyed:
+        kappa = kappa * counts[d] + idx[d]
+    rows = kappa[:, None] * m + np.arange(m)
+    on = np.ones((grid.size, m), dtype=bool)
+    for a, d in enumerate(np.flatnonzero(~grid.periodic)):
+        at = idx[d][:, None]
+        on &= (abs_.enabled[rows, a, 0] <= at) & (at < abs_.enabled[rows, a, 1])
+    return np.packbits(on, axis=1, bitorder="little")
 
 
 def pair_sizes(abs_):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kaware import abstraction
-from kaware.abstraction import Abstraction, _Lookup, build_abstraction
+from kaware.abstraction import Abstraction, _Lookup, _Scratch, build_abstraction
 from kaware.dynamics import ContinuousSystem, dubins_car
 from kaware.errors import CacheFormatError
 from kaware.grid import HyperRect, make_grid
@@ -241,6 +242,35 @@ def test_scratch_reuse_answers_like_a_fresh_load(scale, desk_abstraction,
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_solves_in_turn_match_solves_alone(small_dubins, desk_world, tmp_path):
+    """An abstraction's two lookups read through one workspace that
+    outlives every sweep and solve.  Solving desk and the small map in
+    turn, each with two goals, gives every game the controller that a
+    freshly loaded abstraction gives it solved alone: the same winning
+    mask, ranks and policy."""
+    _, small = small_dubins
+    desk, interp, links = desk_world.abstraction, desk_world.interp, desk_world.sign_links
+    signs = set().union(*(c for c, _ in links))
+    target = region_cells(small.grid_x, [2.6, 2.6], [3.4, 3.4])
+    wall = region_cells(small.grid_x, [1.2, 0.0], [1.6, 2.8])
+    games = [(desk, compile_objective(interp, links, set())),
+             (small, oracles.objective(small.n_states, target)),
+             (desk, compile_objective(interp, links, signs)),
+             (small, oracles.objective(small.n_states, target, wall))]
+    alone = []
+    for i, (abs_, objective) in enumerate(games):
+        path = tmp_path / f"{i}.kaw"
+        abs_.save(str(path))
+        alone.append(solve_reach_avoid(Abstraction.load(str(path)), objective))
+    for _ in range(2):
+        for (abs_, objective), want in zip(games, alone):
+            got = solve_reach_avoid(abs_, objective)
+            assert got.sweeps == want.sweeps
+            assert np.array_equal(got.winning_mask, want.winning_mask)
+            assert np.array_equal(got.rank_array, want.rank_array)
+            assert np.array_equal(got.policy_array, want.policy_array)
+
+
 def held_arrays(obj, seen=None):
     """Every numpy array reachable from ``obj`` through its attributes
     (cached properties included), tuples and lists."""
@@ -262,12 +292,13 @@ def held_arrays(obj, seen=None):
 def test_full_scale_synthesis_working_set_is_bounded(full_scenario,
                                                      full_abstraction, tmp_path):
     """From loading the cache through writing the controller, full-scale
-    synthesis traces under 9 MiB of allocations (13.0 MiB before the
-    per-cell index arrays went and the sweep's scratch was reused); and no
-    array the abstraction keeps is as large as a per-cell index matrix
-    (ndim × n_states intp), which the packed enabled bits (7 bytes a cell)
-    and the lookups' tables stay below.  tracemalloc counts numpy's buffers
-    and is deterministic for a given numpy."""
+    synthesis traces under 7 MiB of allocations (13.0 MiB before the
+    per-cell index arrays went and the sweep's scratch was reused, 7.2 MiB
+    with per-cell enabled bits and a workspace per lookup, 5.6 MiB with
+    neither); and no array the abstraction keeps is as large as a per-cell
+    index matrix (ndim × n_states intp), which the lookups' tables and the
+    enabled bits' parts, broadcast over the grid, stay below.  tracemalloc
+    counts numpy's buffers and is deterministic for a given numpy."""
     path = tmp_path / "cache.kaw"
     full_abstraction.save(str(path))
     tracemalloc.start()
@@ -279,7 +310,7 @@ def test_full_scale_synthesis_working_set_is_bounded(full_scenario,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 2**20
+    assert peak < 7 * 2**20
     arrays = held_arrays(abs_)
     assert any(a.size == abs_.n_states for a in arrays)  # the walk reached them
     index_matrix = abs_.grid_x.ndim * abs_.n_states * np.dtype(np.intp).itemsize
@@ -435,7 +466,8 @@ def lookup_bruteforce(grid, invariant, idx, start, length, mask, key):
 def test_lookup_reads_boxes_like_bruteforce():
     """``_Lookup`` erodes by flat shifts over the erosion grid; on random
     grids, boxes and masks each of its answers equals a box checked cell by
-    cell."""
+    cell.  Two lookups of other boxes read in turn through one workspace
+    sized to the larger of them, as an abstraction's two lookups do."""
     rng = np.random.default_rng(12)
     hits = 0
     for _ in range(40):
@@ -445,16 +477,22 @@ def test_lookup_reads_boxes_like_bruteforce():
         counts = grid.counts
         invariant = tuple(np.flatnonzero(rng.random(d) < 0.5).tolist())
         idx = np.indices(tuple(counts)).reshape(d, -1)
-        keys, columns = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        start = rng.integers(-3, counts + 2, size=(keys, columns, d))
-        length = rng.integers(1, 6, size=(keys, columns, d))
-        lookup = _Lookup.build(grid, invariant, start, length)
-        key = rng.integers(0, keys, size=grid.size)
+        keys = int(rng.integers(1, 4))
+        boxes = []
+        for _ in range(2):
+            columns = int(rng.integers(1, 5))
+            boxes.append((rng.integers(-3, counts + 2, size=(keys, columns, d)),
+                          rng.integers(1, 6, size=(keys, columns, d))))
+        lookups = [_Lookup.build(grid, invariant, start, length) for start, length in boxes]
+        work = _Scratch.fit(*lookups)
+        key = rng.integers(0, keys, size=grid.size).astype(np.int32)
         for holes in (0.0, 0.2, 0.6):
             mask = rng.random(grid.size) >= holes
-            want = lookup_bruteforce(grid, invariant, idx, start, length, mask, key)
-            assert np.array_equal(lookup.read(mask, np.arange(grid.size), key), want)
-            hits += int(want.sum())
+            for lookup, (start, length) in zip(lookups, boxes):
+                want = lookup_bruteforce(grid, invariant, idx, start, length, mask, key)
+                assert np.array_equal(lookup.read(mask, np.arange(grid.size), key, work),
+                                      want)
+                hits += int(want.sum())
     assert hits > 100
 
 
@@ -509,6 +547,31 @@ def test_table_matches_per_cell_construction_drawn(lower, span, eta, u_max,
     assert_matches_per_cell(sys, abs_, np.random.default_rng(5), samples=20)
 
 
+@pytest.mark.parametrize("case", ["small_dubins", "desk", "desk_heading_not_periodic"])
+def test_enabled_bits_match_the_per_cell_formula(case, small_dubins, desk_scenario,
+                                                desk_abstraction):
+    """The enabled bits are kept as one small part per non-periodic
+    dimension; ANDed for every state they give the bytes the per-cell
+    formula gives, and no bit past the last input.  On desk with a
+    non-periodic heading the heading is keyed and ranged, so its part is
+    one range per row key."""
+    if case == "small_dubins":
+        abs_ = small_dubins[1]
+    elif case == "desk":
+        abs_ = desk_abstraction
+    else:
+        g = desk_scenario.state_grid()
+        grid_x = make_grid(g.bounds.lower, g.bounds.upper, g.eta, periodic=[False] * 3)
+        abs_ = build_abstraction(desk_scenario.system(), grid_x, desk_scenario.input_grid())
+        assert (abs_.enabled[:, 2, 1] == 0).any()  # headings blocked whole
+    want = oracles.enabled_bits(abs_)
+    got = abs_._enabled_bytes(np.unravel_index(np.arange(abs_.n_states),
+                                               tuple(abs_.grid_x.counts)))
+    assert np.array_equal(got[:, :want.shape[1]], want)
+    assert not got[:, want.shape[1]:].any()
+    assert not blocked(abs_).all() and blocked(abs_).any()
+
+
 def test_stats_consistency(small_dubins):
     _, abs_ = small_dubins
     stats = abs_.stats()
@@ -561,23 +624,23 @@ def test_cache_bad_version(small_dubins, tmp_path):
 
 def test_cache_rejects_box_length_below_one(small_dubins, tmp_path):
     """Every box has at least one cell on each dimension, so a zero length
-    is refused even under a valid digest."""
+    is refused even under a valid checksum."""
     _, abs_ = small_dubins
     path = tmp_path / "cache.kaw"
     abs_.save(str(path))
-    body = bytearray(path.read_bytes()[:-32])
+    body = bytearray(path.read_bytes()[:-4])
     rows, d = abs_.offset.shape
     width = 2 * d + 2 * abs_.enabled.shape[1]
     at = len(body) - 4 * rows * width + 4 * d  # first row's first length
     body[at:at + 4] = (0).to_bytes(4, "little")
-    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    path.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
     with pytest.raises(CacheFormatError, match="box length below one"):
         Abstraction.load(str(path))
 
 
-# SHA-256 of the bundled scenarios' cache files
-DESK_CACHE = "c4ac56ff1f0cbeeed48958ed504d071067075de54923b36aaf294b51d022dac4"
-FULL_CACHE = "b4a3902e412087784813e373eab44247da24af24165d001917c1213f16ce9091"
+# SHA-256 of the bundled scenarios' cache files (format version 3)
+DESK_CACHE = "23be8a612efb2d5f59b4a1214fceef6d13be99370d7edea872a003ce9f4a78d2"
+FULL_CACHE = "0374a6da9a5868b84aadb8f60f369f48dcc78cf53133b664bc40e34af05791e4"
 
 
 def test_bundled_cache_files_are_pinned(desk_abstraction, full_abstraction,

@@ -1,12 +1,18 @@
 import copy
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kaware
+from kaware.abstraction import Abstraction, _grid_fields
 from kaware.cli import main
 from kaware.errors import ScenarioParseError, ScenarioValidationError
 from kaware.ltl import MAX_DEPTH, compile_objective, parse_ltl
@@ -596,6 +602,53 @@ def test_cli_version_1_cache_exit_code(cli_artifacts, tmp_path, capsys):
                  "-o", str(tmp_path / "ctrl.csv")])
     assert code == 2
     assert "error:cache: unsupported cache version 1" in capsys.readouterr().err
+
+
+def test_cli_version_2_cache_exit_code(cli_artifacts, tmp_path, capsys):
+    """A cache of the second format, whose dynamics fingerprint and trailer
+    were SHA-256 digests (32 bytes each, where version 3 has CRC-32s), is
+    refused by its version.  The file is rebuilt from the version-3 one
+    and is byte for byte the desk cache that format wrote."""
+    blob = cli_artifacts["cache"].read_bytes()
+    abs_ = Abstraction.load(str(cli_artifacts["cache"]))
+    # magic, version and tau, then both grids; the fingerprint follows
+    at = 4 + 9 + sum(1 + 33 * g.ndim for g in (abs_.grid_x, abs_.grid_u))
+    system = load_scenario(cli_artifacts["scn"]).system()
+    h = hashlib.sha256(system.name.encode())
+    for arr in ([system.tau], system.lipschitz, system.dist_halfwidth,
+                *_grid_fields(abs_.grid_x), *_grid_fields(abs_.grid_u)):
+        h.update(np.asarray(arr, dtype="<f8").tobytes())
+    body = blob[:4] + bytes([2]) + blob[5:at] + h.digest() + blob[at + 4:-4]
+    body += hashlib.sha256(body).digest()
+    assert hashlib.sha256(body).hexdigest() == \
+        "c4ac56ff1f0cbeeed48958ed504d071067075de54923b36aaf294b51d022dac4"
+    old = tmp_path / "v2.kaw"
+    old.write_bytes(body)
+    code = main(["synthesize", cli_artifacts["scn"], "--cache", str(old),
+                 "-o", str(tmp_path / "ctrl.csv")])
+    assert code == 2
+    assert "error:cache: unsupported cache version 2" in capsys.readouterr().err
+
+
+def test_cli_abstract_and_synthesize_load_no_openssl(tmp_path):
+    """``abstract`` and ``synthesize`` checksum and fingerprint the cache
+    with zlib's CRC-32, so a process that runs them never loads OpenSSL
+    (``_hashlib``), which costs about 3.6 MB of RSS.  ``simulate``
+    still loads it, through ``numpy.random`` importing ``secrets``; that
+    import is numpy's and out of reach here."""
+    script = (
+        "import sys\n"
+        "from kaware.cli import main\n"
+        "scn, out = sys.argv[1], sys.argv[2]\n"
+        "assert main(['abstract', scn, '-o', out + '/c.kaw']) == 0\n"
+        "assert main(['synthesize', scn, '--cache', out + '/c.kaw',\n"
+        "             '-o', out + '/ctrl.csv']) == 0\n"
+        "print('_hashlib' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(kaware.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script, str(DESK_SCENARIO), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_truncated_desk_cache_exit_code(cli_artifacts, tmp_path, capsys):
