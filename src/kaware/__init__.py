@@ -9,10 +9,9 @@ re-synthesis on detection events.
 from .abstraction import Abstraction, build_abstraction
 from .dynamics import ContinuousSystem, dubins_car, flow, reach_over_approx
 from .grid import Grid, HyperRect, make_grid
-from .knowledge import (KnowledgeBase, Interpretation, assemble_interpretation,
-                        eval_concept)
-from .ltl import (GameObjective, check_trace, compile_objective, parse_concept,
-                  parse_ltl)
+from .knowledge import KnowledgeBase, Interpretation, assemble_interpretation
+from .ltl import (GameObjective, check_trace, compile_objective, eval_concept,
+                  parse_concept, parse_ltl)
 from .runtime import Outcome, Trace, run_closed_loop
 from .scenario import Scenario, World, build_world, load_scenario
 from .synthesis import Controller, solve_reach_avoid

@@ -2,9 +2,11 @@
 
 Works from the trace CSV and the scenario alone (never the controller or
 the abstraction cache), so it is a genuine second opinion on a logged
-run: timing and quantization bookkeeping, obstacle and activated-street
-avoidance, detection monotonicity, and bounded-LTL satisfaction of the
-mission objective.  Each check is a requirement on every correct run, from
+run: timing and quantization bookkeeping, detection monotonicity, no cell
+outside the objective's safe part nor on an activated street, and on a run
+that reached the target, bounded-LTL satisfaction of the objective and a
+final cell in its goal; :func:`~kaware.ltl.reach_avoid` gives both parts,
+as to the game.  Each check is a requirement on every correct run, from
 any start: a FAIL (exit 1 from ``kaware check``) means the run broke one.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomain
-from .ltl import check_trace, propositions
+from .ltl import check_trace, eval_concept, propositions, reach_avoid
 from .runtime import Outcome, Trace
 from .scenario import Scenario
 
@@ -30,10 +32,11 @@ class CheckResult:
 def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     grid_x = scenario.state_grid()
     interp, links = scenario.ground(grid_x)
+    safe, goal = reach_avoid(interp.objective)
     # membership by np.isin: a trace cell outside the grid lies in no set
     cells = np.array([s.cell for s in trace.steps])
-    in_obstacle = np.isin(cells, np.flatnonzero(interp.extent("Obstacle")))
-    in_target = np.isin(cells, np.flatnonzero(interp.extent("Target")))
+    unsafe = np.isin(cells, np.flatnonzero(~eval_concept(interp, safe)))
+    in_goal = np.isin(cells, np.flatnonzero(eval_concept(interp, goal)))
     results: list[CheckResult] = []
 
     def add(name: str, ok: bool, detail: str = ""):
@@ -61,9 +64,9 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     add("resynth flag iff new detection",
         all(s.resynthesized == bool(s.detected) for s in trace.steps))
 
-    # obstacle avoidance over the whole run
-    hits = [s.step for s, hit in zip(trace.steps, in_obstacle) if hit]
-    add("no obstacle cell visited", not hits, f"steps {hits[:5]}")
+    # the objective's safe part over the whole run
+    hits = [s.step for s, hit in zip(trace.steps, unsafe) if hit]
+    add("no unsafe cell visited", not hits, f"steps {hits[:5]}")
 
     # street avoidance after each sign's first detection
     street_ok = True
@@ -88,7 +91,7 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
                 props[p].add(name)
         add("objective holds on the trace",
             check_trace(scenario.objective, props))
-        add("final cell is a target cell", bool(in_target[-1]))
+        add("final cell is a goal cell", bool(in_goal[-1]))
 
     return results
 

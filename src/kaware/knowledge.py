@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import UndeclaredName
 from .grid import _TOL, Grid, HyperRect
-from .ltl import (And, Atomic, Bottom, Exists, Forall, Formula, Not, Or, Top,
-                  mentions)
+from .ltl import Formula, eval_concept, mentions
 
 # ---------------------------------------------------------------------------
 # TBox
@@ -39,8 +38,8 @@ class Equivalence:
 class TemporalEquivalence:
     """Fresh atomic name defined by a temporal formula over concepts.
 
-    Only :meth:`KnowledgeBase.check_names` reads it; nothing compiles it
-    into the game.
+    Only :meth:`KnowledgeBase.check_names` reads it: the game is the
+    objective's reach-avoid game plus the streets of the detected signs.
     """
     name: str
     formula: Formula
@@ -128,14 +127,15 @@ class ProximityRole:
 
 @dataclass
 class Interpretation:
-    """The extents of the concepts as cell masks, and the roles.  A defined
-    concept's mask is evaluated from ``definitions`` the first time
-    :meth:`extent` asks for it, and then kept."""
+    """The concepts' extents as cell masks, the roles, and the ``objective``
+    whose game :func:`~kaware.ltl.compile_objective` builds.  A defined mask
+    is evaluated from ``definitions`` at its first :meth:`extent`, then kept."""
 
     domain_size: int
     concept_extents: dict[str, np.ndarray]
     roles: dict[str, object] = dc_field(default_factory=dict)
     definitions: dict[str, Formula] = dc_field(default_factory=dict)
+    objective: Formula | None = None
 
     def extent(self, name: str) -> np.ndarray:
         if name not in self.concept_extents:
@@ -143,37 +143,6 @@ class Interpretation:
                 raise UndeclaredName(name)
             self.concept_extents[name] = eval_concept(self, self.definitions[name])
         return self.concept_extents[name]
-
-
-def eval_concept(interp: Interpretation, concept: Formula) -> np.ndarray:
-    """Structural concept semantics over the fixed interpretation."""
-    if isinstance(concept, Top):
-        return np.ones(interp.domain_size, dtype=bool)
-    if isinstance(concept, Bottom):
-        return np.zeros(interp.domain_size, dtype=bool)
-    if isinstance(concept, Atomic):
-        return interp.extent(concept.name)
-    if isinstance(concept, Not):
-        return ~eval_concept(interp, concept.arg)
-    if isinstance(concept, And):
-        return eval_concept(interp, concept.left) & eval_concept(interp, concept.right)
-    if isinstance(concept, Or):
-        return eval_concept(interp, concept.left) | eval_concept(interp, concept.right)
-    if isinstance(concept, Exists):
-        role = _get_role(interp, concept.role)
-        return role.preimage(eval_concept(interp, concept.arg))
-    if isinstance(concept, Forall):
-        # forall r.C  ==  not exists r.(not C)
-        role = _get_role(interp, concept.role)
-        return ~role.preimage(~eval_concept(interp, concept.arg))
-    raise TypeError(f"not a concept: {concept!r}")
-
-
-def _get_role(interp: Interpretation, name: str):
-    try:
-        return interp.roles[name]
-    except KeyError:
-        raise UndeclaredName(name) from None
 
 
 def assemble_interpretation(kb: KnowledgeBase,

@@ -1,5 +1,5 @@
 """Formulas: one node set and one parser for concepts and LTL, the
-finite-trace checker, and the reach-avoid game objective.
+finite-trace checker, concept semantics, and the reach-avoid game.
 
 An LTL atom is a concept name, so both syntaxes share the nodes `Top`,
 `Atomic`, `Not`, `And` and `Or` and the operators `!`, `&`, `|` and
@@ -13,6 +13,9 @@ The trace checker uses bounded (finite-trace) semantics: an Until needs
 its witness inside the trace, Next at the last position is false, Always
 quantifies over the remaining positions.  It is an auditor for logged
 closed-loop runs, not a synthesis engine.
+
+The objective is a reach-avoid game: :func:`reach_avoid` alone reads its
+shape, for the game, the audit and scenario validation alike.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterable, Iterator, Sequence, Set
 
 import numpy as np
 
-from .errors import LtlSyntaxError, TargetUnreachableWarning
+from .errors import LtlSyntaxError, TargetUnreachableWarning, UndeclaredName
 
 
 class Formula:
@@ -292,8 +295,67 @@ def _holds(phi: Formula, trace: Sequence[Set[str]]) -> np.ndarray:
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def eval_concept(interp, concept: Formula) -> np.ndarray:
+    """Structural concept semantics over a fixed interpretation: the mask
+    of the cells where ``concept`` holds."""
+    if isinstance(concept, Top):
+        return np.ones(interp.domain_size, dtype=bool)
+    if isinstance(concept, Bottom):
+        return np.zeros(interp.domain_size, dtype=bool)
+    if isinstance(concept, Atomic):
+        return interp.extent(concept.name)
+    if isinstance(concept, Not):
+        return ~eval_concept(interp, concept.arg)
+    if isinstance(concept, And):
+        return eval_concept(interp, concept.left) & eval_concept(interp, concept.right)
+    if isinstance(concept, Or):
+        return eval_concept(interp, concept.left) | eval_concept(interp, concept.right)
+    if isinstance(concept, Exists):
+        role = _get_role(interp, concept.role)
+        return role.preimage(eval_concept(interp, concept.arg))
+    if isinstance(concept, Forall):
+        # forall r.C  ==  not exists r.(not C)
+        role = _get_role(interp, concept.role)
+        return ~role.preimage(~eval_concept(interp, concept.arg))
+    raise TypeError(f"not a concept: {concept!r}")
+
+
+def _get_role(interp, name: str):
+    try:
+        return interp.roles[name]
+    except KeyError:
+        raise UndeclaredName(name) from None
+
+
 # ---------------------------------------------------------------------------
 # game objective
+
+
+def _boolean(phi: Formula) -> bool:
+    children = [getattr(phi, f) for f in ("arg", "left", "right") if hasattr(phi, f)]
+    return isinstance(phi, (Top, Atomic, Not, And, Or)) and all(map(_boolean, children))
+
+
+def reach_avoid(phi: Formula) -> tuple[Formula, Formula]:
+    """``(safe, goal)`` of the objective ``phi``: stay in ``safe`` until in
+    ``goal``.  ``A U B`` gives ``(A, B)``, ``F B`` is ``true U B``, and
+    ``G A & F B``, in either order, is ``A U (A & B)``, since the loop stops
+    on the goal.  ``A`` and ``B`` must be Boolean; any other objective
+    raises ``ValueError``."""
+    safe = goal = None
+    if isinstance(phi, Until):
+        safe, goal = phi.left, phi.right
+    elif isinstance(phi, Eventually):
+        safe, goal = Top(), phi.arg
+    elif isinstance(phi, And):
+        always, eventually = ((phi.left, phi.right) if isinstance(phi.left, Always)
+                              else (phi.right, phi.left))
+        if isinstance(always, Always) and isinstance(eventually, Eventually):
+            safe, goal = always.arg, And(always.arg, eventually.arg)
+    if not (_boolean(safe) and _boolean(goal)):
+        raise ValueError("not a reach-avoid objective: need 'A U B', 'F B' or "
+                         "'G A & F B' with A and B of true, atoms, !, & and |")
+    return safe, goal
 
 
 class CellSet:
@@ -361,14 +423,15 @@ class GameObjective:
 
 def compile_objective(interp, sign_links: Sequence[tuple[np.ndarray, np.ndarray]],
                       known_signs: Iterable[int]) -> GameObjective:
-    """Fold the activated invariance obligations into an enlarged avoid set.
+    """The game of ``interp.objective``: avoid the cells where its safe part
+    fails and the streets of the activated signs, and reach its goal.
 
     ``sign_links`` pairs each sign's cell indices with its linked street
     cells; a sign is active once any of its cells is among ``known_signs``,
     which must be cells of the grid.
     """
-    target = interp.extent("Target")
-    avoid = interp.extent("Obstacle").copy()
+    safe, goal = reach_avoid(interp.objective)
+    avoid = ~eval_concept(interp, safe)
     signs = np.array(list(known_signs), dtype=np.int64)
     outside = signs[(signs < 0) | (signs >= avoid.size)]
     if outside.size:
@@ -378,7 +441,8 @@ def compile_objective(interp, sign_links: Sequence[tuple[np.ndarray, np.ndarray]
     for sign_cells, street_cells in sign_links:
         if known[sign_cells].any():
             avoid[street_cells] = True
-    # target cells swallowed by an obligation stop counting as target
+    # goal cells swallowed by an obligation stop counting as target
+    target = eval_concept(interp, goal)
     reachable = target & ~avoid
     if target.any() and not reachable.any():
         warnings.warn("avoid set covers the whole target region",

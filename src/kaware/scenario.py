@@ -22,7 +22,7 @@ from .dynamics import ContinuousSystem, dubins_car
 from .errors import (LtlSyntaxError, ScenarioParseError,
                      ScenarioValidationError, UndeclaredName)
 from .grid import Grid, HyperRect, make_grid
-from .ltl import Formula, parse_concept, parse_ltl, propositions
+from .ltl import Formula, parse_concept, parse_ltl, propositions, reach_avoid
 
 
 @dataclass
@@ -74,12 +74,13 @@ class Scenario:
 
     def ground(self, grid_x: Grid) -> tuple[knowledge.Interpretation,
                                             list[tuple[np.ndarray, np.ndarray]]]:
-        """The interpretation over ``grid_x``, and each sign's sorted cells
-        paired with its street's.  ``NoEntrySign`` holds exactly the signs'
-        boxes; every other atom holds its ``map.regions`` boxes."""
+        """The interpretation over ``grid_x`` with the objective, and each
+        sign's sorted cells paired with its street's.  ``NoEntrySign`` holds
+        exactly the signs' boxes; every other atom its ``map.regions`` boxes."""
         boxes = {**self.regions, "NoEntrySign": [s.sign_box for s in self.signs]}
         interp = knowledge.assemble_interpretation(self.knowledge_base(), boxes,
                                                    grid_x)
+        interp.objective = self.objective
         links = [(grid_x.cells_intersecting(s.sign_box),
                   grid_x.cells_intersecting(s.street_box)) for s in self.signs]
         return interp, links
@@ -293,8 +294,11 @@ def load_scenario(path: str) -> Scenario:
     try:
         objective = parse_ltl(_typed(_require(raw, "objective", "scenario"),
                                      str, "objective"))
+        reach_avoid(objective)
     except LtlSyntaxError as exc:
         raise ScenarioParseError(f"objective: {exc}") from None
+    except ValueError as exc:
+        raise ScenarioValidationError("objective", str(exc)) from None
 
     try:
         initial_state = np.asarray(_require(raw, "initial_state", "scenario"),

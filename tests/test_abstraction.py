@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
@@ -13,7 +14,7 @@ from kaware.abstraction import Abstraction, _Lookup, _Scratch, build_abstraction
 from kaware.dynamics import ContinuousSystem, dubins_car
 from kaware.errors import CacheFormatError
 from kaware.grid import HyperRect, make_grid
-from kaware.ltl import compile_objective
+from kaware.ltl import compile_objective, parse_ltl
 from kaware.scenario import build_world
 from kaware.synthesis import solve_reach_avoid
 
@@ -181,6 +182,25 @@ def test_table_solve_matches_flat_solve(small_dubins, desk_world):
         assert table.winning_mask.sum() > len(objective.target)
         assert_same_controller(abs_, table, flat,
                                solve_reach_avoid(flat, objective))
+
+
+def test_eventually_objective_solves_like_the_flat_oracle(desk_scenario,
+                                                         desk_abstraction):
+    """``F Target`` on desk is the game with the Target cells and nothing to
+    avoid before a sign is known; the table solve of the compiled objective
+    matches the flat solve of that game built from the cells."""
+    scenario = dataclasses.replace(desk_scenario, objective=parse_ltl("F Target"))
+    world = build_world(scenario, desk_abstraction)
+    compiled = compile_objective(world.interp, world.sign_links, set())
+    target = np.flatnonzero(world.interp.extent("Target")).tolist()
+    game = oracles.objective(desk_abstraction.n_states, target)
+    assert compiled == game
+    flat = FlatTransitions(desk_abstraction)
+    table = solve_reach_avoid(desk_abstraction, compiled)
+    assert_same_controller(desk_abstraction, table, flat,
+                           solve_reach_avoid(flat, game))
+    obstacle = world.interp.extent("Obstacle")
+    assert table.winning_mask[obstacle].any()
 
 
 def test_fresh_filter_skips_only_unchanged_states(small_dubins, desk_abstraction,

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from kaware.errors import LtlSyntaxError, UndeclaredName
 from kaware.grid import HyperRect, make_grid
-from kaware.knowledge import (And, Atomic, Bottom, Equivalence, Exists,
-                              Forall, Interpretation, KnowledgeBase, Not, Or,
-                              ProximityRole, TemporalEquivalence, Top,
-                              assemble_interpretation, eval_concept)
-from kaware.ltl import parse_concept, parse_ltl
+from kaware.knowledge import (Equivalence, Interpretation, KnowledgeBase,
+                              ProximityRole, TemporalEquivalence,
+                              assemble_interpretation)
+from kaware.ltl import (And, Atomic, Bottom, Exists, Forall, Not, Or, Top,
+                        eval_concept, parse_concept, parse_ltl)
 
 import oracles
 from oracles import ExplicitRole, proximity

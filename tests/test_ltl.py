@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import itertools
+import pathlib
 import time
 import tracemalloc
 
@@ -8,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kaware
 from kaware import build_world
 from kaware.errors import LtlSyntaxError, TargetUnreachableWarning
 from kaware.knowledge import Interpretation
 from kaware.ltl import (MAX_DEPTH, Always, And, Atomic, CellSet, Eventually,
                         Implies, Next, Not, Or, Top, Until, check_trace,
-                        compile_objective, parse_concept, parse_ltl, propositions)
+                        compile_objective, parse_concept, parse_ltl, propositions,
+                        reach_avoid)
 
 import oracles
 
@@ -238,6 +242,65 @@ def test_empty_trace_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the reach-avoid fragment
+
+
+@pytest.mark.parametrize("text,safe,goal", [
+    ("!Obstacle U Target", "!Obstacle", "Target"),
+    ("F Target", "true", "Target"),
+    ("G !Obstacle & F Target", "!Obstacle", "!Obstacle & Target"),
+    ("F Target & G !Obstacle", "!Obstacle", "!Obstacle & Target"),
+    ("(true | !a) U (a & !b)", "true | !a", "a & !b"),
+])
+def test_reach_avoid_reads_the_three_forms(text, safe, goal):
+    assert reach_avoid(parse_ltl(text)) == (parse_ltl(safe), parse_ltl(goal))
+
+
+@pytest.mark.parametrize("text", [
+    "G Obstacle", "X Target", "F G Target", "Obstacle U F Target",
+    "G !Obstacle", "G !Obstacle | F Target", "Target", "true",
+    "(a -> b) U c", "G a & G b", "F a & F b", "G a & F b & c",
+])
+def test_reach_avoid_rejects_other_objectives(text):
+    with pytest.raises(ValueError, match="'A U B', 'F B' or 'G A & F B'"):
+        reach_avoid(parse_ltl(text))
+
+
+BOOLEANS = st.recursive(
+    st.sampled_from([Top(), Atomic("a"), Atomic("b")]),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(And, sub, sub),
+                          st.builds(Or, sub, sub)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(BOOLEANS, BOOLEANS, st.integers(0, 3),
+       st.lists(st.sets(st.sampled_from("ab")), min_size=1, max_size=8))
+def test_reach_avoid_decides_a_run_stopped_at_its_goal_like_the_checker(
+        a, b, form, trace):
+    """The loop stops at the first goal cell, so on a trace cut there the
+    objective and ``safe U goal`` hold alike, ``G a & F b`` included."""
+    phi = [Until(a, b), Eventually(b), And(Always(a), Eventually(b)),
+           And(Eventually(b), Always(a))][form]
+    safe, goal = reach_avoid(phi)
+    reached = [k for k, step in enumerate(trace) if check_trace(goal, [step])]
+    cut = trace[:reached[0] + 1] if reached else trace
+    assert check_trace(phi, cut) == check_trace(Until(safe, goal), cut)
+
+
+def test_only_the_objective_names_the_mission_regions():
+    """The game, the loop, the audit and the CLI take the mission's cells
+    from the parsed objective: none of them names a region."""
+    src = pathlib.Path(kaware.__file__).parent
+    for module in ("ltl.py", "audit.py", "runtime.py", "cli.py"):
+        tree = ast.parse((src / module).read_text())
+        named = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and node.value in ("Target", "Obstacle")]
+        assert named == [], f"{module} names a region on lines {named}"
+
+
+# ---------------------------------------------------------------------------
 # game objective compilation
 
 
@@ -252,9 +315,10 @@ def _mask(cells):
     return m
 
 
-def _interp(target, obstacle):
+def _interp(target, obstacle, objective="!Obstacle U Target"):
     return Interpretation(domain_size=30, concept_extents={
-        "Target": _mask(target), "Obstacle": _mask(obstacle)})
+        "Target": _mask(target), "Obstacle": _mask(obstacle)},
+        objective=parse_ltl(objective))
 
 
 def _link(sign_cells, street_cells):
@@ -272,6 +336,20 @@ def test_compile_objective_no_known_signs():
     obj = compile_objective(interp, links, set())
     assert members(obj.target) == {1, 2}
     assert members(obj.avoid) == {5, 6}
+
+
+@pytest.mark.parametrize("objective,target,avoid", [
+    ("F Target", {1, 2}, set()),
+    ("G !Obstacle & F Target", {1, 2}, {5, 6}),
+    ("F Target & G !Obstacle", {1, 2}, {5, 6}),
+    ("!Target U Obstacle", {5, 6}, {1, 2}),
+    ("true U (Target | Obstacle)", {1, 2, 5, 6}, set()),
+])
+def test_compile_objective_reads_the_objective(objective, target, avoid):
+    """Avoid is where the safe part fails and target is the goal minus
+    avoid, whichever regions the objective names in either part."""
+    obj = compile_objective(_interp({1, 2}, {5, 6}, objective), [], set())
+    assert (members(obj.target), members(obj.avoid)) == (target, avoid)
 
 
 def test_compile_objective_all_signs_known():

@@ -184,12 +184,12 @@ def test_audit_catches_inserted_obstacle_visit(desk_scenario, desk_world,
     corrupted = dataclasses.replace(desk_trace, steps=steps)
     results = audit_trace(desk_scenario, corrupted)
     assert not audit_ok(results)
-    assert "no obstacle cell visited" in [r.name for r in results if not r.ok]
+    assert "no unsafe cell visited" in [r.name for r in results if not r.ok]
 
 
 @pytest.mark.parametrize("objective,holds", [
     ("!NoEntrySignDetected U Target", False),
-    ("F NoEntrySignDetected & F Target", True),
+    ("!Target U NoEntrySignDetected", True),
     ("!Obstacle U Target", True),
 ])
 def test_audit_labels_every_objective_atom(desk_scenario, desk_trace,
@@ -199,6 +199,23 @@ def test_audit_labels_every_objective_atom(desk_scenario, desk_trace,
     scenario = dataclasses.replace(desk_scenario, objective=parse_ltl(objective))
     results = {r.name: r.ok for r in audit_trace(scenario, desk_trace)}
     assert results["objective holds on the trace"] is holds
+
+
+@pytest.mark.parametrize("objective,failed", [
+    ("G !Obstacle & F Target", set()),
+    ("F Target", set()),
+    ("!Target U Obstacle", {"no unsafe cell visited",
+                            "objective holds on the trace",
+                            "final cell is a goal cell"}),
+])
+def test_audit_reads_safe_and_goal_from_the_objective(desk_scenario, desk_trace,
+                                                      objective, failed):
+    """The unsafe cells are where the objective's safe part fails and the
+    goal is its goal part, whatever the regions are named."""
+    scenario = dataclasses.replace(desk_scenario, objective=parse_ltl(objective))
+    results = audit_trace(scenario, desk_trace)
+    assert len(results) == 8
+    assert {r.name for r in results if not r.ok} == failed
 
 
 def test_same_seed_reproduces_trace(desk_world, desk_scenario, desk_trace,

@@ -181,6 +181,10 @@ def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def _objective(text):
+    return lambda raw: raw.update(objective=text)
+
+
 @pytest.mark.parametrize("where,mutate", [
     ("system.tau", lambda raw: raw["system"].update(tau="abc")),
     ("initial_state", lambda raw: raw.update(initial_state=["a", 1, 2])),
@@ -235,6 +239,14 @@ def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
         0, {"define": "Target", "concept": "top"})),
     ("knowledge.tbox[2].define", lambda raw: raw["knowledge"]["tbox"].append(
         {"define": "Target", "temporal": "F Obstacle"})),
+    # the game is reach-avoid: an objective outside the fragment has none
+    ("objective: not a reach-avoid objective", _objective("G Obstacle")),
+    ("objective: not a reach-avoid objective", _objective("X Target")),
+    ("objective: not a reach-avoid objective", _objective("F G Target")),
+    ("objective: not a reach-avoid objective", _objective("Obstacle U F Target")),
+    ("objective: not a reach-avoid objective", _objective("G !Obstacle")),
+    ("objective: not a reach-avoid objective",
+     _objective("G !Obstacle | F Target")),
 ], ids=["tau", "initial_state", "proximity_range", "seed", "max_steps",
         "regions", "negative_seed", "signs", "sign_entry", "objective", "tbox",
         "define", "concept", "temporal", "undeclared_atom",
@@ -242,7 +254,9 @@ def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
         "inverted_target", "infinite_street", "infinite_disturbance",
         "undeclared_objective_atom", "undeclared_temporal_atom",
         "defined_twice", "huge_state_grid", "sign_region", "sign_axiom",
-        "obstacle_axiom", "region_axiom", "temporal_region_axiom"])
+        "obstacle_axiom", "region_axiom", "temporal_region_axiom",
+        "always_only_objective", "next_objective", "eventually_always_objective",
+        "until_eventually_objective", "safety_objective", "or_objective"])
 def test_cli_rejects_ill_typed_scenario_fields(tmp_path, capsys, where, mutate):
     path = _mutate(DESK_SCENARIO, tmp_path, mutate)
     code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
@@ -250,10 +264,6 @@ def test_cli_rejects_ill_typed_scenario_fields(tmp_path, capsys, where, mutate):
     err = capsys.readouterr().err
     assert f"error:validation: {where}" in err
     assert "Traceback" not in err
-
-
-def _objective(text):
-    return lambda raw: raw.update(objective=text)
 
 
 @pytest.mark.parametrize("where,mutate", [
@@ -276,12 +286,14 @@ def test_cli_rejects_deeply_nested_formulas(tmp_path, capsys, where, mutate):
 
 
 @pytest.mark.parametrize("objective", [
-    "G " * MAX_DEPTH + "Target",
-    " & ".join(["Target"] * (MAX_DEPTH + 1)),
+    "G (" + "!" * (MAX_DEPTH - 3) + "Obstacle) & F Target",
+    "!Obstacle U (" + " & ".join(["Target"] * (MAX_DEPTH - 1)) + ")",
 ], ids=["always", "and_chain"])
 def test_cli_runs_a_formula_at_the_nesting_bound(cli_artifacts, tmp_path, objective):
     path = _mutate(DESK_SCENARIO, tmp_path, _objective(objective))
     assert main(["abstract", path, "-o", str(tmp_path / "c.kaw")]) == 0
+    assert main(["synthesize", path, "--cache", str(cli_artifacts["cache"]),
+                 "-o", str(tmp_path / "c.csv")]) == 0
     assert main(["check", str(cli_artifacts["trace"]), path]) in (0, 1)
 
 
@@ -425,6 +437,54 @@ def test_cli_obstacle_defined_by_an_axiom_gives_the_bundled_run(cli_artifacts,
     ref = json.loads(REFS.read_text())[_sha256(DESK_SCENARIO)]
     assert _sha256(controller) == ref["controller"]
     assert _sha256(trace) == ref["trace"]
+
+
+def test_cli_objective_decides_the_game_whatever_the_regions_are_named(
+        cli_artifacts, tmp_path, capsys):
+    """Desk with its obstacle boxes named ``Wall`` and the objective
+    ``!Wall U Target`` solves the bundled game, runs the bundled trace and
+    passes the audit's eight checks."""
+    def wall(raw):
+        raw["map"]["regions"]["Wall"] = raw["map"]["regions"].pop("Obstacle")
+        raw["objective"] = "!Wall U Target"
+    path = _mutate(DESK_SCENARIO, tmp_path, wall)
+    cache = str(cli_artifacts["cache"])
+    controller, trace = tmp_path / "controller.csv", tmp_path / "trace.csv"
+    assert main(["synthesize", path, "--cache", cache, "-o", str(controller)]) == 0
+    assert main(["simulate", path, "--cache", cache, "-o", str(trace)]) == 0
+    ref = json.loads(REFS.read_text())[_sha256(DESK_SCENARIO)]
+    assert _sha256(controller) == ref["controller"]
+    assert _sha256(trace) == ref["trace"]
+    capsys.readouterr()
+    assert main(["check", str(trace), path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(ln.startswith("PASS") for ln in lines)
+
+
+@pytest.mark.parametrize("objective,bundled", [
+    ("G !Obstacle & F Target", True),
+    ("F Target & G !Obstacle", True),
+    ("!Target U Obstacle", False),
+])
+def test_cli_each_form_of_the_objective_gives_its_game(cli_artifacts, tmp_path,
+                                                       objective, bundled):
+    """``G A & F B`` is ``A U (A & B)``, the bundled game when A is
+    ``!Obstacle``; swapping the roles of the regions changes the game."""
+    path = _mutate(DESK_SCENARIO, tmp_path, _objective(objective))
+    controller = tmp_path / "controller.csv"
+    assert main(["synthesize", path, "--cache", str(cli_artifacts["cache"]),
+                 "-o", str(controller)]) == 0
+    ref = json.loads(REFS.read_text())[_sha256(DESK_SCENARIO)]
+    assert (_sha256(controller) == ref["controller"]) is bundled
+
+
+def test_cli_check_rejects_an_objective_outside_the_fragment(cli_artifacts,
+                                                             tmp_path, capsys):
+    path = _mutate(DESK_SCENARIO, tmp_path, _objective("G Obstacle"))
+    assert main(["check", str(cli_artifacts["trace"]), path]) == 2
+    err = capsys.readouterr().err
+    assert "error:validation: objective: not a reach-avoid objective" in err
+    assert "Traceback" not in err
 
 
 def test_cli_render_draws_the_sensor_zone_without_a_detection_axiom(
