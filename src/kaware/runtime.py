@@ -7,7 +7,9 @@ already solved that objective.  It then applies the policy input,
 integrates the disturbed dynamics for one period, and wraps the state on
 the grid's periodic dimensions.  The disturbance realization is piecewise
 constant per period, drawn uniformly from W by a seeded generator, so runs
-are bit-reproducible.
+are bit-reproducible.  When W = {0} nothing is drawn: the disturbance is
+zero, no generator is made, and the seed changes nothing but the trace's
+seed line.
 """
 
 from __future__ import annotations
@@ -102,7 +104,11 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
     except OutOfDomain:
         raise InitialStateOutsideDomain(f"initial state {world.initial_state.tolist()}"
                                         " outside the state space") from None
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        # the error np.random.default_rng gives, whether or not one is made
+        raise ValueError("expected non-negative integer")
+    # W = {0} draws nothing, so the run never imports numpy.random
+    rng = np.random.default_rng(seed) if sys.dist_halfwidth.any() else None
     known: set[int] = set()
     sign_extent = world.interp.extent("NoEntrySign")
     objective = compile_objective(world.interp, world.sign_links, known)
@@ -145,7 +151,8 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
             break
         u_idx = controller.policy(cell)
         u = grid_u.center(u_idx)
-        w = rng.uniform(-sys.dist_halfwidth, sys.dist_halfwidth)
+        w = (np.zeros_like(sys.dist_halfwidth) if rng is None else
+             rng.uniform(-sys.dist_halfwidth, sys.dist_halfwidth))
         steps.append(TraceStep(i, i * sys.tau, x, cell, u_idx, float(u[0]),
                                newly, resynth))
         x = grid_x.wrap(flow(sys, x, u, sys.tau, disturbance=w))

@@ -11,7 +11,7 @@ import kaware.runtime
 from kaware import (Outcome, build_abstraction, build_world, compile_objective,
                     load_scenario, run_closed_loop, solve_reach_avoid)
 from kaware.audit import audit_ok, audit_trace
-from kaware.dynamics import reach_over_approx
+from kaware.dynamics import dubins_car, reach_over_approx
 from kaware.errors import (InitialStateNotWinning, InitialStateOutsideDomain,
                            TraceFormatError)
 from kaware.ltl import parse_ltl
@@ -226,6 +226,35 @@ def test_same_seed_reproduces_trace(desk_world, desk_scenario, desk_trace,
     write_trace_csv(desk_trace, str(p1))
     write_trace_csv(again, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_zero_disturbance_makes_no_generator(desk_world, desk_trace,
+                                             monkeypatch):
+    """With W = {0} nothing is drawn: the run makes no generator, and
+    another seed gives the same steps."""
+    def refuse(seed):
+        raise AssertionError("a generator was made for W = {0}")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    again = run_closed_loop(desk_world, seed=12345,
+                            max_steps=desk_world.scenario.max_steps)
+    assert again.outcome == desk_trace.outcome
+    assert len(again.steps) == len(desk_trace.steps)
+    for a, b in zip(again.steps, desk_trace.steps):
+        assert a.state.tobytes() == b.state.tobytes()
+        assert (a.cell, a.input_index, a.detected) == (b.cell, b.input_index,
+                                                        b.detected)
+
+
+@pytest.mark.parametrize("halfwidth", [0.0, 0.05])
+def test_negative_seed_is_refused_whatever_the_disturbance(desk_world,
+                                                           halfwidth):
+    """A negative seed raises numpy's own ``ValueError``, also when W = {0}
+    and no generator is made."""
+    sys = dubins_car(tau=desk_world.system.tau,
+                     dist_halfwidth=[halfwidth, halfwidth, 0.0])
+    world = dataclasses.replace(desk_world, system=sys)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        run_closed_loop(world, seed=-1, max_steps=5)
 
 
 def test_per_step_soundness_echo(desk_world, desk_trace):

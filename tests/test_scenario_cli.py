@@ -406,6 +406,36 @@ def test_cli_desk_trace_matches_benchmark_reference(cli_artifacts):
     assert _sha256(cli_artifacts["trace"]) == ref["trace"]
 
 
+# SHA-256 of the seed 1, 2 and 3 traces on desk with the disturbance half
+# widths [0.05, 0.05, 0]
+DESK_DISTURBED_TRACES = {
+    1: "124146e4fdb432644ef009c278f13bd531bdad432d5d1142718b864f52fdaa4b",
+    2: "765e3ffdaf19dab67f7f15955a106759b5457109335f73903d9e0d494a80045e",
+    3: "b5f3e0a7340a56ec6905637fdf2fddcd2cf7dc5ef3f4880648d9f9d13a2ea849",
+}
+
+
+def test_cli_disturbed_desk_traces_are_pinned(tmp_path, capsys):
+    """With W != {0} the run draws its disturbance from the seeded
+    generator: each seed writes its pinned trace, reaches the target in
+    29 steps and passes the audit's eight checks."""
+    path = _mutate(DESK_SCENARIO, tmp_path, lambda raw: raw["system"].update(
+        disturbance=[0.05, 0.05, 0]))
+    cache = tmp_path / "w.kaw"
+    assert main(["abstract", path, "-o", str(cache)]) == 0
+    for seed, digest in DESK_DISTURBED_TRACES.items():
+        trace = tmp_path / f"trace{seed}.csv"
+        capsys.readouterr()
+        assert main(["simulate", path, "--cache", str(cache), "--seed",
+                     str(seed), "-o", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "steps: 29" in out and "outcome: ReachedTarget" in out
+        assert _sha256(trace) == digest
+        assert main(["check", str(trace), path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8 and all(ln.startswith("PASS") for ln in lines)
+
+
 def test_cli_desk_without_signs_detects_nothing(cli_artifacts, tmp_path,
                                                 capsys):
     """With no sign the NoEntrySign extent is empty: the default-seed run
@@ -690,25 +720,37 @@ def test_cli_version_2_cache_exit_code(cli_artifacts, tmp_path, capsys):
     assert "error:cache: unsupported cache version 2" in capsys.readouterr().err
 
 
-def test_cli_abstract_and_synthesize_load_no_openssl(tmp_path):
-    """``abstract`` and ``synthesize`` checksum and fingerprint the cache
-    with zlib's CRC-32, so a process that runs them never loads OpenSSL
-    (``_hashlib``), which costs about 3.6 MB of RSS.  ``simulate``
-    still loads it, through ``numpy.random`` importing ``secrets``; that
-    import is numpy's and out of reach here."""
+def test_cli_desk_commands_load_no_openssl(tmp_path):
+    """No desk command loads ``numpy.random`` or OpenSSL (``_hashlib``),
+    which ``numpy.random`` imports through ``secrets``: together about
+    6 MB of RSS.  ``abstract`` and ``synthesize`` checksum and
+    fingerprint the cache with zlib's CRC-32, and ``simulate`` makes no
+    generator when W = {0}.  A numpy that imports ``numpy.random`` itself
+    (numpy 1.x) leaves nothing to check."""
     script = (
         "import sys\n"
+        "import numpy\n"
+        "def loaded():\n"
+        "    print(*[m for m in ('numpy.random', '_hashlib') if m in sys.modules])\n"
+        "loaded()\n"
         "from kaware.cli import main\n"
         "scn, out = sys.argv[1], sys.argv[2]\n"
-        "assert main(['abstract', scn, '-o', out + '/c.kaw']) == 0\n"
-        "assert main(['synthesize', scn, '--cache', out + '/c.kaw',\n"
+        "cache, trace = out + '/c.kaw', out + '/trace.csv'\n"
+        "assert main(['abstract', scn, '-o', cache]) == 0\n"
+        "assert main(['synthesize', scn, '--cache', cache,\n"
         "             '-o', out + '/ctrl.csv']) == 0\n"
-        "print('_hashlib' in sys.modules)\n")
+        "assert main(['simulate', scn, '--cache', cache, '-o', trace]) == 0\n"
+        "assert main(['render', trace, scn, '-o', out + '/run.svg']) == 0\n"
+        "assert main(['check', trace, scn]) == 0\n"
+        "loaded()\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(kaware.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", script, str(DESK_SCENARIO), str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "False"
+    before, after = run.stdout.splitlines()[0], run.stdout.splitlines()[-1]
+    if before:
+        pytest.skip(f"import numpy alone loads {before}")
+    assert after == ""
 
 
 def test_cli_truncated_desk_cache_exit_code(cli_artifacts, tmp_path, capsys):
