@@ -1,4 +1,4 @@
-"""SVG rendering of the map, detection zones, and a logged trajectory.
+"""SVG rendering of the map, the game's cells, and a logged trajectory.
 
 Plain string assembly, no plotting dependency: the output is exact
 geometry and diffs cleanly.
@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import HyperRect
+from .ltl import eval_concept, reach_avoid
 from .runtime import Trace
 from .scenario import Scenario
 
@@ -72,22 +73,21 @@ def render_svg(scenario: Scenario, trace: Trace | None = None) -> str:
 
     for sign in scenario.signs:
         canvas.rect(sign.street_box, "#f4c7c3", 0.6)
-    for box in scenario.regions.get("Obstacle", []):
-        canvas.rect(box, "#777777")
-    for box in scenario.regions.get("Target", []):
-        canvas.rect(box, "#8fd18f")
+
+    # planar projections of the unsafe and goal cells and the detection zone
+    interp, _ = scenario.ground(grid_x)
+    safe, goal = reach_avoid(interp.objective)
+    zone = interp.roles["Proximity"].preimage(interp.extent("NoEntrySign"))
+    counts = grid_x.counts
+    for cells, fill, opacity in ((~eval_concept(interp, safe), "#777777", 1.0),
+                                 (eval_concept(interp, goal), "#8fd18f", 1.0),
+                                 (zone, "#ffb347", 0.35)):
+        cols = cells.reshape(counts[0], counts[1], -1).any(axis=2)
+        lower, upper = grid_x.rects(np.flatnonzero(cols) * counts[2])
+        for lo, hi in zip(lower.T, upper.T):
+            canvas.rect(HyperRect(lo, hi), fill, opacity)
     for sign in scenario.signs:
         canvas.rect(sign.sign_box, "#d62728")
-
-    # detection zone: planar projection of the cells the sensor sees a sign
-    # from, by the relation the closed loop senses with
-    interp, _ = scenario.ground(grid_x)
-    detected = interp.roles["Proximity"].preimage(interp.extent("NoEntrySign"))
-    counts = grid_x.counts
-    cols = detected.reshape(counts[0], counts[1], -1).any(axis=2)
-    lower, upper = grid_x.rects(np.flatnonzero(cols) * counts[2])
-    for lo, hi in zip(lower.T, upper.T):
-        canvas.rect(HyperRect(lo, hi), "#ffb347", 0.35)
 
     if trace is not None:
         pts = [(s.state[0], s.state[1]) for s in trace.steps]

@@ -22,7 +22,8 @@ from .dynamics import ContinuousSystem, dubins_car
 from .errors import (LtlSyntaxError, ScenarioParseError,
                      ScenarioValidationError, UndeclaredName)
 from .grid import Grid, HyperRect, make_grid
-from .ltl import Formula, parse_concept, parse_ltl, propositions, reach_avoid
+from .ltl import (Formula, eval_concept, parse_concept, parse_ltl, propositions,
+                  reach_avoid)
 
 
 @dataclass
@@ -66,21 +67,22 @@ class Scenario:
 
     def knowledge_base(self) -> knowledge.KnowledgeBase:
         return knowledge.KnowledgeBase(
-            atomic_concepts=set(self.regions)
-            | {"Target", "Obstacle", "NoEntrySign"},
+            atomic_concepts=set(self.regions) | {"NoEntrySign"},
             roles={"Proximity": self.proximity_range},
             tbox=list(self.tbox),
         )
 
     def ground(self, grid_x: Grid) -> tuple[knowledge.Interpretation,
                                             list[tuple[np.ndarray, np.ndarray]]]:
-        """The interpretation over ``grid_x`` with the objective, and each
-        sign's sorted cells paired with its street's.  ``NoEntrySign`` holds
-        exactly the signs' boxes; every other atom its ``map.regions`` boxes."""
+        """The interpretation over ``grid_x`` with the objective, whose goal
+        must hold in some cell, and each sign's sorted cells with its street's.
+        ``NoEntrySign`` holds exactly the signs' boxes, each region its own."""
         boxes = {**self.regions, "NoEntrySign": [s.sign_box for s in self.signs]}
         interp = knowledge.assemble_interpretation(self.knowledge_base(), boxes,
                                                    grid_x)
         interp.objective = self.objective
+        if not eval_concept(interp, reach_avoid(self.objective)[1]).any():
+            raise ScenarioValidationError("objective", "the goal holds in no cell")
         links = [(grid_x.cells_intersecting(s.sign_box),
                   grid_x.cells_intersecting(s.street_box)) for s in self.signs]
         return interp, links
@@ -314,8 +316,6 @@ def load_scenario(path: str) -> Scenario:
     if seed < 0 or max_steps < 0:
         raise ScenarioValidationError("seed" if seed < 0 else "max_steps",
                                       "must not be negative")
-    if "Target" not in regions:
-        raise ScenarioValidationError("map.regions", "a Target region is required")
 
     scenario = Scenario(
         name=raw.get("name", "scenario"),

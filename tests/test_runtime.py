@@ -34,7 +34,7 @@ MINI_SCENARIO = {
         "disturbance": [0, 0, 0],
     },
     "map": {"regions": {"Target": [{"lower": [0, 0], "upper": [2, 2]}]}},
-    "objective": "!Obstacle U Target",
+    "objective": "F Target",
     "initial_state": [1.0, 1.0, 0.0],
     "seed": 0,
     "max_steps": 10,

@@ -247,6 +247,12 @@ def _objective(text):
     ("objective: not a reach-avoid objective", _objective("G !Obstacle")),
     ("objective: not a reach-avoid objective",
      _objective("G !Obstacle | F Target")),
+    # only the map's regions and NoEntrySign are declared
+    ("objective: undeclared concept Obstacle",
+     lambda raw: raw["map"]["regions"].pop("Obstacle")),
+    # a goal that holds in no cell leaves no game to win
+    ("objective: the goal holds in no cell",
+     _objective("!Obstacle U (Target & Obstacle)")),
 ], ids=["tau", "initial_state", "proximity_range", "seed", "max_steps",
         "regions", "negative_seed", "signs", "sign_entry", "objective", "tbox",
         "define", "concept", "temporal", "undeclared_atom",
@@ -256,11 +262,18 @@ def _objective(text):
         "defined_twice", "huge_state_grid", "sign_region", "sign_axiom",
         "obstacle_axiom", "region_axiom", "temporal_region_axiom",
         "always_only_objective", "next_objective", "eventually_always_objective",
-        "until_eventually_objective", "safety_objective", "or_objective"])
-def test_cli_rejects_ill_typed_scenario_fields(tmp_path, capsys, where, mutate):
+        "until_eventually_objective", "safety_objective", "or_objective",
+        "objective_atom_without_region", "empty_goal"])
+def test_cli_rejects_ill_typed_scenario_fields(cli_artifacts, tmp_path, capsys,
+                                               where, mutate):
+    """``synthesize`` both loads and grounds the scenario: a field that only
+    the grounding can judge, such as an empty goal, is refused too."""
     path = _mutate(DESK_SCENARIO, tmp_path, mutate)
-    code = main(["abstract", path, "-o", str(tmp_path / "c.kaw")])
+    out = tmp_path / "c.csv"
+    code = main(["synthesize", path, "--cache", str(cli_artifacts["cache"]),
+                 "-o", str(out)])
     assert code == 2
+    assert not out.exists()
     err = capsys.readouterr().err
     assert f"error:validation: {where}" in err
     assert "Traceback" not in err
@@ -379,7 +392,7 @@ def test_cli_check_fails_on_corrupted_trace(cli_artifacts, tmp_path):
 
 # SHA-256 of the desk map rendered with its default-seed trace, and of the
 # default-seed trace on the desk map with no signs
-DESK_SVG = "d5f5722d8254415e0ed900c355922e06471565019590512557cc0a8059fd7ab7"
+DESK_SVG = "435e92e865d6de521e99b141ec501f8688959537fe965376adbe6ca0f126a95a"
 DESK_NO_SIGN_TRACE = \
     "92e15645f05ff158fb25135c6fd85a9f7c35fdbd6d4c73c120f057458f5e7284"
 
@@ -472,23 +485,35 @@ def test_cli_obstacle_defined_by_an_axiom_gives_the_bundled_run(cli_artifacts,
 def test_cli_objective_decides_the_game_whatever_the_regions_are_named(
         cli_artifacts, tmp_path, capsys):
     """Desk with its obstacle boxes named ``Wall`` and the objective
-    ``!Wall U Target`` solves the bundled game, runs the bundled trace and
-    passes the audit's eight checks."""
-    def wall(raw):
-        raw["map"]["regions"]["Wall"] = raw["map"]["regions"].pop("Obstacle")
-        raw["objective"] = "!Wall U Target"
-    path = _mutate(DESK_SCENARIO, tmp_path, wall)
-    cache = str(cli_artifacts["cache"])
-    controller, trace = tmp_path / "controller.csv", tmp_path / "trace.csv"
-    assert main(["synthesize", path, "--cache", cache, "-o", str(controller)]) == 0
-    assert main(["simulate", path, "--cache", cache, "-o", str(trace)]) == 0
+    ``!Wall U Target``, or with its target named ``Goal`` and the objective
+    ``!Obstacle U Goal``, solves the bundled game, runs the bundled trace,
+    passes the audit's eight checks and renders the bundled picture, walls
+    included."""
+    def renamed(old, new, objective):
+        def mutate(raw):
+            raw["map"]["regions"][new] = raw["map"]["regions"].pop(old)
+            raw["objective"] = objective
+        return mutate
+
     ref = json.loads(REFS.read_text())[_sha256(DESK_SCENARIO)]
-    assert _sha256(controller) == ref["controller"]
-    assert _sha256(trace) == ref["trace"]
-    capsys.readouterr()
-    assert main(["check", str(trace), path]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8 and all(ln.startswith("PASS") for ln in lines)
+    cache = str(cli_artifacts["cache"])
+    for mutate in (renamed("Obstacle", "Wall", "!Wall U Target"),
+                   renamed("Target", "Goal", "!Obstacle U Goal")):
+        path = _mutate(DESK_SCENARIO, tmp_path, mutate)
+        controller, trace, svg = (tmp_path / f for f in (
+            "controller.csv", "trace.csv", "trace.svg"))
+        assert main(["synthesize", path, "--cache", cache,
+                     "-o", str(controller)]) == 0
+        assert main(["simulate", path, "--cache", cache, "-o", str(trace)]) == 0
+        assert _sha256(controller) == ref["controller"]
+        assert _sha256(trace) == ref["trace"]
+        capsys.readouterr()
+        assert main(["check", str(trace), path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8 and all(ln.startswith("PASS") for ln in lines)
+        assert main(["render", str(trace), path, "-o", str(svg)]) == 0
+        assert svg.read_text().count('fill="#777777"') > 0
+        assert _sha256(svg) == DESK_SVG
 
 
 @pytest.mark.parametrize("objective,bundled", [
@@ -526,6 +551,25 @@ def test_cli_render_draws_the_sensor_zone_without_a_detection_axiom(
     out = tmp_path / "out.svg"
     assert main(["render", str(cli_artifacts["trace"]), path, "-o", str(out)]) == 0
     assert _sha256(out) == DESK_SVG
+
+
+@pytest.mark.parametrize("command", ["simulate", "check", "render"])
+def test_cli_refuses_a_goal_that_holds_in_no_cell(cli_artifacts, tmp_path,
+                                                  capsys, command):
+    """Every command that grounds the scenario refuses an empty goal before
+    it writes anything; ``simulate`` does not run into a losing start."""
+    path = _mutate(DESK_SCENARIO, tmp_path,
+                   _objective("!Obstacle U (Target & Obstacle)"))
+    out = tmp_path / "out"
+    argv = {"simulate": ["simulate", path, "--cache", str(cli_artifacts["cache"]),
+                         "-o", str(out)],
+            "check": ["check", str(cli_artifacts["trace"]), path],
+            "render": ["render", str(cli_artifacts["trace"]), path,
+                       "-o", str(out)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:validation: objective: the goal holds in no cell" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_world_sign_links_are_the_scenario_grounding(desk_scenario, desk_world):
