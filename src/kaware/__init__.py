@@ -9,7 +9,7 @@ re-synthesis on detection events.
 from .abstraction import Abstraction, build_abstraction
 from .dynamics import ContinuousSystem, dubins_car, flow, reach_over_approx
 from .grid import Grid, HyperRect, make_grid
-from .knowledge import KnowledgeBase, Interpretation, assemble_interpretation
+from .knowledge import Interpretation, assemble_interpretation
 from .ltl import (GameObjective, check_trace, compile_objective, eval_concept,
                   parse_concept, parse_ltl)
 from .runtime import Outcome, Trace, run_closed_loop
@@ -24,7 +24,7 @@ __all__ = [
     "Abstraction", "build_abstraction",
     "ContinuousSystem", "dubins_car", "flow", "reach_over_approx",
     "Grid", "HyperRect", "make_grid",
-    "KnowledgeBase", "Interpretation", "assemble_interpretation",
+    "Interpretation", "assemble_interpretation",
     "eval_concept", "parse_concept",
     "GameObjective", "check_trace", "compile_objective", "parse_ltl",
     "Outcome", "Trace", "run_closed_loop",

@@ -8,7 +8,7 @@ import os
 import sys
 import time
 
-from .abstraction import Abstraction, build_abstraction, fingerprint
+from .abstraction import Abstraction, build_abstraction
 from .audit import audit_ok, audit_trace
 from .errors import (CacheFormatError, KawareError, ScenarioParseError,
                      ScenarioValidationError, TraceFormatError)
@@ -19,16 +19,6 @@ from .scenario import build_world, load_scenario
 from .synthesis import solve_reach_avoid
 
 log = logging.getLogger("kaware")
-
-
-def _load_cache(path: str, scenario) -> Abstraction:
-    abs_ = Abstraction.load(path)
-    if abs_.fingerprint != fingerprint(scenario.system(), scenario.state_grid(),
-                                      scenario.input_grid()):
-        raise CacheFormatError("cache was built for other dynamics: the model, "
-                               "tau, disturbance or grids differ from the "
-                               "scenario's")
-    return abs_
 
 
 def cmd_abstract(args) -> int:
@@ -52,13 +42,12 @@ def cmd_abstract(args) -> int:
 
 def cmd_synthesize(args) -> int:
     scenario = load_scenario(args.scenario)
-    abs_ = _load_cache(args.cache, scenario)
-    world = build_world(scenario, abs_)
+    world = build_world(scenario, Abstraction.load(args.cache))
     known = [c for cells, _ in world.sign_links for c in cells] \
         if args.known_signs == "all" else []
     objective = compile_objective(world.interp, world.sign_links, known)
     t0 = time.perf_counter()
-    controller = solve_reach_avoid(abs_, objective)
+    controller = solve_reach_avoid(world.abstraction, objective)
     solved = time.perf_counter() - t0
     n_win = int(controller.winning_mask.sum())
     print(f"target cells: {len(objective.target)}")
@@ -75,8 +64,7 @@ def cmd_simulate(args) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     if seed < 0:
         raise ScenarioValidationError("--seed", "must not be negative")
-    abs_ = _load_cache(args.cache, scenario)
-    world = build_world(scenario, abs_)
+    world = build_world(scenario, Abstraction.load(args.cache))
     trace = run_closed_loop(world, seed=seed, max_steps=scenario.max_steps)
     write_trace_csv(trace, args.output)
     print(f"outcome: {trace.outcome.value}")

@@ -14,12 +14,7 @@ class InvalidCell(KawareError):
 
 
 class UndeclaredName(KawareError):
-    """A concept or role name is used without being declared; ``axiom`` is
-    the index of the TBox axiom that uses it, if one does."""
-
-    def __init__(self, name: str, axiom: int | None = None):
-        super().__init__(name)
-        self.axiom = axiom
+    """A concept or role name is evaluated without an extent or a role."""
 
 
 class LtlSyntaxError(KawareError):

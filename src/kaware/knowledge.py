@@ -1,15 +1,17 @@
 """ALC knowledge base evaluated over the single grid interpretation.
 
-A concept extent is a bool mask over the state cells.  The built-in
-``Proximity`` role relates a cell to a target cell when their planar
-rectangles are closer than the detection range and the target lies ahead
-of some heading of the cell by more than the grid's 1e-9 band (at an
-exactly perpendicular heading, "ahead" is a rounding residue).  One
-vectorized kernel, :meth:`ProximityRole.relate`, serves the concepts (once
-per distinct planar target rectangle) and the runtime sensor (once per
-step).  The tests check it against a scalar reference of the relation and
-evaluate concepts over hand-built roles of their own; a role is any object
-with a ``preimage`` of a cell mask.
+:func:`kaware.scenario.load_scenario` decides which concept and role names
+exist, and its name check is the only reader of a temporal axiom; this
+module only evaluates.  A concept extent is a bool mask over the state
+cells.  The built-in ``Proximity`` role relates a cell to a target cell
+when their planar rectangles are closer than the detection range and the
+target lies ahead of some heading of the cell by more than the grid's 1e-9
+band (at an exactly perpendicular heading, "ahead" is a rounding residue).
+One vectorized kernel, :meth:`ProximityRole.relate`, serves the concepts
+(once per distinct planar target rectangle) and the runtime sensor (once
+per step).  The tests check it against a scalar reference of the relation
+and evaluate concepts over hand-built roles of their own; a role is any
+object with a ``preimage`` of a cell mask.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import UndeclaredName
 from .grid import _TOL, Grid, HyperRect
-from .ltl import Formula, eval_concept, mentions
+from .ltl import Formula, eval_concept
 
 # ---------------------------------------------------------------------------
 # TBox
@@ -38,33 +40,11 @@ class Equivalence:
 class TemporalEquivalence:
     """Fresh atomic name defined by a temporal formula over concepts.
 
-    Only :meth:`KnowledgeBase.check_names` reads it: the game is the
-    objective's reach-avoid game plus the streets of the detected signs.
+    Only the loader's name check reads it: the game is the objective's
+    reach-avoid game plus the streets of the detected signs.
     """
     name: str
     formula: Formula
-
-
-@dataclass
-class KnowledgeBase:
-    atomic_concepts: set[str]
-    roles: dict[str, float]  # role name -> detection range D
-    tbox: list = dc_field(default_factory=list)
-
-    def check_names(self) -> set[str]:
-        """Axioms may use declared atoms and roles and the names of earlier
-        concept axioms; a concept axiom's name replaces an atom of that name.
-        Returns the concept names an interpretation gives an extent."""
-        defined = {ax.name for ax in self.tbox if isinstance(ax, Equivalence)}
-        declared = set(self.atomic_concepts) - defined
-        for i, ax in enumerate(self.tbox):
-            body = ax.concept if isinstance(ax, Equivalence) else ax.formula
-            for is_role, name in mentions(body):
-                if name not in (self.roles if is_role else declared):
-                    raise UndeclaredName(name, axiom=i)
-            if isinstance(ax, Equivalence):
-                declared.add(ax.name)
-        return declared
 
 
 # ---------------------------------------------------------------------------
@@ -145,26 +125,22 @@ class Interpretation:
         return self.concept_extents[name]
 
 
-def assemble_interpretation(kb: KnowledgeBase,
-                            regions: Mapping[str, Sequence[HyperRect]],
+def assemble_interpretation(regions: Mapping[str, Sequence[HyperRect]],
+                            roles: Mapping[str, object], tbox: Sequence,
                             grid_x: Grid) -> Interpretation:
-    """Ground atomic extents from scenario boxes and keep the definitions.
+    """Ground each region's boxes as a cell mask, take the ``roles`` as
+    they are and keep the concept axioms of ``tbox``.
 
-    A non-temporal TBox equivalence is evaluated when its extent is first
-    asked for; a temporal equivalence is not evaluated.
+    A concept axiom is evaluated when its extent is first asked for; a
+    temporal axiom is not evaluated.
     """
-    kb.check_names()
-    for name in regions:
-        if name not in kb.atomic_concepts:
-            raise UndeclaredName(name)
-    definitions = {ax.name: ax.concept for ax in kb.tbox
-                   if isinstance(ax, Equivalence)}
     extents: dict[str, np.ndarray] = {}
-    for name in kb.atomic_concepts - definitions.keys():
+    for name, boxes in regions.items():
         mask = np.zeros(grid_x.size, dtype=bool)
-        for box in regions.get(name, ()):
+        for box in boxes:
             mask[grid_x.cells_intersecting(box)] = True
         extents[name] = mask
-    roles = {name: ProximityRole(grid_x, rng) for name, rng in kb.roles.items()}
+    definitions = {ax.name: ax.concept for ax in tbox
+                   if isinstance(ax, Equivalence)}
     return Interpretation(domain_size=grid_x.size, concept_extents=extents,
-                          roles=roles, definitions=definitions)
+                          roles=dict(roles), definitions=definitions)

@@ -5,9 +5,13 @@ discretization, disturbance), the map (concept regions plus no-entry
 signs, each linked to exactly one street region; the signs alone make up
 the ``NoEntrySign`` concept, and every concept name takes its cells from
 one source: its region boxes, the signs, or one axiom), the knowledge section
-(declared concepts, role range, TBox axioms), the mission objective, and
-the run parameters.  Region boxes may omit trailing dimensions; missing
-dimensions default to the full range (a planar box means "all headings").
+(role range, TBox axioms), the mission objective, and the run parameters.
+Region boxes may omit trailing dimensions; missing dimensions default to
+the full range (a planar box means "all headings").
+
+:func:`load_scenario` alone decides which concept and role names exist: it
+checks each axiom's names as it reads the axiom, which makes it the only
+reader of a temporal axiom, and the objective's against the same names.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import knowledge
+from .abstraction import fingerprint
 from .dynamics import ContinuousSystem, dubins_car
-from .errors import (LtlSyntaxError, ScenarioParseError,
-                     ScenarioValidationError, UndeclaredName)
+from .errors import (CacheFormatError, LtlSyntaxError, ScenarioParseError,
+                     ScenarioValidationError)
 from .grid import Grid, HyperRect, make_grid
-from .ltl import (Formula, eval_concept, parse_concept, parse_ltl, propositions,
-                  reach_avoid)
+from .ltl import (Formula, eval_concept, mentions, parse_concept, parse_ltl,
+                  propositions, reach_avoid)
 
 
 @dataclass
@@ -65,21 +70,14 @@ class Scenario:
     def system(self) -> ContinuousSystem:
         return dubins_car(tau=self.tau, dist_halfwidth=self.disturbance)
 
-    def knowledge_base(self) -> knowledge.KnowledgeBase:
-        return knowledge.KnowledgeBase(
-            atomic_concepts=set(self.regions) | {"NoEntrySign"},
-            roles={"Proximity": self.proximity_range},
-            tbox=list(self.tbox),
-        )
-
     def ground(self, grid_x: Grid) -> tuple[knowledge.Interpretation,
                                             list[tuple[np.ndarray, np.ndarray]]]:
         """The interpretation over ``grid_x`` with the objective, whose goal
         must hold in some cell, and each sign's sorted cells with its street's.
         ``NoEntrySign`` holds exactly the signs' boxes, each region its own."""
         boxes = {**self.regions, "NoEntrySign": [s.sign_box for s in self.signs]}
-        interp = knowledge.assemble_interpretation(self.knowledge_base(), boxes,
-                                                   grid_x)
+        roles = {"Proximity": knowledge.ProximityRole(grid_x, self.proximity_range)}
+        interp = knowledge.assemble_interpretation(boxes, roles, self.tbox, grid_x)
         interp.objective = self.objective
         if not eval_concept(interp, reach_avoid(self.objective)[1]).any():
             raise ScenarioValidationError("objective", "the goal holds in no cell")
@@ -116,9 +114,16 @@ class World:
 
 
 def build_world(scenario: Scenario, abstraction) -> World:
-    grid_x = abstraction.grid_x
+    """The scenario grounded on ``abstraction``'s grid; an abstraction built
+    for other dynamics raises ``CacheFormatError``."""
+    system, grid_x = scenario.system(), abstraction.grid_x
+    if abstraction.fingerprint != fingerprint(system, scenario.state_grid(),
+                                              scenario.input_grid()):
+        raise CacheFormatError("cache was built for other dynamics: the model, "
+                               "tau, disturbance or grids differ from the "
+                               "scenario's")
     interp, links = scenario.ground(grid_x)
-    return World(scenario=scenario, system=scenario.system(),
+    return World(scenario=scenario, system=system,
                  grid_x=grid_x, grid_u=abstraction.grid_u,
                  abstraction=abstraction, interp=interp, sign_links=links)
 
@@ -187,15 +192,22 @@ def _vector(sysblk, key: str, n: int, dtype=float, default=None) -> np.ndarray:
     return vec
 
 
-def _number(value, where: str, kind=float):
-    """``value`` as a finite number of type ``kind``."""
+def _number(value, where: str) -> float:
+    """``value`` as a finite float."""
     try:
-        num = kind(value)
+        num = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioValidationError(where, f"needs a number, got {value!r}") from None
     if not np.isfinite(num):
         raise ScenarioValidationError(where, "needs a finite number")
     return num
+
+
+def _integer(value, where: str) -> int:
+    """``value`` as an int: a JSON number with no fractional part."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ScenarioValidationError(where, f"needs an integer, got {value!r}")
+    return int(value)
 
 
 _KINDS = {dict: "an object", list: "a list", str: "a string"}
@@ -273,6 +285,9 @@ def load_scenario(path: str) -> Scenario:
     if proximity_range <= 0:
         raise ScenarioValidationError("knowledge.proximity_range",
                                       "must be positive")
+    # the names an axiom may use: the roles, the concepts with boxes and
+    # the names of earlier concept axioms
+    roles, concepts = {"Proximity"}, set(sources)
     tbox = []
     for i, ax in enumerate(_typed(kblk.get("tbox", []), list, "knowledge.tbox")):
         where = f"knowledge.tbox[{i}]"
@@ -291,6 +306,12 @@ def load_scenario(path: str) -> Scenario:
             body = parse(_typed(ax[kind], str, f"{where}.{kind}"))
         except LtlSyntaxError as exc:
             raise ScenarioParseError(f"{where}.{kind}: {exc}") from None
+        for is_role, used in mentions(body):
+            if used not in (roles if is_role else concepts):
+                raise ScenarioValidationError(
+                    where, f"undeclared concept or role {used}")
+        if kind == "concept":
+            concepts.add(name)
         tbox.append(axiom(name, body))
 
     try:
@@ -301,6 +322,10 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioParseError(f"objective: {exc}") from None
     except ValueError as exc:
         raise ScenarioValidationError("objective", str(exc)) from None
+    undeclared = sorted(propositions(objective) - concepts)
+    if undeclared:
+        raise ScenarioValidationError("objective",
+                                      f"undeclared concept {undeclared[0]}")
 
     try:
         initial_state = np.asarray(_require(raw, "initial_state", "scenario"),
@@ -311,8 +336,8 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioValidationError("initial_state", "dimension mismatch")
     if not np.all(np.isfinite(initial_state)):
         raise ScenarioValidationError("initial_state", "needs finite numbers")
-    seed = _number(raw.get("seed", 0), "seed", int)
-    max_steps = _number(raw.get("max_steps", 500), "max_steps", int)
+    seed = _integer(raw.get("seed", 0), "seed")
+    max_steps = _integer(raw.get("max_steps", 500), "max_steps")
     if seed < 0 or max_steps < 0:
         raise ScenarioValidationError("seed" if seed < 0 else "max_steps",
                                       "must not be negative")
@@ -346,13 +371,4 @@ def load_scenario(path: str) -> Scenario:
         if key == "eta_x" and cells >= 2**30:
             raise ScenarioValidationError("system.eta_x", f"the grid has {cells} "
                                           "cells; the limit is 2**30 - 1")
-    try:
-        concepts = scenario.knowledge_base().check_names()
-    except UndeclaredName as exc:
-        raise ScenarioValidationError(f"knowledge.tbox[{exc.axiom}]",
-                                      f"undeclared concept or role {exc}") from None
-    undeclared = sorted(propositions(objective) - concepts)
-    if undeclared:
-        raise ScenarioValidationError("objective",
-                                      f"undeclared concept {undeclared[0]}")
     return scenario

@@ -27,9 +27,6 @@ import numpy as np
 
 _NO_RANK = np.iinfo(np.int32).max
 _CSV_BLOCK = 4096  # controller CSV rows formatted per write
-# undecided states moved per compaction step: a step's copy (64 KiB) stays
-# under glibc's 128 KiB mmap threshold
-_COMPACT = 1 << 13
 
 
 @dataclass
@@ -77,10 +74,8 @@ def solve_reach_avoid(ts, objective) -> Controller:
     the undecided states only, passing the cells the last sweep added; it
     reduces only the rows the hook read.  A state leaves once won, with the
     lowest input controllable in that sweep as its policy input.  The
-    undecided states are compacted in place, a block at a time, and the
-    mask of added cells is cleared and refilled, so a sweep copies
-    neither; the hook must not keep ``states`` or ``fresh`` past its
-    call.
+    mask of added cells is cleared and refilled, not copied; the hook must
+    not keep ``fresh`` past its call.
     """
     n = ts.n_states
     target, avoid = objective.target.mask, objective.avoid.mask
@@ -107,16 +102,8 @@ def solve_reach_avoid(ts, objective) -> Controller:
         fresh[:] = False
         fresh[new] = True
         Z |= fresh
-        # compact the undecided states in place, a block at a time: each
-        # block's kept states are copied out before they move forward, and
-        # they never land on a state not yet read
         keep = np.ones(states.size, dtype=bool)
         keep[rows[won]] = False
-        kept = 0
-        for i in range(0, states.size, _COMPACT):
-            block = states[i:i + _COMPACT][keep[i:i + _COMPACT]]
-            states[kept:kept + block.size] = block
-            kept += block.size
-        states = states[:kept]
+        states = states[keep]
     return Controller(winning_mask=Z, rank_array=rank, policy_array=policy,
                       sweeps=k)

@@ -7,9 +7,10 @@ on in the tests -- an explicit transition system given by successor lists
 and an explicit role given by its pairs -- the per-pair successor lists of
 the table abstraction, its per-cell enabled bits, the scalar Proximity relation that the
 vectorized kernel is checked against, the safety fixpoint
-(``respected_region``), the set-valued controller (``allowed_inputs``)
-and the bundled run's reroute shape (``reroute_shape``) that only the
-tests use.  Imports from the library
+(``respected_region``), the set-valued controller (``allowed_inputs``),
+the sampled rank-decrease check of a controller under the real flow
+(``concrete_rank_decrease``, with its own quantizer) and the bundled run's
+reroute shape (``reroute_shape``) that only the tests use.  Imports from the library
 are limited to the flow, the growth bound, a table's ``boxes``, the
 grid's ``HyperRect``, the game objective types that ``objective`` builds
 from cell indices, and the AST node types a converter has to
@@ -696,6 +697,92 @@ def mc_soundness(abs_, sys, n_samples, rng, pieces=4):
         if grid_x.quantize(x) not in succ:
             violations += 1
     return violations
+
+
+# ---------------------------------------------------------------------------
+# a controller under the real flow
+
+
+def quantize_points(grid, x):
+    """Flat cell of each row of ``x``: the nearest grid point, exact
+    midpoints to the lower index, periodic coordinates wrapped first; -1
+    for a row outside the state space (past a non-periodic bound by more
+    than 1e-9, or not finite)."""
+    lo, hi, eta, per = (grid.bounds.lower, grid.bounds.upper, grid.eta,
+                        grid.periodic)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):
+        x = np.where(per, lo + np.mod(x - lo, hi - lo), x)
+        inside = np.all(np.isfinite(x) & (per | ((x >= lo - 1e-9)
+                                                 & (x <= hi + 1e-9))), axis=-1)
+    x = np.where(inside[:, None], x, lo)
+    k = np.ceil((x - lo) / eta - 0.5).astype(np.int64)
+    k = np.where(per, np.mod(k, grid.counts), np.clip(k, 0, grid.counts - 1))
+    return np.where(inside, np.ravel_multi_index(tuple(k.T), tuple(grid.counts)),
+                    -1)
+
+
+def owned_boxes(grid, cells):
+    """Per cell, the lower and upper corners of the states that quantize to
+    it: its η-rect, cut at a non-periodic bound, where the last cell also
+    owns the trailing strip up to the upper bound."""
+    lo, hi, eta = grid.bounds.lower, grid.bounds.upper, grid.eta
+    k = np.array(np.unravel_index(cells, tuple(grid.counts))).T
+    a, b = lo + (k - 0.5) * eta, lo + (k + 0.5) * eta
+    fixed = ~grid.periodic
+    a = np.where(fixed, np.maximum(a, lo), a)
+    b = np.where(fixed, np.where(k == grid.counts - 1, hi, np.minimum(b, hi)), b)
+    return a, b
+
+
+def concrete_rank_decrease(world, controller, rng, n_random=4, pieces=4,
+                           block=4096):
+    """Sampled falsification (not a proof) of the controller's ranking
+    under the real flow: from each winning non-target cell, the 2**n
+    corners of the box of states it owns (nudged inside), its centre and
+    ``n_random`` uniform points flow one period under the cell's policy
+    input, with ``pieces`` piecewise-constant disturbances drawn from W.
+    Each end point must lie in the state space, in a cell of lower rank.
+
+    Returns ``(samples, strip_samples, bad, bad_strip)``: the number of
+    samples, how many of them started in a trailing strip (past the last
+    η-rect of a non-periodic dimension), and the sorted cells with a
+    violating sample that started in the cell's η-rect, and in its strip.
+    """
+    from kaware.dynamics import flow
+
+    grid, grid_u, sys = world.grid_x, world.grid_u, world.system
+    rank = controller.rank_array
+    cells = np.flatnonzero(controller.winning_mask & (rank > 0))
+    corners = np.array(list(itertools.product((1e-6, 1 - 1e-6),
+                                              repeat=grid.ndim)))
+    centre = np.full((1, grid.ndim), 0.5)
+    last = grid.bounds.lower + (grid.counts - 0.5) * grid.eta
+    samples = strip = 0
+    bad, bad_strip = [cells[:0]], [cells[:0]]
+    for i in range(0, cells.size, block):
+        cb = cells[i:i + block]
+        a, b = owned_boxes(grid, cb)
+        t = np.concatenate([np.broadcast_to(np.vstack([corners, centre]),
+                                            (cb.size, len(corners) + 1, grid.ndim)),
+                            rng.random((cb.size, n_random, grid.ndim))], axis=1)
+        x = (a[:, None] + t * (b - a)[:, None]).reshape(-1, grid.ndim)
+        owner = np.repeat(cb, t.shape[1])
+        assert (quantize_points(grid, x) == owner).all()
+        in_strip = np.any(~grid.periodic & (x > last), axis=1)
+        strip += int(in_strip.sum())
+        u = grid_u.bounds.lower + np.array(np.unravel_index(
+            controller.policy_array[owner], tuple(grid_u.counts))).T * grid_u.eta
+        for _ in range(pieces):
+            w = rng.uniform(-sys.dist_halfwidth, sys.dist_halfwidth, size=x.shape)
+            x = flow(sys, x, u, sys.tau / pieces, disturbance=w)
+        succ = quantize_points(grid, x)
+        worse = (succ < 0) | (rank[np.maximum(succ, 0)] >= rank[owner])
+        bad.append(owner[worse & ~in_strip])
+        bad_strip.append(owner[worse & in_strip])
+        samples += owner.size
+    return (samples, strip, np.unique(np.concatenate(bad)),
+            np.unique(np.concatenate(bad_strip)))
 
 
 # ---------------------------------------------------------------------------

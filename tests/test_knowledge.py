@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from kaware.errors import LtlSyntaxError, UndeclaredName
 from kaware.grid import HyperRect, make_grid
-from kaware.knowledge import (Equivalence, Interpretation, KnowledgeBase,
-                              ProximityRole, TemporalEquivalence,
+from kaware.knowledge import (Equivalence, Interpretation, ProximityRole,
                               assemble_interpretation)
 from kaware.ltl import (And, Atomic, Bottom, Exists, Forall, Not, Or, Top,
-                        eval_concept, parse_concept, parse_ltl)
+                        eval_concept, parse_concept)
 
 import oracles
 from oracles import ExplicitRole, proximity
@@ -272,24 +271,27 @@ def test_preimage_matches_scalar_proximity_per_sign_rectangle(desk_scenario):
 # interpretation assembly
 
 
-def small_kb(extra_tbox=()):
-    return KnowledgeBase(
-        atomic_concepts={"Target", "Obstacle", "NoEntrySign"},
-        roles={"Proximity": 1.2},
-        tbox=list(extra_tbox),
-    )
+def ground(grid, regions, tbox=()):
+    """The interpretation of ``regions`` over ``grid``, with no Target,
+    Obstacle or NoEntrySign boxes unless ``regions`` gives them, and
+    Proximity at range 1.2."""
+    boxes = {"Target": [], "Obstacle": [], "NoEntrySign": [], **regions}
+    return assemble_interpretation(
+        boxes, {"Proximity": ProximityRole(grid, 1.2)}, list(tbox), grid)
+
+
+DETECTED = Equivalence("Detected", parse_concept("exists Proximity.NoEntrySign"))
 
 
 def test_assemble_empty_region(coarse_grid):
-    interp = assemble_interpretation(small_kb(), {"Obstacle": []}, coarse_grid)
+    interp = ground(coarse_grid, {"Obstacle": []})
     assert members(interp.extent("Obstacle")) == frozenset()
 
 
 def test_assemble_extent_overlaps_box(coarse_grid):
     box = HyperRect([0.1, 0.1], [0.9, 0.9])
-    interp = assemble_interpretation(
-        small_kb(), {"Target": [HyperRect([0.1, 0.1, -PI], [0.9, 0.9, PI])]},
-        coarse_grid)
+    interp = ground(coarse_grid,
+                    {"Target": [HyperRect([0.1, 0.1, -PI], [0.9, 0.9, PI])]})
     ext = np.flatnonzero(interp.extent("Target")).tolist()
     assert ext
     for cell in ext:
@@ -300,11 +302,8 @@ def test_assemble_extent_overlaps_box(coarse_grid):
 
 def test_detected_concept_matches_double_loop(coarse_grid):
     g = coarse_grid
-    kb = small_kb([Equivalence("Detected",
-                               parse_concept("exists Proximity.NoEntrySign"))])
-    kb.atomic_concepts.add("Detected")
     sign_box = HyperRect([0.5, -0.5, -PI], [1.0, 0.0, PI])
-    interp = assemble_interpretation(kb, {"NoEntrySign": [sign_box]}, g)
+    interp = ground(g, {"NoEntrySign": [sign_box]}, [DETECTED])
     signs = np.flatnonzero(interp.extent("NoEntrySign")).tolist()
     expected = frozenset(
         x for x in range(g.size)
@@ -315,43 +314,12 @@ def test_detected_concept_matches_double_loop(coarse_grid):
 def test_region_monotonicity(coarse_grid):
     small = HyperRect([0.0, 0.0, -PI], [0.5, 0.5, PI])
     big = HyperRect([0.0, 0.0, -PI], [1.5, 1.5, PI])
-    kb = small_kb([Equivalence("Detected",
-                               parse_concept("exists Proximity.NoEntrySign"))])
-    kb.atomic_concepts.add("Detected")
-    i1 = assemble_interpretation(small_kb(), {"Obstacle": [small]}, coarse_grid)
-    i2 = assemble_interpretation(small_kb(), {"Obstacle": [small, big]},
-                                 coarse_grid)
+    i1 = ground(coarse_grid, {"Obstacle": [small]})
+    i2 = ground(coarse_grid, {"Obstacle": [small, big]})
     assert members(i1.extent("Obstacle")) <= members(i2.extent("Obstacle"))
-    d1 = assemble_interpretation(kb, {"NoEntrySign": [small]}, coarse_grid)
-    d2 = assemble_interpretation(kb, {"NoEntrySign": [small, big]},
-                                 coarse_grid)
+    d1 = ground(coarse_grid, {"NoEntrySign": [small]}, [DETECTED])
+    d2 = ground(coarse_grid, {"NoEntrySign": [small, big]}, [DETECTED])
     assert members(d1.extent("Detected")) <= members(d2.extent("Detected"))
-
-
-def test_assemble_rejects_undeclared_region(coarse_grid):
-    with pytest.raises(UndeclaredName):
-        assemble_interpretation(small_kb(), {"Mystery": []}, coarse_grid)
-
-
-def test_kb_name_check():
-    kb = small_kb([Equivalence("Detected", parse_concept("exists r.Ghost"))])
-    kb.atomic_concepts.add("Detected")
-    with pytest.raises(UndeclaredName):
-        kb.check_names()
-
-
-def test_kb_name_check_covers_temporal_axioms():
-    """A temporal axiom may use declared atoms and earlier definitions; the
-    check names the axiom and returns the names an objective may use."""
-    detected = Equivalence("Detected", parse_concept("exists Proximity.NoEntrySign"))
-    kb = small_kb([detected, TemporalEquivalence(
-        "Respected", parse_ltl("G (Detected -> G !NoEntrySign)"))])
-    assert kb.check_names() == {"Target", "Obstacle", "NoEntrySign", "Detected"}
-    kb = small_kb([TemporalEquivalence("Respected", parse_ltl("G !Detected")),
-                   detected])
-    with pytest.raises(UndeclaredName) as exc:
-        kb.check_names()
-    assert exc.value.axiom == 0
 
 
 def test_derived_concept_is_evaluated_on_first_use(desk_scenario):

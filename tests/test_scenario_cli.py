@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import kaware
 from kaware.abstraction import Abstraction, _grid_fields
 from kaware.cli import main
-from kaware.errors import ScenarioParseError, ScenarioValidationError
+from kaware.errors import (CacheFormatError, ScenarioParseError,
+                           ScenarioValidationError)
 from kaware.ltl import MAX_DEPTH, compile_objective, parse_ltl
-from kaware.scenario import load_scenario
+from kaware.scenario import build_world, load_scenario
 
 from conftest import DESK_SCENARIO, FULL_SCENARIO, REFS
 
@@ -253,6 +254,19 @@ def _objective(text):
     # a goal that holds in no cell leaves no game to win
     ("objective: the goal holds in no cell",
      _objective("!Obstacle U (Target & Obstacle)")),
+    # an axiom may use only the names of earlier concept axioms, and a
+    # temporal axiom's name is no concept
+    ("knowledge.tbox[0]: undeclared concept or role NoEntrySignDetected",
+     lambda raw: raw["knowledge"]["tbox"].reverse()),
+    ("objective: undeclared concept NoEntrySignRespected",
+     _objective("!Obstacle U (Target & NoEntrySignRespected)")),
+    ("knowledge.tbox[2]: undeclared concept or role NoEntrySignRespected",
+     lambda raw: raw["knowledge"]["tbox"].append(
+         {"define": "Respecting", "concept": "NoEntrySignRespected"})),
+    # seed and max_steps are whole numbers, not strings or booleans
+    ("max_steps: needs an integer", lambda raw: raw.update(max_steps=2.7)),
+    ("seed: needs an integer", lambda raw: raw.update(seed="5")),
+    ("seed: needs an integer", lambda raw: raw.update(seed=True)),
 ], ids=["tau", "initial_state", "proximity_range", "seed", "max_steps",
         "regions", "negative_seed", "signs", "sign_entry", "objective", "tbox",
         "define", "concept", "temporal", "undeclared_atom",
@@ -263,7 +277,9 @@ def _objective(text):
         "obstacle_axiom", "region_axiom", "temporal_region_axiom",
         "always_only_objective", "next_objective", "eventually_always_objective",
         "until_eventually_objective", "safety_objective", "or_objective",
-        "objective_atom_without_region", "empty_goal"])
+        "objective_atom_without_region", "empty_goal", "later_definition",
+        "temporal_name_objective", "temporal_name_concept", "fractional_max_steps",
+        "string_seed", "bool_seed"])
 def test_cli_rejects_ill_typed_scenario_fields(cli_artifacts, tmp_path, capsys,
                                                where, mutate):
     """``synthesize`` both loads and grounds the scenario: a field that only
@@ -315,6 +331,15 @@ def test_objective_may_name_a_defined_concept(tmp_path):
         objective="!Obstacle U (Target & !NoEntrySignDetected)"))
     assert load_scenario(path).objective == parse_ltl(
         "!Obstacle U (Target & !NoEntrySignDetected)")
+
+
+def test_seed_and_max_steps_take_any_whole_number(tmp_path):
+    big = 10**400  # no float holds it
+    path = _mutate(DESK_SCENARIO, tmp_path,
+                   lambda raw: raw.update(seed=7.0, max_steps=big))
+    sc = load_scenario(path)
+    assert (sc.seed, sc.max_steps) == (7, big)
+    assert type(sc.seed) is int
 
 
 def test_initial_state_dimension_mismatch(tmp_path):
@@ -702,6 +727,16 @@ def test_cli_cache_mismatch_exit_code(cli_artifacts, tmp_path, capsys):
     # a run that fails neither truncates nor creates its output
     assert kept.read_text() == "earlier output\n"
     assert not absent.exists()
+
+
+def test_build_world_refuses_an_abstraction_for_other_dynamics(
+        desk_abstraction, tmp_path):
+    """A library caller gets the check the CLI makes: the desk abstraction
+    does not fit the desk copy with W = (0.05, 0.05, 0)."""
+    path = _mutate(DESK_SCENARIO, tmp_path, lambda raw: raw["system"].update(
+        disturbance=[0.05, 0.05, 0]))
+    with pytest.raises(CacheFormatError, match="built for other dynamics"):
+        build_world(load_scenario(path), desk_abstraction)
 
 
 def test_cli_bad_cache_file_exit_code(tmp_path, capsys):
