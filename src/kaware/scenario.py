@@ -7,7 +7,10 @@ the ``NoEntrySign`` concept, and every concept name takes its cells from
 one source: its region boxes, the signs, or one axiom), the knowledge section
 (role range, TBox axioms), the mission objective, and the run parameters.
 Region boxes may omit trailing dimensions; missing dimensions default to
-the full range (a planar box means "all headings").
+the full range (a planar box means "all headings").  Every number is a
+finite JSON number, read by one reader: a boolean or a numeric string
+such as ``"0.5"`` is a validation error.  ``periodic`` takes JSON
+booleans, and the scenario's and the signs' names take strings.
 
 :func:`load_scenario` alone decides which concept and role names exist: it
 checks each axiom's names as it reads the axiom, which makes it the only
@@ -132,25 +135,41 @@ def build_world(scenario: Scenario, abstraction) -> World:
 # loading
 
 
-def _box(entry, bounds: HyperRect, where: str) -> HyperRect:
+def _reals(value, where: str, n=None):
+    """A JSON number as a finite float or, with ``n``, a list of ``n`` of
+    them as a float array.  A boolean or a numeric string is no number."""
+    items = [value] if n is None else value
+    if (n is not None and not (isinstance(value, list) and len(value) == n)
+            or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   for v in items)):
+        kind = "a number" if n is None else f"a list of {n} numbers"
+        raise ScenarioValidationError(where, f"needs {kind}, got {value!r}")
     try:
-        lo = [float(v) for v in entry["lower"]]
-        hi = [float(v) for v in entry["upper"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioValidationError(where, f"bad box: {exc}") from None
-    if len(lo) != len(hi):
-        raise ScenarioValidationError(where, "lower/upper length mismatch")
-    if len(lo) > bounds.ndim:
-        raise ScenarioValidationError(where, "box has too many dimensions")
-    # pad missing trailing dimensions with the full range
-    for d in range(len(lo), bounds.ndim):
-        lo.append(float(bounds.lower[d]))
-        hi.append(float(bounds.upper[d]))
+        nums = np.asarray(items, dtype=float)
+    except OverflowError:  # an integer past the float range
+        raise ScenarioValidationError(where, "needs finite numbers") from None
+    if not np.all(np.isfinite(nums)):
+        raise ScenarioValidationError(where, "needs finite numbers")
+    return nums if n is not None else float(nums[0])
+
+
+def _box(entry, where: str, bounds: HyperRect | None = None) -> HyperRect:
+    """The box ``entry``; within ``bounds`` it may omit trailing dimensions,
+    which take the full range, and must meet the bounds."""
+    lower = _require(entry, "lower", where)
+    lo = _reals(lower, f"{where}.lower", len(_typed(lower, list, f"{where}.lower")))
+    hi = _reals(_require(entry, "upper", where), f"{where}.upper", len(lo))
+    if bounds is not None:
+        if len(lo) > bounds.ndim:
+            raise ScenarioValidationError(where, "box has too many dimensions")
+        lo = np.concatenate([lo, bounds.lower[len(lo):]])
+        hi = np.concatenate([hi, bounds.upper[len(hi):]])
     try:
         rect = HyperRect(lo, hi)
     except ValueError as exc:
         raise ScenarioValidationError(where, str(exc)) from None
-    if not rect.intersects(bounds) and not np.array_equal(rect.lower, rect.upper):
+    if (bounds is not None and not rect.intersects(bounds)
+            and not np.array_equal(rect.lower, rect.upper)):
         raise ScenarioValidationError(where, "box does not intersect the state bounds")
     return rect
 
@@ -160,47 +179,6 @@ def _require(mapping, key, where):
         return mapping[key]
     except (KeyError, TypeError):
         raise ScenarioValidationError(f"{where}.{key}", "missing field") from None
-
-
-def _bounds(sysblk, key: str, ndim: int) -> HyperRect:
-    where = f"system.{key}"
-    blk = _require(sysblk, key, "system")
-    try:
-        rect = HyperRect(_require(blk, "lower", where),
-                         _require(blk, "upper", where))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioValidationError(where, str(exc)) from None
-    if rect.ndim != ndim:
-        raise ScenarioValidationError(where, f"the model needs {ndim}-dimensional bounds")
-    return rect
-
-
-def _vector(sysblk, key: str, n: int, dtype=float, default=None) -> np.ndarray:
-    """A per-dimension entry of the system block, checked to have ``n``
-    entries."""
-    where = f"system.{key}"
-    value = (_require(sysblk, key, "system") if default is None
-             else sysblk.get(key, default))
-    try:
-        vec = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioValidationError(where, str(exc)) from None
-    if vec.shape != (n,):
-        raise ScenarioValidationError(where, f"needs {n} entries, one per dimension")
-    if not np.all(np.isfinite(vec)):
-        raise ScenarioValidationError(where, "needs finite numbers")
-    return vec
-
-
-def _number(value, where: str) -> float:
-    """``value`` as a finite float."""
-    try:
-        num = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioValidationError(where, f"needs a number, got {value!r}") from None
-    if not np.isfinite(num):
-        raise ScenarioValidationError(where, "needs a finite number")
-    return num
 
 
 def _integer(value, where: str) -> int:
@@ -233,20 +211,33 @@ def load_scenario(path: str) -> Scenario:
     model = _require(sysblk, "model", "system")
     if model != "dubins_car":
         raise ScenarioValidationError("system.model", f"unknown model {model!r}")
-    state_bounds = _bounds(sysblk, "state_bounds", 3)
-    input_bounds = _bounds(sysblk, "input_bounds", 1)
-    tau = _number(_require(sysblk, "tau", "system"), "system.tau")
+    bounds = []
+    for key, ndim in (("state_bounds", 3), ("input_bounds", 1)):
+        rect = _box(_require(sysblk, key, "system"), f"system.{key}")
+        if rect.ndim != ndim:
+            raise ScenarioValidationError(f"system.{key}",
+                                          f"the model needs {ndim}-dimensional bounds")
+        bounds.append(rect)
+    state_bounds, input_bounds = bounds
+    tau = _reals(_require(sysblk, "tau", "system"), "system.tau")
     if tau <= 0:
         raise ScenarioValidationError("system.tau", "must be positive")
     nx = state_bounds.ndim
-    eta_x = _vector(sysblk, "eta_x", nx)
-    eta_u = _vector(sysblk, "eta_u", input_bounds.ndim)
+    eta_x = _reals(_require(sysblk, "eta_x", "system"), "system.eta_x", nx)
+    eta_u = _reals(_require(sysblk, "eta_u", "system"), "system.eta_u",
+                   input_bounds.ndim)
     for key, eta in (("eta_x", eta_x), ("eta_u", eta_u)):
         if not np.all(eta > 0):
             raise ScenarioValidationError(f"system.{key}",
                                           "entries must be positive")
-    periodic = _vector(sysblk, "periodic", nx, bool, default=[False] * nx)
-    disturbance = _vector(sysblk, "disturbance", nx, default=[0.0] * nx)
+    periodic = sysblk.get("periodic", [False] * nx)
+    if not (isinstance(periodic, list) and len(periodic) == nx
+            and all(isinstance(p, bool) for p in periodic)):
+        raise ScenarioValidationError("system.periodic",
+                                      f"needs a list of {nx} booleans")
+    periodic = np.array(periodic)
+    disturbance = _reals(sysblk.get("disturbance", [0.0] * nx),
+                         "system.disturbance", nx)
     if np.any(disturbance < 0):
         raise ScenarioValidationError("system.disturbance",
                                       "half-widths must be non-negative")
@@ -264,7 +255,7 @@ def load_scenario(path: str) -> Scenario:
                 f"map.regions.{name}", f"{name} takes its cells from {sources[name]}")
         sources[name] = f"map.regions.{name}"
         regions[name] = [
-            _box(b, state_bounds, f"map.regions.{name}[{i}]")
+            _box(b, f"map.regions.{name}[{i}]", state_bounds)
             for i, b in enumerate(_typed(boxes, list, f"map.regions.{name}"))
         ]
     signs = []
@@ -273,15 +264,15 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioValidationError(f"map.signs[{i}]",
                                           "sign must link exactly one street region")
         signs.append(Sign(
-            name=s.get("name", f"sign{i}"),
+            name=_typed(s.get("name", f"sign{i}"), str, f"map.signs[{i}].name"),
             sign_box=_box(_require(s, "sign", f"map.signs[{i}]"),
-                          state_bounds, f"map.signs[{i}].sign"),
-            street_box=_box(s["street"], state_bounds, f"map.signs[{i}].street"),
+                          f"map.signs[{i}].sign", state_bounds),
+            street_box=_box(s["street"], f"map.signs[{i}].street", state_bounds),
         ))
 
     kblk = _typed(raw.get("knowledge", {}), dict, "knowledge")
-    proximity_range = _number(kblk.get("proximity_range", 2.0),
-                              "knowledge.proximity_range")
+    proximity_range = _reals(kblk.get("proximity_range", 2.0),
+                             "knowledge.proximity_range")
     if proximity_range <= 0:
         raise ScenarioValidationError("knowledge.proximity_range",
                                       "must be positive")
@@ -327,15 +318,8 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioValidationError("objective",
                                       f"undeclared concept {undeclared[0]}")
 
-    try:
-        initial_state = np.asarray(_require(raw, "initial_state", "scenario"),
-                                   dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioValidationError("initial_state", str(exc)) from None
-    if initial_state.shape != (state_bounds.ndim,):
-        raise ScenarioValidationError("initial_state", "dimension mismatch")
-    if not np.all(np.isfinite(initial_state)):
-        raise ScenarioValidationError("initial_state", "needs finite numbers")
+    initial_state = _reals(_require(raw, "initial_state", "scenario"),
+                           "initial_state", nx)
     seed = _integer(raw.get("seed", 0), "seed")
     max_steps = _integer(raw.get("max_steps", 500), "max_steps")
     if seed < 0 or max_steps < 0:
@@ -343,7 +327,7 @@ def load_scenario(path: str) -> Scenario:
                                       "must not be negative")
 
     scenario = Scenario(
-        name=raw.get("name", "scenario"),
+        name=_typed(raw.get("name", "scenario"), str, "name"),
         tau=tau,
         state_bounds=state_bounds,
         input_bounds=input_bounds,

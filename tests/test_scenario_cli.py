@@ -54,12 +54,12 @@ def test_planar_boxes_get_full_heading_range(full_scenario):
 
 
 def _mutate(base_path, tmp_path, mutate):
-    """Write an edited copy of a scenario; the string ``"1e400"`` is written
-    as that number literal, which JSON reads as infinity."""
+    """Write an edited copy of a scenario; an infinite float is written as
+    ``Infinity``, which the loader's JSON reader accepts."""
     raw = json.loads(base_path.read_text())
     mutate(raw)
     out = tmp_path / "mutant.scn.json"
-    out.write_text(json.dumps(raw).replace('"1e400"', "1e400"))
+    out.write_text(json.dumps(raw))
     return str(out)
 
 
@@ -210,15 +210,15 @@ def _objective(text):
     ("knowledge.tbox", lambda raw: raw["knowledge"]["tbox"][0].update(
         concept="exists Foo.Target")),
     ("system.state_bounds",
-     lambda raw: raw["system"]["state_bounds"]["upper"].__setitem__(2, "1e400")),
+     lambda raw: raw["system"]["state_bounds"]["upper"].__setitem__(2, 1e400)),
     ("system.input_bounds",
      lambda raw: raw["system"]["input_bounds"]["lower"].__setitem__(0, float("nan"))),
     ("map.regions.Target[0]",
      lambda raw: raw["map"]["regions"]["Target"][0]["lower"].__setitem__(0, 6.0)),
     ("map.signs[0].street",
-     lambda raw: raw["map"]["signs"][0]["street"]["upper"].__setitem__(1, "1e400")),
+     lambda raw: raw["map"]["signs"][0]["street"]["upper"].__setitem__(1, 1e400)),
     ("system.disturbance",
-     lambda raw: raw["system"].update(disturbance=[0.0, "1e400", 0.0])),
+     lambda raw: raw["system"].update(disturbance=[0.0, 1e400, 0.0])),
     ("objective", lambda raw: raw.update(objective="!Nowhere U Target")),
     ("knowledge.tbox[1]", lambda raw: raw["knowledge"]["tbox"][1].update(
         temporal="G (Nowhere -> G !NoEntrySign)")),
@@ -267,6 +267,22 @@ def _objective(text):
     ("max_steps: needs an integer", lambda raw: raw.update(max_steps=2.7)),
     ("seed: needs an integer", lambda raw: raw.update(seed="5")),
     ("seed: needs an integer", lambda raw: raw.update(seed=True)),
+    # every other number is a JSON number too, and periodic takes booleans
+    ("system.tau", lambda raw: raw["system"].update(tau=True)),
+    ("system.tau", lambda raw: raw["system"].update(tau="0.5")),
+    ("knowledge.proximity_range",
+     lambda raw: raw["knowledge"].update(proximity_range=True)),
+    ("system.periodic",
+     lambda raw: raw["system"].update(periodic=["false", "false", "true"])),
+    ("system.periodic", lambda raw: raw["system"].update(periodic=[0, 0, 1])),
+    ("map.regions.Target[0]",
+     lambda raw: raw["map"]["regions"]["Target"][0]["lower"].__setitem__(0, True)),
+    ("initial_state", lambda raw: raw.update(initial_state=["3.7", "1.0", "1.5"])),
+    ("system.eta_x",
+     lambda raw: raw["system"].update(eta_x=["0.3", "0.3", "0.52"])),
+    ("map.signs[0].name", lambda raw: raw["map"]["signs"][0].update(name=[1])),
+    ("name", lambda raw: raw.update(name=5)),
+    ("system.tau", lambda raw: raw["system"].update(tau=10**400)),
 ], ids=["tau", "initial_state", "proximity_range", "seed", "max_steps",
         "regions", "negative_seed", "signs", "sign_entry", "objective", "tbox",
         "define", "concept", "temporal", "undeclared_atom",
@@ -279,7 +295,10 @@ def _objective(text):
         "until_eventually_objective", "safety_objective", "or_objective",
         "objective_atom_without_region", "empty_goal", "later_definition",
         "temporal_name_objective", "temporal_name_concept", "fractional_max_steps",
-        "string_seed", "bool_seed"])
+        "string_seed", "bool_seed", "bool_tau", "string_tau",
+        "bool_proximity_range", "string_periodic", "number_periodic",
+        "bool_box_corner", "string_initial_state", "string_eta_x",
+        "list_sign_name", "number_name", "huge_integer_tau"])
 def test_cli_rejects_ill_typed_scenario_fields(cli_artifacts, tmp_path, capsys,
                                                where, mutate):
     """``synthesize`` both loads and grounds the scenario: a field that only
@@ -340,6 +359,37 @@ def test_seed_and_max_steps_take_any_whole_number(tmp_path):
     sc = load_scenario(path)
     assert (sc.seed, sc.max_steps) == (7, big)
     assert type(sc.seed) is int
+
+
+def _where(path):
+    """A JSON path as a ``ScenarioValidationError`` field names it."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in path).lstrip(".")
+
+
+def test_every_mistyped_leaf_is_refused_at_its_field(tmp_path):
+    """A number leaf as a string or a boolean, and a boolean leaf as a
+    number or a string, is refused at the leaf or a field that holds it."""
+    raw = json.loads(DESK_SCENARIO.read_text())
+    for path in list(_nodes(raw)):
+        owner = raw
+        for key in path[:-1]:
+            owner = owner[key]
+        value = owner[path[-1]]
+        if isinstance(value, bool):
+            retypes = [0, "true"]
+        elif isinstance(value, (int, float)):
+            retypes = [str(value), True]
+        else:
+            continue
+        for retype in retypes:
+            owner[path[-1]] = retype
+            out = tmp_path / "leaf.scn.json"
+            out.write_text(json.dumps(raw))
+            owner[path[-1]] = value
+            with pytest.raises(ScenarioValidationError) as err:
+                load_scenario(str(out))
+            assert _where(path).startswith(err.value.field), (path, retype)
 
 
 def test_initial_state_dimension_mismatch(tmp_path):
@@ -900,7 +950,8 @@ def _run(capsys, argv):
 
 
 # JSON retypes, and scale factors for a number (inf * 0 gives NaN)
-_RETYPES = [None, True, 0, -1, 0.5, "x", "", [], {}, [1.0, "a"], {"lower": [1]}]
+_RETYPES = [None, True, 0, -1, 0.5, "0.5", "x", "", [], {}, [1.0, "a"],
+            [True, 1.0, 2.0], {"lower": [1]}]
 _SCALES = [0.0, -1.0, 0.5, 1.1, 2.0, float("inf"), float("-inf"), float("nan")]
 _TEXTS = ["Target", "Nowhere", "!Target", "G Obstacle", "exists Proximity.Nowhere",
           "(", "NoEntrySignDetected", "NoEntrySignRespected"]
