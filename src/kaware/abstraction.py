@@ -34,14 +34,17 @@ itself.  The tests check the table against per-pair successor lists and a
 per-cell construction of their own.
 
 Per cell, the abstraction keeps only what a sweep reads: the cell's row
-key (int32), and where each of the two lookups' tables place its
-invariant indices (int32 whenever the tables fit).  The enabled bits are
+key (int32), where the pair lookup's tables place its invariant indices,
+and where the cover lookup's one window starts in its tables (both int32
+whenever the tables fit).  The enabled bits are
 not kept per cell: each non-periodic dimension keeps its range test packed
 over its own index and the row keys, and a cell's bits are those parts'
 words at the cell, ANDed.  No per-cell multi-index is kept: ``boxes`` and
 ``controllable`` unravel the states they are given, and ``stats`` reads
 only the row keys.  Both lookups read through one workspace of fixed
-buffers, reused by every sweep (:class:`_Lookup`).
+buffers, reused by every sweep, and every numpy operand of their slab
+copies and ANDs is worked out once, as a view of those buffers
+(:class:`_Plan`).
 """
 
 from __future__ import annotations
@@ -119,8 +122,8 @@ def _along(ndim: int, d: int, values: np.ndarray) -> np.ndarray:
 
 class _Scratch(NamedTuple):
     """The buffers both lookups of an abstraction read through, each as
-    large as the larger lookup needs; a lookup uses views of its own size
-    from the front of each."""
+    large as the larger lookup needs; a lookup's plan holds views of its
+    own size from the front of each."""
 
     spread: np.ndarray       # the mask on the erosion grid, flat
     ping: np.ndarray         # two buffers for the spread's and the erosion's steps
@@ -143,7 +146,7 @@ class _Scratch(NamedTuple):
 @dataclass(frozen=True)
 class _Lookup:
     """Boxes given per ``(row key, column)``, each read from a cell mask by
-    one gather into the mask's tables (:meth:`tables`).
+    one gather into the mask's tables (:meth:`_Plan.tables`).
 
     Every start a box can take is ``first + i`` with ``0 <= i < span`` on
     each axis.  The tables lie on the erosion grid, the span extended by the
@@ -152,26 +155,20 @@ class _Lookup:
     the mask holds every cell of the box of that length starting at
     ``first + i``; every box is nonempty.  A table is the spread mask ANDed
     with itself shifted by the flat steps ``shifts[row]``.  A box starts in
-    the tables at ``base[state] + at[key, column]``: ``base`` holds the
-    state's invariant indices, ``at`` its length row's table and the rest
-    of its start.  ``base`` is the one per-cell array, int32 when the
-    tables fit.
+    the tables at ``base[state] + at[key[state], column]``: ``key`` holds
+    the state's row key, ``base`` its invariant indices, ``at`` its length
+    row's table and the rest of its start.  With one column, ``base`` holds
+    that whole start instead, at the same size, and ``key`` is None: a read
+    then gathers the start alone.  ``base`` is the one per-cell array of its
+    own (``key`` is the abstraction's), int32 when the tables fit.
 
-    A mask reaches the erosion grid axis by axis (:meth:`spread`): step
-    ``d`` of ``steps`` gives the shape after it and the slab copies
-    ``(to, from)`` along axis ``d``, a periodic axis wrapping the state
-    grid's indices.  The slabs ``fills``, outside a non-periodic axis, then
-    read true; so a box reads as clipped to the grid.  The shifts, steps
-    and fills are worked out once, in :meth:`build`.
-
-    Every call works in the caller's :class:`_Scratch`, which an
-    :class:`Abstraction` shares between its two lookups: a table a call
-    returns is valid until the next call of either lookup, and two threads
-    must not read an abstraction's lookups at once.  Reuse is what keeps a
-    solve's page faults low, not only its peak: arrays of more than 128 KiB
-    that are allocated and freed on every sweep each come from a fresh
-    ``mmap`` unless some larger freed block has happened to raise glibc's
-    mmap threshold.
+    A mask reaches the erosion grid axis by axis: step ``d`` of ``steps``
+    gives the shape after it and the slab copies ``(to, from)`` along axis
+    ``d``, a periodic axis wrapping the state grid's indices.  The slabs
+    ``fills``, outside a non-periodic axis, then read true; so a box reads
+    as clipped to the grid.  The shifts, steps and fills are worked out
+    once, in :meth:`build`, and the numpy operands they give once, in
+    :meth:`plan`.
     """
 
     counts: tuple[int, ...]
@@ -182,13 +179,14 @@ class _Lookup:
     lengths: np.ndarray
     base: np.ndarray
     at: np.ndarray
+    key: np.ndarray | None
 
     @classmethod
-    def build(cls, grid: Grid, invariant, start, length) -> "_Lookup":
+    def build(cls, grid: Grid, invariant, start, length, key) -> "_Lookup":
         """``start`` and ``length`` are ``(keys, columns, d)``: a box starts
         at ``start`` for the cell with index 0 on the ``invariant``
         dimensions, where a cell adds its index, and spans ``length``
-        cells."""
+        cells.  ``key`` holds every cell's row key (int32)."""
         inv = np.isin(np.arange(grid.ndim), invariant)
         length = np.where(grid.periodic, np.minimum(length, grid.counts), length)
         lengths, lid = np.unique(length.reshape(-1, grid.ndim).astype(np.int64),
@@ -235,17 +233,23 @@ class _Lookup:
         base = _per_cell(grid.counts, *(_along(grid.ndim, d, np.arange(n) * stride[d])
                                         for d, n in enumerate(grid.counts) if inv[d]),
                          dtype=dtype)
-        # read gathers with mode="clip", which would hide an index outside
-        # the tables; every start lies in the span, so none can be
+        # reads gather with mode="clip", which would hide an index outside
+        # its array: check the row keys here; every start lies in the span,
+        # so no index into the tables can be outside them
+        if key.min() < 0 or key.max() >= at.shape[0]:
+            raise IndexError("a cell's row key lies outside the table")
         if at.min() < 0 or int(base.max()) + int(at.max()) >= len(lengths) * size:
             raise IndexError("a box starts outside the lookup's tables")
+        if at.shape[1] == 1:  # the whole start, in the same int32 or int64
+            base += at[:, 0].astype(dtype)[key]
+            key = None
         return cls(counts=counts, shape=shape, steps=tuple(steps), fills=tuple(fills),
                    shifts=tuple(shifts), lengths=lengths, at=at.astype(np.intp),
-                   base=base)
+                   base=base, key=key)
 
     @property
     def block(self) -> int:
-        """States per gather block of :meth:`read`."""
+        """States per gather block of :meth:`_Plan.read`."""
         return max(1, _GATHER // self.at.shape[1])
 
     @property
@@ -259,22 +263,74 @@ class _Lookup:
         return (size, pp, len(self.shifts) * size, self.block * self.at.shape[1],
                 self.block)
 
-    def spread(self, mask: np.ndarray, work: _Scratch) -> np.ndarray:
-        """``mask`` on the erosion grid, flat."""
-        a, last = mask.reshape(self.counts), len(self.steps) - 1
-        for d, (shape, copies) in enumerate(self.steps):
+    def plan(self, work: _Scratch) -> "_Plan":
+        """Every numpy operand of this lookup's calls, as views of
+        ``work``'s buffers.  The spread's steps write the ping-pong buffers
+        in turn and the last one the spread mask; each length row's ANDs
+        then write them in turn and the last one the row's table, each
+        reading the valid front of the one before, shorter by the shift."""
+        size, last = math.prod(self.shape), len(self.steps) - 1
+        first, copies = [], []
+        for d, (shape, runs) in enumerate(self.steps):
             out = work.spread if d == last else (work.ping, work.pong)[d % 2]
             out = out[:math.prod(shape)].reshape(shape)
-            for to, frm in copies:
-                out[to] = a[frm]
+            for to, frm in runs:
+                if d:
+                    copies.append((out[to], a[frm]))
+                else:
+                    first.append((out[to], frm))
             a = out
-        # the slabs outside a non-periodic axis still hold what the buffers
-        # held before; make them true
-        for fill in self.fills:
-            a[fill] = True
-        return work.spread[:a.size]
+        spread, ands = work.spread[:size], []
+        for c, shifts in enumerate(self.shifts):
+            slot = work.tables[c * size:(c + 1) * size]
+            if not shifts:  # a row of unit boxes: its table is the spread mask
+                ands.append((spread, spread, slot))
+            a, valid = spread, size
+            for j, shift in enumerate(shifts):
+                out = slot if j == len(shifts) - 1 else (work.ping, work.pong)[j % 2]
+                valid -= shift
+                ands.append((a[:valid], a[shift:valid + shift], out[:valid]))
+                a = out
+        columns = self.at.shape[1]
+        return _Plan(self, tuple(first), tuple(copies),
+                     tuple(spread.reshape(self.shape)[fill] for fill in self.fills),
+                     tuple(ands), work.tables[:len(self.shifts) * size],
+                     work.index[:self.block * columns].reshape(self.block, columns),
+                     work.key[:self.block], work.base.view(self.base.dtype)[:self.block])
 
-    def tables(self, mask: np.ndarray, work: _Scratch) -> np.ndarray:
+
+class _Plan(NamedTuple):
+    """A lookup's calls with their numpy operands worked out once
+    (:meth:`_Lookup.plan`): a call only runs the copies and ANDs.
+
+    ``first`` holds the spread's first step as ``(out, slices)``; it reads
+    the caller's mask, so only its targets are views.  ``copies`` holds the
+    later steps' ``(out, in)``, ``fills`` the slabs outside a non-periodic
+    axis, and ``ands`` every ``(a, b, out)`` of the erosion in order;
+    ``eroded`` holds the tables they make.  ``index``, ``key`` and ``base``
+    are the buffers of one block of :meth:`read`, ``len(key)`` states.
+
+    Every operand is a view of one :class:`_Scratch`, which an
+    :class:`Abstraction` shares between the plans of its two lookups: a
+    table a call returns is valid until the next call of either plan, and
+    two threads must not read an abstraction's lookups at once.  Reuse is
+    what keeps a solve's page faults low, not only its peak: arrays of more
+    than 128 KiB that are allocated and freed on every sweep each come from
+    a fresh ``mmap`` unless some larger freed block has happened to raise
+    glibc's mmap threshold.
+    """
+
+    lookup: _Lookup
+    first: tuple
+    copies: tuple
+    fills: tuple
+    ands: tuple
+    eroded: np.ndarray
+    index: np.ndarray
+    key: np.ndarray
+    base: np.ndarray
+
+    def tables(self, mask: np.ndarray) -> np.ndarray:
         """The tables of ``mask``, flat and concatenated.  Each length row
         ANDs the mask, spread over the erosion grid, with itself shifted by
         whole steps along each axis, each doubling the length covered.  A
@@ -282,42 +338,42 @@ class _Lookup:
         needs crosses into another row of that axis; entries of starts
         outside the span mean nothing, no box reads them, and they keep
         whatever an earlier call left there."""
-        spread = self.spread(mask, work)
-        size = spread.size
-        for c, shifts in enumerate(self.shifts):
-            slot = work.tables[c * size:(c + 1) * size]
-            if not shifts:
-                slot[:] = spread
-            a, valid = spread, size
-            for j, shift in enumerate(shifts):
-                out = slot if j == len(shifts) - 1 else (work.ping, work.pong)[j % 2]
-                valid -= shift
-                np.bitwise_and(a[:valid], a[shift:valid + shift], out=out[:valid])
-                a = out
-        return work.tables[:len(self.shifts) * size]
+        a = mask.reshape(self.lookup.counts)
+        for out, frm in self.first:
+            np.copyto(out, a[frm])
+        for out, src in self.copies:
+            np.copyto(out, src)
+        # the slabs outside a non-periodic axis still hold what the buffers
+        # held before; make them true
+        for fill in self.fills:
+            fill[...] = True
+        for a, b, out in self.ands:
+            np.bitwise_and(a, b, out=out)
+        return self.eroded
 
-    def read(self, mask: np.ndarray, states: np.ndarray, key: np.ndarray,
-             work: _Scratch) -> np.ndarray:
+    def read(self, mask: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Per state of ``states`` and column: whether ``mask`` holds each
-        cell of the box inside the grid; ``key`` holds every cell's row key
-        (int32).  The states are read a block at a time through ``work``'s
-        buffers."""
-        tables, step, columns = self.tables(mask, work), self.block, self.at.shape[1]
-        index = work.index[:step * columns].reshape(step, columns)
-        base = work.base.view(self.base.dtype)
-        out = np.empty((states.size, columns), dtype=bool)
+        cell of the box inside the grid.  The states are read a block at a
+        time through the plan's buffers."""
+        lk, tables, step = self.lookup, self.tables(mask), len(self.key)
+        out = np.empty((states.size, lk.at.shape[1]), dtype=bool)
         for i in range(0, states.size, step):
-            j = min(i + step, states.size)
-            cells, keys, block = states[i:j], work.key[:j - i], index[:j - i]
+            cells = states[i:i + step]
+            n = cells.size
             # the first take checks the states as indexing would (buffering
-            # one copy of the keys); then every index lies inside its array
-            # (build and _lookups checked the keys and the tables), and
-            # "wrap" and "clip" let take write straight into the buffers
-            key.take(cells, out=keys)
-            self.base.take(cells, out=base[:j - i], mode="wrap")
-            self.at.take(keys, axis=0, out=block, mode="clip")
-            block += base[:j - i, None]
-            tables.take(block, out=out[i:j], mode="clip")
+            # one copy of its output); then every index lies inside its
+            # array (build checked the keys and the tables), and "wrap" and
+            # "clip" let take write straight into the buffers
+            if lk.key is None:
+                lk.base.take(cells, out=self.base[:n])
+                tables.take(self.base[:n], out=out[i:i + n, 0], mode="clip")
+                continue
+            keys, base, block = self.key[:n], self.base[:n], self.index[:n]
+            lk.key.take(cells, out=keys)
+            lk.base.take(cells, out=base, mode="wrap")
+            lk.at.take(keys, axis=0, out=block, mode="clip")
+            block += base[:, None]
+            tables.take(block, out=out[i:i + n], mode="clip")
         return out
 
 
@@ -463,12 +519,12 @@ class Abstraction:
         }
 
     @cached_property
-    def _lookups(self) -> tuple[_Lookup, _Lookup, np.ndarray, _Scratch]:
+    def _lookups(self) -> tuple[_Plan, _Plan]:
         """What :meth:`controllable` reads, built once: the lookup of each
-        pair's box; the lookup of each row key's window covering the boxes
-        of all its inputs; per state, its row key, which both read; and the
-        one workspace both read through, allocated here and reused by every
-        sweep of every solve."""
+        pair's box and the lookup of each row key's window covering the
+        boxes of all its inputs, both given every state's row key, and both
+        planned in one workspace, allocated here and reused by every sweep
+        of every solve."""
         m, d = self.n_inputs, self.grid_x.ndim
         n, periodic = self.grid_x.counts, self.grid_x.periodic
         keys = self._keys
@@ -484,12 +540,11 @@ class Abstraction:
         lo, hi = np.where(ring, 0, lo), np.where(ring, n, hi)
         kappa = _per_cell(n, np.arange(keys.shape[1]).reshape(self._key_shape()),
                           dtype=np.int32)
-        # read gathers the row keys with mode="clip"; check them once here
-        if kappa.min() < 0 or kappa.max() >= keys.shape[1]:
-            raise IndexError("a cell's row key lies outside the table")
-        pairs = _Lookup.build(self.grid_x, self.invariant, start, length)
-        cover = _Lookup.build(self.grid_x, self.invariant, lo[:, None], (hi - lo)[:, None])
-        return pairs, cover, kappa, _Scratch.fit(pairs, cover)
+        pairs = _Lookup.build(self.grid_x, self.invariant, start, length, kappa)
+        cover = _Lookup.build(self.grid_x, self.invariant, lo[:, None],
+                              (hi - lo)[:, None], kappa)
+        work = _Scratch.fit(pairs, cover)
+        return pairs.plan(work), cover.plan(work)
 
     def controllable(self, Z: np.ndarray, states: np.ndarray,
                      fresh: np.ndarray | None = None
@@ -510,21 +565,23 @@ class Abstraction:
         others' answers cannot have changed.  Without ``fresh`` every state
         is read.
         """
-        pairs, cover, kappa, work = self._lookups
-        rows = np.arange(states.size)
-        if fresh is not None:
+        pairs, cover = self._lookups
+        if fresh is None:
+            rows, near = np.arange(states.size), states
+        else:
             # the cover's tables are read to the end here, before the pair
             # lookup overwrites the workspace
-            rows = np.flatnonzero(~cover.read(~fresh, states, kappa, work)[:, 0])
-        near = states[rows]
-        ok = pairs.read(Z, near, kappa, work)
+            rows = np.flatnonzero(~cover.read(~fresh, states)[:, 0])
+            near = states[rows]
+        ok = pairs.read(Z, near)
         # a block's unpacked bits take 4 * _GATHER bytes, under the mmap
         # threshold, in few enough blocks to keep the per-block calls cheap
-        step, counts = max(1, 4 * _GATHER // self.n_inputs), tuple(self.grid_x.counts)
+        m, counts = self.n_inputs, tuple(self.grid_x.counts)
+        step = max(1, 4 * _GATHER // m)
         for i in range(0, near.size, step):
             ok[i:i + step] &= np.unpackbits(
                 self._enabled_bytes(np.unravel_index(near[i:i + step], counts)),
-                axis=1, count=self.n_inputs, bitorder="little").view(bool)
+                axis=1, count=m, bitorder="little").view(bool)
         return rows, ok
 
     def flat_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -135,11 +135,14 @@ def run_closed_loop(world, seed: int, max_steps: int) -> Trace:
             previous = objective
             objective = compile_objective(world.interp, world.sign_links, known)
             controller, solve_s = _controller_for(world, objective)
-            log.debug("step %d: detected %d cells (%s); objective %s; "
-                      "controller %s", i, len(newly), ";".join(map(str, newly)),
-                      "unchanged" if objective == previous else "changed",
-                      "reused" if solve_s is None else
-                      f"solved ({controller.sweeps} sweeps, {solve_s:.3f} s)")
+            # the arguments cost a join over every detected cell; build them
+            # only for a record that will be emitted
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("step %d: detected %d cells (%s); objective %s; "
+                          "controller %s", i, len(newly), ";".join(map(str, newly)),
+                          "unchanged" if objective == previous else "changed",
+                          "reused" if solve_s is None else
+                          f"solved ({controller.sweeps} sweeps, {solve_s:.3f} s)")
         if not controller.winning_mask[cell]:
             if i == 0:
                 raise InitialStateNotWinning(

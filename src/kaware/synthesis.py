@@ -12,11 +12,12 @@ ok)``: ``rows`` are the positions of the states it read, ``ok`` their
 pairs' answers, and a state it did not read has no controllable pair.  The
 table abstraction reads only the states whose boxes can meet the cells the
 last sweep added, and answers each pair by one lookup into erosion tables
-of the goal set.  The sweep that wins a cell also picks its policy input,
-the lowest controllable one; the controller keeps that one input per cell,
-not the set of inputs the sweep found.  Any object with ``n_states`` and
-that hook can be solved, which is how the tests solve their reference
-systems.
+of the goal set.  A sweep writes the goal set and the mask of added cells
+only at the cells it wins and those the last sweep won.  The sweep that
+wins a cell also picks its policy input, the lowest controllable one; the
+controller keeps that one input per cell, not the set of inputs the sweep
+found.  Any object with ``n_states`` and that hook can be solved, which is
+how the tests solve their reference systems.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ def solve_reach_avoid(ts, objective) -> Controller:
     the undecided states only, passing the cells the last sweep added; it
     reduces only the rows the hook read.  A state leaves once won, with the
     lowest input controllable in that sweep as its policy input.  The
-    mask of added cells is cleared and refilled, not copied; the hook must
-    not keep ``fresh`` past its call.
+    mask of added cells is updated in place, cleared at the cells the last
+    sweep added and set at those this one adds, and ``Z`` is set at the
+    latter only; the hook must not keep ``fresh`` past its call.
     """
     n = ts.n_states
     target, avoid = objective.target.mask, objective.avoid.mask
@@ -87,23 +89,25 @@ def solve_reach_avoid(ts, objective) -> Controller:
     policy = np.full(n, -1, dtype=np.int32)
     Z = target.copy()
     fresh = target.copy()
+    new = np.flatnonzero(target)  # the cells fresh holds
     states = np.flatnonzero(~(target | avoid))
     k = 0
     while True:
         k += 1
         rows, ok = ts.controllable(Z, states, fresh)
         won = ok.any(axis=1)
-        if not won.any():
+        hit = rows[won]
+        if not hit.size:
             break
-        new = states[rows[won]]
+        fresh[new] = False
+        new = states[hit]
         rank[new] = k
         # argmax finds the first True: the lowest controllable input
         policy[new] = ok[won].argmax(axis=1)
-        fresh[:] = False
         fresh[new] = True
-        Z |= fresh
+        Z[new] = True
         keep = np.ones(states.size, dtype=bool)
-        keep[rows[won]] = False
+        keep[hit] = False
         states = states[keep]
     return Controller(winning_mask=Z, rank_array=rank, policy_array=policy,
                       sweeps=k)

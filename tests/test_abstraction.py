@@ -203,6 +203,35 @@ def test_eventually_objective_solves_like_the_flat_oracle(desk_scenario,
     assert table.winning_mask[obstacle].any()
 
 
+@pytest.mark.parametrize("case", ["no target", "target is every free cell",
+                                  "avoid is every other cell"])
+def test_edge_games_solve_like_the_flat_oracle(case, desk_world):
+    """Games whose one sweep reads empty arrays, on desk: with no target
+    cell nothing is fresh, so no state's cover window meets it and the pair
+    lookup reads none; with the target every cell outside the avoid set, or
+    the avoid set every cell outside the target, no state is undecided.
+    Each solve stops after that sweep with the target, at rank 0, as its
+    winning set and no policy input, as the flat solve does."""
+    abs_ = desk_world.abstraction
+    desk = compile_objective(desk_world.interp, desk_world.sign_links, set())
+    target, avoid = desk.target.mask, desk.avoid.mask
+    if case == "no target":
+        target = np.zeros_like(target)
+    elif case == "target is every free cell":
+        target = ~avoid
+    else:
+        avoid = ~target
+    game = oracles.objective(abs_.n_states, np.flatnonzero(target),
+                             np.flatnonzero(avoid))
+    table = solve_reach_avoid(abs_, game)
+    assert table.sweeps == 1
+    assert np.array_equal(table.winning_mask, target)
+    assert (table.rank_array[target] == 0).all()
+    assert (table.policy_array == -1).all()
+    flat = FlatTransitions(abs_)
+    assert_same_controller(abs_, table, flat, solve_reach_avoid(flat, game))
+
+
 def test_fresh_filter_skips_only_unchanged_states(small_dubins, desk_abstraction,
                                                  full_abstraction):
     """Given the cells added to Z since a call that found none of the
@@ -232,7 +261,7 @@ def test_full_scale_cover_windows_are_circular(full_abstraction):
     the key itself: at full scale every key's boxes fit in 11 of the 24
     heading cells, also on the keys whose boxes cross the seam between the
     last heading cell and the first, and the windows take 3 length rows."""
-    cover = full_abstraction._lookups[1]
+    cover = full_abstraction._lookups[1].lookup
     assert full_abstraction.grid_x.counts[2] == 24
     assert len(cover.lengths) == 3 and (cover.lengths[:, 2] == 11).all()
 
@@ -486,8 +515,8 @@ def lookup_bruteforce(grid, invariant, idx, start, length, mask, key):
 def test_lookup_reads_boxes_like_bruteforce():
     """``_Lookup`` erodes by flat shifts over the erosion grid; on random
     grids, boxes and masks each of its answers equals a box checked cell by
-    cell.  Two lookups of other boxes read in turn through one workspace
-    sized to the larger of them, as an abstraction's two lookups do."""
+    cell.  Two lookups of other boxes, planned in one workspace sized to
+    the larger of them, read in turn, as an abstraction's two lookups do."""
     rng = np.random.default_rng(12)
     hits = 0
     for _ in range(40):
@@ -503,15 +532,16 @@ def test_lookup_reads_boxes_like_bruteforce():
             columns = int(rng.integers(1, 5))
             boxes.append((rng.integers(-3, counts + 2, size=(keys, columns, d)),
                           rng.integers(1, 6, size=(keys, columns, d))))
-        lookups = [_Lookup.build(grid, invariant, start, length) for start, length in boxes]
-        work = _Scratch.fit(*lookups)
         key = rng.integers(0, keys, size=grid.size).astype(np.int32)
+        lookups = [_Lookup.build(grid, invariant, start, length, key)
+                   for start, length in boxes]
+        work = _Scratch.fit(*lookups)
+        plans = [lookup.plan(work) for lookup in lookups]
         for holes in (0.0, 0.2, 0.6):
             mask = rng.random(grid.size) >= holes
-            for lookup, (start, length) in zip(lookups, boxes):
+            for plan, (start, length) in zip(plans, boxes):
                 want = lookup_bruteforce(grid, invariant, idx, start, length, mask, key)
-                assert np.array_equal(lookup.read(mask, np.arange(grid.size), key, work),
-                                      want)
+                assert np.array_equal(plan.read(mask, np.arange(grid.size)), want)
                 hits += int(want.sum())
     assert hits > 100
 
