@@ -9,8 +9,7 @@ fixed offset, and a pair is blocked exactly when the cell lies outside a
 fixed index range.  The abstraction is therefore a table with one row per
 (index on the other dimensions, input) -- per (heading, input) for the
 Dubins car -- holding the box offset and length on every dimension and the
-non-blocked index range on every non-periodic dimension, all or none of a
-keyed one.  The state grid
+non-blocked index range on every non-periodic dimension.  The state grid
 turns each reach rectangle into index windows (``Grid.index_bounds``,
 ``Grid.window``) by the rules it applies to scenario regions; on its
 periodic dimensions (the heading) it wraps a flowed state, and a box may
@@ -718,11 +717,12 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
     row's index on the others -- is flowed for one sampling period under the
     row's input, all rows in one vectorized call.  The cell radius is
     dilated by the growth bound, and the resulting rectangle becomes index
-    ranges relative to the reference cell.  On each non-periodic invariant
-    dimension, the cells whose translated rectangle stays inside the bounds
-    form the row's non-blocked range; on a non-periodic keyed dimension the
-    range is the whole axis, or empty when the rectangle leaves the bounds
-    there.
+    ranges relative to the reference cell.  On each non-periodic dimension
+    the row's non-blocked range ``[first, stop)`` holds the indices whose
+    cell, moved by the reference cell's displacement, keeps its rectangle
+    inside the bounds.  A keyed dimension's row serves only its reference
+    index, which lies in that range exactly when the reference cell's own
+    rectangle stays inside.
     """
     m, d = grid_u.size, grid_x.ndim
     counts, eta = grid_x.counts, grid_x.eta
@@ -737,8 +737,7 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
     start = xlo + ref * eta
     c_out, radius = reach_over_approx(sys, start, eta / 2, inputs)
     c_out = grid_x.wrap(c_out)
-    r_lo, r_hi = c_out - radius, c_out + radius
-    k_lo, k_hi = grid_x.index_bounds(r_lo, r_hi)
+    k_lo, k_hi = grid_x.index_bounds(c_out - radius, c_out + radius)
     # index bounds within +-2**30 keep every offset, length and enabled
     # bound of a grid under 2**30 cells inside int32; a huge tau gives
     # bounds past that, or NaN, which the casts below would wrap silently
@@ -753,11 +752,6 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
     enabled = np.zeros((ref.shape[0], len(ranged), 2), dtype=np.int64)
     for a, dim in enumerate(ranged):
         n = int(counts[dim])
-        if dim in keyed:
-            # the row serves one index here: all of it or none
-            out = (r_lo[:, dim] < xlo[dim] - _TOL) | (r_hi[:, dim] > xhi[dim] + _TOL)
-            enabled[:, a, 1] = np.where(out, 0, n)
-            continue
         # the flow's displacement is the same for every cell of the row
         moved = (xlo[dim] + np.arange(n) * eta[dim]) \
             + (c_out[:, dim] - start[:, dim])[:, None]

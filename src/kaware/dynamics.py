@@ -42,9 +42,8 @@ class ContinuousSystem:
     ``name`` is hashed into the abstraction cache's fingerprint."""
 
     name: str
-    state_dim: int
     tau: float
-    lipschitz: np.ndarray
+    lipschitz: np.ndarray       # (n, n) for an n-dimensional state
     dist_halfwidth: np.ndarray  # per-dim half width of W; zeros => W = {0}
     field: Callable = field(repr=False)
     # dimensions the field does not read: translating the start state along
@@ -65,7 +64,7 @@ class ContinuousSystem:
         object.__setattr__(self, "lipschitz", L)
         object.__setattr__(self, "dist_halfwidth", w)
         inv = tuple(sorted(set(self.invariant_dims)))
-        if any(not 0 <= d < self.state_dim for d in inv):
+        if any(not 0 <= d < L.shape[0] for d in inv):
             raise ValueError("invariant dimensions out of range")
         object.__setattr__(self, "invariant_dims", inv)
 
@@ -74,7 +73,6 @@ def dubins_car(tau: float = 0.2, dist_halfwidth=None) -> ContinuousSystem:
     w = np.zeros(3) if dist_halfwidth is None else np.asarray(dist_halfwidth, float)
     return ContinuousSystem(
         name="dubins_car",
-        state_dim=3,
         tau=tau,
         lipschitz=DUBINS_LIPSCHITZ,
         dist_halfwidth=w,

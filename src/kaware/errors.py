@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class KawareError(Exception):
@@ -58,7 +58,3 @@ class InitialStateOutsideDomain(KawareError):
 
 class InitialStateNotWinning(KawareError):
     """The initial abstract cell is outside the initial winning region."""
-
-
-class TargetUnreachableWarning(UserWarning):
-    """The enlarged avoid set swallowed the whole target region."""

@@ -1,17 +1,20 @@
 """ALC knowledge base evaluated over the single grid interpretation.
 
 :func:`kaware.scenario.load_scenario` decides which concept and role names
-exist, and its name check is the only reader of a temporal axiom; this
-module only evaluates.  A concept extent is a bool mask over the state
-cells.  The built-in ``Proximity`` role relates a cell to a target cell
-when their planar rectangles are closer than the detection range and the
-target lies ahead of some heading of the cell by more than the grid's 1e-9
-band (at an exactly perpendicular heading, "ahead" is a rounding residue).
-One vectorized kernel, :meth:`ProximityRole.relate`, serves the concepts
-(once per distinct planar target rectangle) and the runtime sensor (once
-per step).  The tests check it against a scalar reference of the relation
-and evaluate concepts over hand-built roles of their own; a role is any
-object with a ``preimage`` of a cell mask.
+exist and hands over the concept definitions, one formula per defined
+name; this module only evaluates.  A temporal axiom is parsed and
+name-checked there and then dropped: it does not shape the game, whose
+only avoid cells beyond the objective's unsafe cells are the streets of
+the detected ``map.signs`` signs.  A concept extent is a bool mask over
+the state cells.  The built-in ``Proximity`` role relates a cell to a
+target cell when their planar rectangles are closer than the detection
+range and the target lies ahead of some heading of the cell by more than
+the grid's 1e-9 band (at an exactly perpendicular heading, "ahead" is a
+rounding residue).  One vectorized kernel, :meth:`ProximityRole.relate`,
+serves the concepts (once per distinct planar target rectangle) and the
+runtime sensor (once per step).  The tests check it against a scalar
+reference of the relation and evaluate concepts over hand-built roles of
+their own; a role is any object with a ``preimage`` of a cell mask.
 """
 
 from __future__ import annotations
@@ -24,28 +27,6 @@ import numpy as np
 from .errors import UndeclaredName
 from .grid import _TOL, Grid, HyperRect
 from .ltl import Formula, eval_concept
-
-# ---------------------------------------------------------------------------
-# TBox
-
-
-@dataclass(frozen=True)
-class Equivalence:
-    """Fresh atomic name defined by a (non-temporal) concept."""
-    name: str
-    concept: Formula
-
-
-@dataclass(frozen=True)
-class TemporalEquivalence:
-    """Fresh atomic name defined by a temporal formula over concepts.
-
-    Only the loader's name check reads it: the game is the objective's
-    reach-avoid game plus the streets of the detected signs.
-    """
-    name: str
-    formula: Formula
-
 
 # ---------------------------------------------------------------------------
 # Proximity geometry
@@ -126,21 +107,17 @@ class Interpretation:
 
 
 def assemble_interpretation(regions: Mapping[str, Sequence[HyperRect]],
-                            roles: Mapping[str, object], tbox: Sequence,
+                            roles: Mapping[str, object],
+                            definitions: Mapping[str, Formula],
                             grid_x: Grid) -> Interpretation:
-    """Ground each region's boxes as a cell mask, take the ``roles`` as
-    they are and keep the concept axioms of ``tbox``.
-
-    A concept axiom is evaluated when its extent is first asked for; a
-    temporal axiom is not evaluated.
-    """
+    """Ground each region's boxes as a cell mask and take the ``roles`` and
+    the concept ``definitions`` as they are; a definition is evaluated when
+    its extent is first asked for."""
     extents: dict[str, np.ndarray] = {}
     for name, boxes in regions.items():
         mask = np.zeros(grid_x.size, dtype=bool)
         for box in boxes:
             mask[grid_x.cells_intersecting(box)] = True
         extents[name] = mask
-    definitions = {ax.name: ax.concept for ax in tbox
-                   if isinstance(ax, Equivalence)}
     return Interpretation(domain_size=grid_x.size, concept_extents=extents,
-                          roles=dict(roles), definitions=definitions)
+                          roles=dict(roles), definitions=dict(definitions))

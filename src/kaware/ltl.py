@@ -20,13 +20,15 @@ shape, for the game, the audit and scenario validation alike.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Set
 
 import numpy as np
 
-from .errors import LtlSyntaxError, TargetUnreachableWarning, UndeclaredName
+from .errors import LtlSyntaxError, UndeclaredName
+
+log = logging.getLogger("kaware")
 
 
 class Formula:
@@ -445,6 +447,5 @@ def compile_objective(interp, sign_links: Sequence[tuple[np.ndarray, np.ndarray]
     target = eval_concept(interp, goal)
     reachable = target & ~avoid
     if target.any() and not reachable.any():
-        warnings.warn("avoid set covers the whole target region",
-                      TargetUnreachableWarning)
+        log.warning("avoid set covers the whole target region")
     return GameObjective(target=CellSet(reachable), avoid=CellSet(avoid))

@@ -74,7 +74,8 @@ def render_svg(scenario: Scenario, trace: Trace | None = None) -> str:
     for sign in scenario.signs:
         canvas.rect(sign.street_box, "#f4c7c3", 0.6)
 
-    # planar projections of the unsafe and goal cells and the detection zone
+    # planar projections of the unsafe and goal cells and the detection zone,
+    # one rect per run of adjacent x2 cells in each x1 column
     interp, _ = scenario.ground(grid_x)
     safe, goal = reach_avoid(interp.objective)
     zone = interp.roles["Proximity"].preimage(interp.extent("NoEntrySign"))
@@ -83,7 +84,10 @@ def render_svg(scenario: Scenario, trace: Trace | None = None) -> str:
                                  (eval_concept(interp, goal), "#8fd18f", 1.0),
                                  (zone, "#ffb347", 0.35)):
         cols = cells.reshape(counts[0], counts[1], -1).any(axis=2)
-        lower, upper = grid_x.rects(np.flatnonzero(cols) * counts[2])
+        # a run's edges alternate, start then stop, along each column
+        i, j = np.nonzero(np.diff(cols, prepend=False, append=False, axis=1))
+        lower, _ = grid_x.rects((i[::2] * counts[1] + j[::2]) * counts[2])
+        _, upper = grid_x.rects((i[1::2] * counts[1] + j[1::2] - 1) * counts[2])
         for lo, hi in zip(lower.T, upper.T):
             canvas.rect(HyperRect(lo, hi), fill, opacity)
     for sign in scenario.signs:

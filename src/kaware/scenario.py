@@ -6,6 +6,10 @@ signs, each linked to exactly one street region; the signs alone make up
 the ``NoEntrySign`` concept, and every concept name takes its cells from
 one source: its region boxes, the signs, or one axiom), the knowledge section
 (role range, TBox axioms), the mission objective, and the run parameters.
+A ``concept`` axiom defines its name by a concept formula; a ``temporal``
+axiom is parsed and name-checked, then dropped: it does not shape the
+game, whose only avoid cells beyond the objective's unsafe cells are the
+streets of the detected ``map.signs`` signs.
 Region boxes may omit trailing dimensions; missing dimensions default to
 the full range (a planar box means "all headings").  Every number is a
 finite JSON number, read by one reader: a boolean or a numeric string
@@ -13,8 +17,8 @@ such as ``"0.5"`` is a validation error.  ``periodic`` takes JSON
 booleans, and the scenario's and the signs' names take strings.
 
 :func:`load_scenario` alone decides which concept and role names exist: it
-checks each axiom's names as it reads the axiom, which makes it the only
-reader of a temporal axiom, and the objective's against the same names.
+checks each axiom's names as it reads the axiom, and the objective's
+against the same names.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class Scenario:
     regions: dict[str, list[HyperRect]]
     signs: list[Sign]
     proximity_range: float
-    tbox: list
+    definitions: dict[str, Formula]  # the concept axioms, in file order
     objective: Formula
     initial_state: np.ndarray
     seed: int
@@ -80,7 +84,8 @@ class Scenario:
         ``NoEntrySign`` holds exactly the signs' boxes, each region its own."""
         boxes = {**self.regions, "NoEntrySign": [s.sign_box for s in self.signs]}
         roles = {"Proximity": knowledge.ProximityRole(grid_x, self.proximity_range)}
-        interp = knowledge.assemble_interpretation(boxes, roles, self.tbox, grid_x)
+        interp = knowledge.assemble_interpretation(boxes, roles, self.definitions,
+                                                   grid_x)
         interp.objective = self.objective
         if not eval_concept(interp, reach_avoid(self.objective)[1]).any():
             raise ScenarioValidationError("objective", "the goal holds in no cell")
@@ -279,7 +284,7 @@ def load_scenario(path: str) -> Scenario:
     # the names an axiom may use: the roles, the concepts with boxes and
     # the names of earlier concept axioms
     roles, concepts = {"Proximity"}, set(sources)
-    tbox = []
+    definitions: dict[str, Formula] = {}
     for i, ax in enumerate(_typed(kblk.get("tbox", []), list, "knowledge.tbox")):
         where = f"knowledge.tbox[{i}]"
         name = _typed(_require(_typed(ax, dict, where), "define", where), str,
@@ -291,8 +296,7 @@ def load_scenario(path: str) -> Scenario:
         kind = "concept" if "concept" in ax else "temporal"
         if kind not in ax:
             raise ScenarioValidationError(where, "need 'concept' or 'temporal'")
-        parse, axiom = ((parse_concept, knowledge.Equivalence) if kind == "concept"
-                        else (parse_ltl, knowledge.TemporalEquivalence))
+        parse = parse_concept if kind == "concept" else parse_ltl
         try:
             body = parse(_typed(ax[kind], str, f"{where}.{kind}"))
         except LtlSyntaxError as exc:
@@ -303,7 +307,7 @@ def load_scenario(path: str) -> Scenario:
                     where, f"undeclared concept or role {used}")
         if kind == "concept":
             concepts.add(name)
-        tbox.append(axiom(name, body))
+            definitions[name] = body
 
     try:
         objective = parse_ltl(_typed(_require(raw, "objective", "scenario"),
@@ -338,7 +342,7 @@ def load_scenario(path: str) -> Scenario:
         regions=regions,
         signs=signs,
         proximity_range=proximity_range,
-        tbox=tbox,
+        definitions=definitions,
         objective=objective,
         initial_state=initial_state,
         seed=seed,

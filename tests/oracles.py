@@ -735,13 +735,31 @@ def owned_boxes(grid, cells):
     return a, b
 
 
+def cell_samples(world, controller, cells, rng, n_random=4):
+    """Start states and policy inputs of the winning cells ``cells``: the
+    2**n corners of the box of states each cell owns (nudged inside), its
+    centre and ``n_random`` uniform points, as ``(x, owner, u)`` rows."""
+    grid, grid_u = world.grid_x, world.grid_u
+    corners = np.array(list(itertools.product((1e-6, 1 - 1e-6),
+                                              repeat=grid.ndim)))
+    fixed = np.vstack([corners, np.full((1, grid.ndim), 0.5)])
+    a, b = owned_boxes(grid, cells)
+    t = np.concatenate([np.broadcast_to(fixed, (cells.size,) + fixed.shape),
+                        rng.random((cells.size, n_random, grid.ndim))], axis=1)
+    x = (a[:, None] + t * (b - a)[:, None]).reshape(-1, grid.ndim)
+    owner = np.repeat(cells, t.shape[1])
+    assert (quantize_points(grid, x) == owner).all()
+    u = grid_u.bounds.lower + np.array(np.unravel_index(
+        controller.policy_array[owner], tuple(grid_u.counts))).T * grid_u.eta
+    return x, owner, u
+
+
 def concrete_rank_decrease(world, controller, rng, n_random=4, pieces=4,
                            block=4096):
     """Sampled falsification (not a proof) of the controller's ranking
-    under the real flow: from each winning non-target cell, the 2**n
-    corners of the box of states it owns (nudged inside), its centre and
-    ``n_random`` uniform points flow one period under the cell's policy
-    input, with ``pieces`` piecewise-constant disturbances drawn from W.
+    under the real flow: the samples of :func:`cell_samples` in each
+    winning non-target cell flow one period under the cell's policy input,
+    with ``pieces`` piecewise-constant disturbances drawn from W.
     Each end point must lie in the state space, in a cell of lower rank.
 
     Returns ``(samples, strip_samples, bad, bad_strip)``: the number of
@@ -751,28 +769,17 @@ def concrete_rank_decrease(world, controller, rng, n_random=4, pieces=4,
     """
     from kaware.dynamics import flow
 
-    grid, grid_u, sys = world.grid_x, world.grid_u, world.system
+    grid, sys = world.grid_x, world.system
     rank = controller.rank_array
     cells = np.flatnonzero(controller.winning_mask & (rank > 0))
-    corners = np.array(list(itertools.product((1e-6, 1 - 1e-6),
-                                              repeat=grid.ndim)))
-    centre = np.full((1, grid.ndim), 0.5)
     last = grid.bounds.lower + (grid.counts - 0.5) * grid.eta
     samples = strip = 0
     bad, bad_strip = [cells[:0]], [cells[:0]]
     for i in range(0, cells.size, block):
-        cb = cells[i:i + block]
-        a, b = owned_boxes(grid, cb)
-        t = np.concatenate([np.broadcast_to(np.vstack([corners, centre]),
-                                            (cb.size, len(corners) + 1, grid.ndim)),
-                            rng.random((cb.size, n_random, grid.ndim))], axis=1)
-        x = (a[:, None] + t * (b - a)[:, None]).reshape(-1, grid.ndim)
-        owner = np.repeat(cb, t.shape[1])
-        assert (quantize_points(grid, x) == owner).all()
+        x, owner, u = cell_samples(world, controller, cells[i:i + block], rng,
+                                   n_random)
         in_strip = np.any(~grid.periodic & (x > last), axis=1)
         strip += int(in_strip.sum())
-        u = grid_u.bounds.lower + np.array(np.unravel_index(
-            controller.policy_array[owner], tuple(grid_u.counts))).T * grid_u.eta
         for _ in range(pieces):
             w = rng.uniform(-sys.dist_halfwidth, sys.dist_halfwidth, size=x.shape)
             x = flow(sys, x, u, sys.tau / pieces, disturbance=w)
@@ -783,6 +790,52 @@ def concrete_rank_decrease(world, controller, rng, n_random=4, pieces=4,
         samples += owner.size
     return (samples, strip, np.unique(np.concatenate(bad)),
             np.unique(np.concatenate(bad_strip)))
+
+
+def dense_path_entries(world, controller, boxes, rng, n_random=4,
+                       substeps=16, block=4096):
+    """Sampled check of the path between sampling instants: from the
+    samples of :func:`cell_samples` in each winning non-target cell, the
+    flow under the cell's policy input with W = 0, read at ``substeps``
+    instants of one period.  A path enters a box when some instant lies
+    strictly inside the box's planar (x1, x2) extent while the path's two
+    sampling instants both lie outside it.
+
+    Returns ``(samples, entering, cells, deepest)``: the number of samples,
+    how many paths enter a box, the sorted cells they start in, and the
+    largest planar depth reached inside a box.
+    """
+    from kaware.dynamics import flow
+
+    grid, sys = world.grid_x, world.system
+    rank = controller.rank_array
+    cells = np.flatnonzero(controller.winning_mask & (rank > 0))
+    lo = np.array([b.lower[:2] for b in boxes])
+    hi = np.array([b.upper[:2] for b in boxes])
+
+    def depth(x):
+        """Per state and box, how far the state lies inside the box's
+        planar extent (the nearest face), negative outside."""
+        p = x[:, None, :2]
+        return np.minimum(p - lo, hi - p).min(axis=-1)
+
+    samples = entering = 0
+    deepest, found = 0.0, [cells[:0]]
+    for i in range(0, cells.size, block):
+        x, owner, u = cell_samples(world, controller, cells[i:i + block], rng,
+                                   n_random)
+        start, inside = depth(x), np.zeros((x.shape[0], lo.shape[0]))
+        for _ in range(substeps - 1):
+            x = flow(sys, x, u, sys.tau / substeps)
+            inside = np.maximum(inside, depth(x))
+        x = flow(sys, x, u, sys.tau / substeps)
+        enters = (inside > 0) & (start <= 0) & (depth(x) <= 0)
+        hit = enters.any(axis=1)
+        entering += int(hit.sum())
+        found.append(owner[hit])
+        deepest = max(deepest, float(inside[enters].max(initial=0.0)))
+        samples += owner.size
+    return samples, entering, np.unique(np.concatenate(found)), deepest
 
 
 # ---------------------------------------------------------------------------

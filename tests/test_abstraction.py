@@ -30,7 +30,7 @@ def blocked(abs_):
 
 
 def identity_system(tau=1.0):
-    return ContinuousSystem(name="zero", state_dim=1, tau=tau,
+    return ContinuousSystem(name="zero", tau=tau,
                             lipschitz=np.zeros((1, 1)),
                             dist_halfwidth=np.zeros(1),
                             field=lambda x, u: np.zeros_like(x))
@@ -93,6 +93,9 @@ def test_post_matches_reach_rect_bruteforce(small_dubins):
     from kaware.dynamics import reach_over_approx
 
     eta = grid_x.eta
+    rects = [oracles.cell_rect(grid_x, cell) for cell in range(grid_x.size)]
+    lower = np.array([rect.lower for rect in rects])
+    upper = np.array([rect.upper for rect in rects])
     rng = np.random.default_rng(17)
     checked = 0
     while checked < 40:
@@ -104,17 +107,13 @@ def test_post_matches_reach_rect_bruteforce(small_dubins):
         c, r = reach_over_approx(sys, grid_x.center(s),
                                  eta / 2, abs_.grid_u.center(u))
         shrink = 1e-9
-        expected = set()
+        expected = np.zeros(grid_x.size, dtype=bool)
         for shift in (-2 * PI, 0.0, 2 * PI):
-            lo = [c[0] - r[0], c[1] - r[1], c[2] - r[2] + shift]
-            hi = [c[0] + r[0], c[1] + r[1], c[2] + r[2] + shift]
-            for cell in range(grid_x.size):
-                rect = oracles.cell_rect(grid_x, cell)
-                if all(rect.lower[d] < hi[d] - shrink
-                       and lo[d] < rect.upper[d] - shrink
-                       for d in range(3)):
-                    expected.add(cell)
-        assert post(abs_, s, u).tolist() == sorted(expected)
+            lo = c - r + [0.0, 0.0, shift]
+            hi = c + r + [0.0, 0.0, shift]
+            expected |= np.all((lower < hi - shrink) & (lo < upper - shrink),
+                               axis=1)
+        assert post(abs_, s, u).tolist() == np.flatnonzero(expected).tolist()
 
 
 def test_soundness_monte_carlo(small_dubins):
@@ -613,7 +612,10 @@ def test_enabled_bits_match_the_per_cell_formula(case, small_dubins, desk_scenar
         g = desk_scenario.state_grid()
         grid_x = make_grid(g.bounds.lower, g.bounds.upper, g.eta, periodic=[False] * 3)
         abs_ = build_abstraction(desk_scenario.system(), grid_x, desk_scenario.input_grid())
-        assert (abs_.enabled[:, 2, 1] == 0).any()  # headings blocked whole
+        # headings blocked whole: a row's range misses its own heading index
+        own = np.arange(abs_.enabled.shape[0]) // abs_.n_inputs
+        first, stop = abs_.enabled[:, 2].T
+        assert ((own < first) | (own >= stop)).any()
     want = oracles.enabled_bits(abs_)
     got = abs_._enabled_bytes(np.unravel_index(np.arange(abs_.n_states),
                                                tuple(abs_.grid_x.counts)))

@@ -204,7 +204,7 @@ def test_criterion_7_end_to_end_urban_run():
 # SHA-256 of the full-resolution default-seed trace, its rendering and the
 # all-signs controller
 FULL_TRACE = "aaa68a97c35730ba70f8197eb5e87ee1388e275bc9d2eceb285dad564e3ba0fa"
-FULL_SVG = "3a02d35decc3d72c7f67a7c56fd5ccded53df39c1217911e574e9a1194e09a8e"
+FULL_SVG = "0ca2cfe02096e690adebdad12956cc3934e2d764bff3d6ef2ca2c6bab839035f"
 FULL_CONTROLLER_ALL = \
     "4795aa7b3fe6ff913d104d4aebdfbfcfda2c283b06070023ac31d7824da8b7e8"
 

@@ -139,7 +139,7 @@ def test_heading_radius_past_pi_covers_the_circle():
     assert r[2] == 4.0
     grid_x = make_grid([0, 0, -np.pi], [20, 20, np.pi], [1.0, 1.0, 0.5],
                        periodic=[False, False, True])
-    wide = ContinuousSystem(name="dubins_car", state_dim=3, tau=2.0,
+    wide = ContinuousSystem(name="dubins_car", tau=2.0,
                             lipschitz=DUBINS_LIPSCHITZ,
                             dist_halfwidth=[0.0, 0.0, 2.0],
                             field=dubins_field, invariant_dims=(0, 1))
@@ -171,12 +171,12 @@ def test_system_validation():
     with pytest.raises(ValueError):
         dubins_car(tau=-1.0)
     with pytest.raises(ValueError):
-        ContinuousSystem(name="dubins_car", state_dim=3, tau=0.2,
+        ContinuousSystem(name="dubins_car", tau=0.2,
                          lipschitz=-np.ones((3, 3)), dist_halfwidth=np.zeros(3),
                          field=dubins_field)
     # a dense bound is not nilpotent: its exponential is no finite series
     with pytest.raises(ValueError, match="nilpotent"):
-        ContinuousSystem(name="dubins_car", state_dim=3, tau=0.2,
+        ContinuousSystem(name="dubins_car", tau=0.2,
                          lipschitz=np.ones((3, 3)), dist_halfwidth=np.zeros(3),
                          field=dubins_field)
     with pytest.raises(ValueError):

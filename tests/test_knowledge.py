@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from kaware.errors import LtlSyntaxError, UndeclaredName
 from kaware.grid import HyperRect, make_grid
-from kaware.knowledge import (Equivalence, Interpretation, ProximityRole,
-                              assemble_interpretation)
+from kaware.knowledge import Interpretation, ProximityRole, assemble_interpretation
 from kaware.ltl import (And, Atomic, Bottom, Exists, Forall, Not, Or, Top,
                         eval_concept, parse_concept)
 
@@ -271,16 +270,16 @@ def test_preimage_matches_scalar_proximity_per_sign_rectangle(desk_scenario):
 # interpretation assembly
 
 
-def ground(grid, regions, tbox=()):
+def ground(grid, regions, definitions=None):
     """The interpretation of ``regions`` over ``grid``, with no Target,
     Obstacle or NoEntrySign boxes unless ``regions`` gives them, and
     Proximity at range 1.2."""
     boxes = {"Target": [], "Obstacle": [], "NoEntrySign": [], **regions}
     return assemble_interpretation(
-        boxes, {"Proximity": ProximityRole(grid, 1.2)}, list(tbox), grid)
+        boxes, {"Proximity": ProximityRole(grid, 1.2)}, definitions or {}, grid)
 
 
-DETECTED = Equivalence("Detected", parse_concept("exists Proximity.NoEntrySign"))
+DETECTED = {"Detected": parse_concept("exists Proximity.NoEntrySign")}
 
 
 def test_assemble_empty_region(coarse_grid):
@@ -303,7 +302,7 @@ def test_assemble_extent_overlaps_box(coarse_grid):
 def test_detected_concept_matches_double_loop(coarse_grid):
     g = coarse_grid
     sign_box = HyperRect([0.5, -0.5, -PI], [1.0, 0.0, PI])
-    interp = ground(g, {"NoEntrySign": [sign_box]}, [DETECTED])
+    interp = ground(g, {"NoEntrySign": [sign_box]}, DETECTED)
     signs = np.flatnonzero(interp.extent("NoEntrySign")).tolist()
     expected = frozenset(
         x for x in range(g.size)
@@ -317,8 +316,8 @@ def test_region_monotonicity(coarse_grid):
     i1 = ground(coarse_grid, {"Obstacle": [small]})
     i2 = ground(coarse_grid, {"Obstacle": [small, big]})
     assert members(i1.extent("Obstacle")) <= members(i2.extent("Obstacle"))
-    d1 = ground(coarse_grid, {"NoEntrySign": [small]}, [DETECTED])
-    d2 = ground(coarse_grid, {"NoEntrySign": [small, big]}, [DETECTED])
+    d1 = ground(coarse_grid, {"NoEntrySign": [small]}, DETECTED)
+    d2 = ground(coarse_grid, {"NoEntrySign": [small, big]}, DETECTED)
     assert members(d1.extent("Detected")) <= members(d2.extent("Detected"))
 
 

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import itertools
+import logging
 import pathlib
 import time
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import kaware
 from kaware import build_world
-from kaware.errors import LtlSyntaxError, TargetUnreachableWarning
+from kaware.errors import LtlSyntaxError
 from kaware.knowledge import Interpretation
 from kaware.ltl import (MAX_DEPTH, Always, And, Atomic, CellSet, Eventually,
                         Implies, Next, Not, Or, Top, Until, check_trace,
@@ -383,12 +384,14 @@ def test_compile_objective_monotone_in_known_signs():
         prev = cur
 
 
-def test_compile_objective_warns_when_target_swallowed():
+def test_compile_objective_warns_when_target_swallowed(caplog):
+    caplog.set_level(logging.WARNING, logger="kaware")
     interp = _interp({11}, {5})
     links = [_link([10], [11, 12])]
-    with pytest.warns(TargetUnreachableWarning):
-        obj = compile_objective(interp, links, {10})
+    obj = compile_objective(interp, links, {10})
     assert members(obj.target) == frozenset()
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("kaware", "WARNING", "avoid set covers the whole target region")]
 
 
 @pytest.mark.parametrize("cell", [-1, 30])

@@ -467,7 +467,7 @@ def test_cli_check_fails_on_corrupted_trace(cli_artifacts, tmp_path):
 
 # SHA-256 of the desk map rendered with its default-seed trace, and of the
 # default-seed trace on the desk map with no signs
-DESK_SVG = "435e92e865d6de521e99b141ec501f8688959537fe965376adbe6ca0f126a95a"
+DESK_SVG = "2bf0eaa28a9aa53640b8cf6bda7677aab8f0f3f5a15a7c5f367d1217709a7e15"
 DESK_NO_SIGN_TRACE = \
     "92e15645f05ff158fb25135c6fd85a9f7c35fdbd6d4c73c120f057458f5e7284"
 
@@ -626,6 +626,24 @@ def test_cli_render_draws_the_sensor_zone_without_a_detection_axiom(
     out = tmp_path / "out.svg"
     assert main(["render", str(cli_artifacts["trace"]), path, "-o", str(out)]) == 0
     assert _sha256(out) == DESK_SVG
+
+
+def test_cli_log_level_silences_the_swallowed_target_warning(cli_artifacts,
+                                                             tmp_path):
+    """An avoid set that covers the whole target is reported through the
+    ``kaware`` logger: one record at the default level, and none at
+    ``--log-level error``; the game is still solved."""
+    path = _mutate(DESK_SCENARIO, tmp_path, _objective("!Obstacle U Obstacle"))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(kaware.__file__).parents[1]))
+    for level, err in (("info", "WARNING:kaware:avoid set covers the whole "
+                                "target region\n"),
+                       ("error", "")):
+        run = subprocess.run([sys.executable, "-m", "kaware.cli", "--log-level",
+                              level, "synthesize", path, "--cache",
+                              str(cli_artifacts["cache"]), "-o",
+                              str(tmp_path / "ctrl.csv")],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert (run.returncode, run.stderr) == (0, err)
 
 
 @pytest.mark.parametrize("command", ["simulate", "check", "render"])
