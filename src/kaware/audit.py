@@ -8,6 +8,10 @@ that reached the target, bounded-LTL satisfaction of the objective and a
 final cell in its goal; :func:`~kaware.ltl.reach_avoid` gives both parts,
 as to the game.  Each check is a requirement on every correct run, from
 any start: a FAIL (exit 1 from ``kaware check``) means the run broke one.
+
+Every cell set is read as its mask over the state grid's ``n`` cells.  A
+trace cell or detected id outside ``[0, n)`` lies in no set: it is not
+unsafe, on a street, a sign or a goal, and holds no proposition.
 """
 
 from __future__ import annotations
@@ -22,6 +26,15 @@ from .runtime import Outcome, Trace
 from .scenario import Scenario
 
 
+def _member(mask: np.ndarray, ids) -> np.ndarray:
+    """``mask[ids]``, False for an id outside ``[0, mask.size)``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    inside = (ids >= 0) & (ids < mask.size)
+    out = np.zeros(ids.shape, dtype=bool)
+    out[inside] = mask[ids[inside]]
+    return out
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -33,10 +46,9 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     grid_x = scenario.state_grid()
     interp, links = scenario.ground(grid_x)
     safe, goal = reach_avoid(interp.objective)
-    # membership by np.isin: a trace cell outside the grid lies in no set
-    cells = np.array([s.cell for s in trace.steps])
-    unsafe = np.isin(cells, np.flatnonzero(~eval_concept(interp, safe)))
-    in_goal = np.isin(cells, np.flatnonzero(eval_concept(interp, goal)))
+    cells = np.array([s.cell for s in trace.steps], dtype=np.int64)
+    unsafe = _member(~eval_concept(interp, safe), cells)
+    in_goal = _member(eval_concept(interp, goal), cells)
     results: list[CheckResult] = []
 
     def add(name: str, ok: bool, detail: str = ""):
@@ -57,10 +69,9 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     add("cells match quantized states", not bad_cell, f"bad steps {bad_cell[:5]}")
 
     # detection bookkeeping: no cell is detected in two steps
-    detected = np.concatenate([np.unique(np.asarray(s.detected, dtype=np.int64))
-                               for s in trace.steps])
+    detected = [set(s.detected) for s in trace.steps]
     add("known signs grow monotonically",
-        np.unique(detected).size == detected.size)
+        sum(map(len, detected)) == len(set().union(*detected)))
     add("resynth flag iff new detection",
         all(s.resynthesized == bool(s.detected) for s in trace.steps))
 
@@ -72,9 +83,12 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     street_ok = True
     detail = ""
     for (sign_cells, street_cells), sign in zip(links, scenario.signs):
+        signs = set(sign_cells.tolist())
+        street = np.zeros(grid_x.size, dtype=bool)
+        street[street_cells] = True
         det_step = None
-        for s, on_street in zip(trace.steps, np.isin(cells, street_cells)):
-            if det_step is None and np.isin(s.detected, sign_cells).any():
+        for s, on_street in zip(trace.steps, _member(street, cells)):
+            if det_step is None and not signs.isdisjoint(s.detected):
                 det_step = s.step
             if det_step is not None and s.step >= det_step and on_street:
                 street_ok = False
@@ -86,8 +100,7 @@ def audit_trace(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     if trace.outcome is Outcome.REACHED_TARGET:
         props = [set() for _ in trace.steps]
         for name in propositions(scenario.objective):
-            inside = np.isin(cells, np.flatnonzero(interp.extent(name)))
-            for p in np.flatnonzero(inside):
+            for p in np.flatnonzero(_member(interp.extent(name), cells)):
                 props[p].add(name)
         add("objective holds on the trace",
             check_trace(scenario.objective, props))

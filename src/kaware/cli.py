@@ -148,7 +148,10 @@ def _check_writable(path: str):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=args.log_level.upper())
+    # basicConfig only adds a handler to a root logger that has none, so
+    # the level is set on the kaware logger itself, on every call
+    logging.basicConfig()
+    log.setLevel(args.log_level.upper())
     try:
         if "output" in args:
             _check_writable(args.output)

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -646,6 +647,28 @@ def test_cli_log_level_silences_the_swallowed_target_warning(cli_artifacts,
         assert (run.returncode, run.stderr) == (0, err)
 
 
+def test_cli_log_level_holds_for_each_call_in_one_process(cli_artifacts,
+                                                           tmp_path, caplog):
+    """Each ``main`` call sets the ``kaware`` logger's level, whatever an
+    earlier call in the same process set; the logger's level is restored
+    afterwards."""
+    path = _mutate(DESK_SCENARIO, tmp_path, _objective("!Obstacle U Obstacle"))
+    argv = ["synthesize", path, "--cache", str(cli_artifacts["cache"]),
+            "-o", str(tmp_path / "ctrl.csv")]
+    warning = ("kaware", "WARNING", "avoid set covers the whole target region")
+    kaware_log = logging.getLogger("kaware")
+    level = kaware_log.level
+    try:
+        for flag, records in (("info", [warning]), ("error", []),
+                              ("debug", [warning]), ("error", [])):
+            caplog.clear()
+            assert main(["--log-level", flag] + argv) == 0
+            assert [(r.name, r.levelname, r.getMessage())
+                    for r in caplog.records] == records, flag
+    finally:
+        kaware_log.setLevel(level)
+
+
 @pytest.mark.parametrize("command", ["simulate", "check", "render"])
 def test_cli_refuses_a_goal_that_holds_in_no_cell(cli_artifacts, tmp_path,
                                                   capsys, command):
@@ -694,6 +717,87 @@ def test_cli_check_fails_a_state_outside_the_state_space(cli_artifacts, tmp_path
     trace.write_text("\n".join(lines) + "\n")
     assert main(["check", str(trace), cli_artifacts["scn"]]) == 1
     assert "FAIL  cells match quantized states" in capsys.readouterr().out
+
+
+def _rows(edits):
+    """An edit that sets, for each ``step: {field: value}`` of ``edits``,
+    the fields of that step's row."""
+    def edit(lines):
+        for step, fields in edits.items():
+            parts = lines[step + 2].split(",")
+            for at, value in fields.items():
+                parts[at] = value
+            lines[step + 2] = ",".join(parts)
+        return lines
+    return edit
+
+
+def _check_fails(cli_artifacts, tmp_path, capsys, edit):
+    """Exit code and FAIL lines of ``check`` on an edited desk trace; every
+    other line is a PASS and nothing reaches stderr."""
+    trace = tmp_path / "edited.csv"
+    lines = edit(cli_artifacts["trace"].read_text().splitlines())
+    trace.write_text("\n".join(lines) + "\n")
+    code = main(["check", str(trace), cli_artifacts["scn"]])
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert captured.err == "" and len(out) == 8
+    assert all(ln.startswith(("PASS  ", "FAIL  ")) for ln in out)
+    return code, [ln for ln in out if ln.startswith("FAIL")]
+
+
+@pytest.mark.parametrize("cell", [-1, 11988, 2**62])
+def test_cli_check_a_cell_outside_the_grid_fails_only_quantization(
+        cli_artifacts, tmp_path, capsys, cell):
+    """A trace cell outside ``[0, n)`` (desk: n = 11 988) lies in no cell
+    set: it is neither unsafe nor a goal, and no membership test raises."""
+    assert _check_fails(cli_artifacts, tmp_path, capsys, _rows({1: {5: str(cell)}})) \
+        == (1, ["FAIL  cells match quantized states  (bad steps [1])"])
+
+
+def _first_detection(cli_artifacts):
+    """The step of the desk trace's first detection and one cell it detected."""
+    rows = cli_artifacts["trace"].read_text().splitlines()[2:]
+    step, detected = next((int(r.split(",")[0]), r.split(",")[8])
+                          for r in rows if r.split(",")[8])
+    return step, int(detected.split(";")[0])
+
+
+def test_cli_check_a_sign_cell_detected_twice_fails(cli_artifacts, tmp_path, capsys):
+    step, sign_cell = _first_detection(cli_artifacts)
+    later = {step + 2: {8: str(sign_cell), 9: "1"}}
+    assert _check_fails(cli_artifacts, tmp_path, capsys, _rows(later)) \
+        == (1, ["FAIL  known signs grow monotonically"])
+
+
+@pytest.mark.parametrize("ids", [[-7, 11988, 2**62], [-2**62, -1]])
+def test_cli_check_a_detected_id_outside_the_grid_detects_no_sign(
+        cli_artifacts, tmp_path, capsys, ids):
+    step, _ = _first_detection(cli_artifacts)
+    edit = _rows({step + 2: {8: ";".join(map(str, ids)), 9: "1"}})
+    assert _check_fails(cli_artifacts, tmp_path, capsys, edit) == (0, [])
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_cli_check_a_street_is_avoided_only_after_its_sign_is_detected(
+        cli_artifacts, tmp_path, capsys, before):
+    """A state moved onto the street of the first detected sign, one step
+    before that detection passes, and three steps after it fails."""
+    step, sign_cell = _first_detection(cli_artifacts)
+    sc = load_scenario(cli_artifacts["scn"])
+    grid = sc.state_grid()
+    (_, street_cells), sign = next(
+        (link, s) for link, s in zip(sc.ground(grid)[1], sc.signs)
+        if sign_cell in link[0])
+    cell = int(street_cells[street_cells.size // 2])
+    visit = step - 1 if before else step + 3
+    x = [f"{v:.9g}" for v in grid.center(cell)]
+    edit = _rows({visit: {2: x[0], 3: x[1], 4: x[2], 5: str(cell)}})
+    expected = [] if before else [
+        f"FAIL  no activated street visited  ({sign.name} street entered at "
+        f"step {visit})"]
+    assert _check_fails(cli_artifacts, tmp_path, capsys, edit) \
+        == (int(not before), expected)
 
 
 # edits of a genuine trace (seed line, header, rows); None: no file at all
@@ -872,13 +976,16 @@ def test_cli_desk_commands_load_no_openssl(tmp_path):
     which ``numpy.random`` imports through ``secrets``: together about
     6 MB of RSS.  ``abstract`` and ``synthesize`` checksum and
     fingerprint the cache with zlib's CRC-32, and ``simulate`` makes no
-    generator when W = {0}.  A numpy that imports ``numpy.random`` itself
-    (numpy 1.x) leaves nothing to check."""
+    generator when W = {0}.  Nor does any load ``numpy.ma`` (1.3 MB),
+    which numpy 2's ``np.unique`` imports: ``check`` looks its cells up
+    in masks.  A module that ``import numpy`` alone loads (numpy 1.x
+    loads ``numpy.random`` and ``numpy.ma``) is not judged."""
+    modules = ("numpy.random", "_hashlib", "numpy.ma")
     script = (
         "import sys\n"
         "import numpy\n"
         "def loaded():\n"
-        "    print(*[m for m in ('numpy.random', '_hashlib') if m in sys.modules])\n"
+        f"    print(*[m for m in {modules!r} if m in sys.modules])\n"
         "loaded()\n"
         "from kaware.cli import main\n"
         "scn, out = sys.argv[1], sys.argv[2]\n"
@@ -894,10 +1001,12 @@ def test_cli_desk_commands_load_no_openssl(tmp_path):
     run = subprocess.run([sys.executable, "-c", script, str(DESK_SCENARIO), str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    before, after = run.stdout.splitlines()[0], run.stdout.splitlines()[-1]
-    if before:
-        pytest.skip(f"import numpy alone loads {before}")
-    assert after == ""
+    before, after = (set(ln.split()) for ln in
+                     (run.stdout.splitlines()[0], run.stdout.splitlines()[-1]))
+    judged = [m for m in modules if m not in before]
+    if not judged:
+        pytest.skip(f"import numpy alone loads {sorted(before)}")
+    assert [m for m in judged if m in after] == []
 
 
 def test_cli_truncated_desk_cache_exit_code(cli_artifacts, tmp_path, capsys):
