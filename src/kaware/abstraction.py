@@ -16,13 +16,14 @@ periodic dimensions (the heading) it wraps a flowed state, and a box may
 run past the last cell.
 
 ``boxes`` reads the table as index windows and ``flat_transitions``
-expands every pair into flat successor lists.  ``controllable`` answers
-the fixpoint's question for each pair by one lookup into erosion tables of
+expands every pair into flat successor lists, anew on each call; the
+pipeline calls neither.  ``controllable(Z, states, fresh)`` answers the
+fixpoint's question for each pair by one lookup into erosion tables of
 the goal set, one per distinct box length, ANDed with the pair's enabled
-bit, which ``boxes`` reads too.  It returns
-``(rows, ok)``: the positions of the states it read and their pairs'
-answers; given the cells added since the last call, it reads only the
-states whose covering window can meet them, one more lookup per state.  A
+bit, which ``boxes`` reads too.  It returns ``(rows, ok)``: the positions
+of the states it read and their pairs' answers.  It reads only the states
+whose covering window can meet ``fresh``, the cells added since the last
+call, one more lookup per state; a first call passes ``fresh = Z``.  A
 row key's window covers the boxes of all its inputs; on a periodic
 dimension it is measured around the ring from the key's own index, so
 boxes on both sides of the seam give one short window, not the whole
@@ -33,17 +34,17 @@ itself.  The tests check the table against per-pair successor lists and a
 per-cell construction of their own.
 
 Per cell, the abstraction keeps only what a sweep reads: the cell's row
-key (int32), where the pair lookup's tables place its invariant indices,
-and where the cover lookup's one window starts in its tables (both int32
-whenever the tables fit).  The enabled bits are
-not kept per cell: each non-periodic dimension keeps its range test packed
-over its own index and the row keys, and a cell's bits are those parts'
-words at the cell, ANDed.  No per-cell multi-index is kept: ``boxes`` and
-``controllable`` unravel the states they are given, and ``stats`` reads
-only the row keys.  Both lookups read through one workspace of fixed
-buffers, reused by every sweep, and every numpy operand of their slab
-copies and ANDs is worked out once, as a view of those buffers
-(:class:`_Plan`).
+key (int32, one array that ``boxes`` reads too), where the pair lookup's
+tables place its invariant indices, and where the cover lookup's one
+window starts in its tables (both int32 whenever the tables fit).  The
+enabled bits are not kept per cell: each non-periodic dimension keeps its
+range test packed over its own index and the row keys, and a cell's bits
+are those parts' words at the cell, ANDed.  No per-cell multi-index is
+kept: ``boxes`` and ``controllable`` unravel the states they are given,
+and ``stats`` reads only the row keys.  Both lookups read through one
+workspace of fixed buffers, reused by every sweep, and every numpy operand
+of their slab copies and ANDs is worked out once, as a view of those
+buffers (:class:`_Plan`).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import io
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -81,7 +82,11 @@ def _crc32(*chunks: bytes) -> bytes:
     return crc.to_bytes(_DIGEST, "little")
 
 
+_GRID_DTYPES = ("<f8", "<f8", "<f8", "u1", "<u8")  # _grid_fields' dtypes in a cache
+
+
 def _grid_fields(grid: Grid) -> list[np.ndarray]:
+    """A grid's fields, in the cache file's and the fingerprint's order."""
     return [grid.bounds.lower, grid.bounds.upper, grid.eta, grid.periodic,
             grid.counts]
 
@@ -89,6 +94,21 @@ def _grid_fields(grid: Grid) -> list[np.ndarray]:
 def _ranged(grid: Grid) -> list[int]:
     """The non-periodic dimensions, where each row has an enabled range."""
     return np.flatnonzero(~grid.periodic).tolist()
+
+
+def _key_shape(grid: Grid, invariant) -> list[int]:
+    """The row layout: row ``key * n_inputs + u`` serves input ``u`` at the
+    cells whose index on the non-invariant ("keyed") dimensions flattens,
+    row-major, to ``key``; so this shape, the grid's with the invariant
+    dimensions collapsed, holds a value per key and broadcasts over the grid."""
+    return [1 if d in invariant else int(n) for d, n in enumerate(grid.counts)]
+
+
+def _reference_cells(grid: Grid, invariant) -> np.ndarray:
+    """Per row key, its reference cell ``(keys, d)``: index 0 on the
+    invariant dimensions, the key's own index on the others."""
+    shape = _key_shape(grid, invariant)
+    return np.indices(shape).reshape(len(shape), -1).T
 
 
 def fingerprint(sys: ContinuousSystem, grid_x: Grid, grid_u: Grid) -> bytes:
@@ -380,13 +400,12 @@ class _Plan(NamedTuple):
 class Abstraction:
     """The table abstraction.
 
-    Row ``kappa * n_inputs + u`` serves every cell whose index on the
-    non-invariant ("keyed") dimensions flattens to ``kappa`` (row-major),
-    under input ``u``.  Such a cell's successor box starts at its own index
-    plus ``offset`` and has ``length`` cells on each dimension, and the grid
-    wraps or clips it (:meth:`Grid.window`).  The pair is blocked unless the
-    cell's index on each non-periodic dimension lies in that dimension's
-    ``enabled`` range.
+    Row ``key * n_inputs + u`` serves input ``u`` at every cell of row key
+    ``key`` (:func:`_key_shape`).  Such a cell's successor box starts at its
+    own index plus ``offset`` and has ``length`` cells on each dimension,
+    and the grid wraps or clips it (:meth:`Grid.window`).  The pair is
+    blocked unless the cell's index on each non-periodic dimension lies in
+    that dimension's ``enabled`` range.
     """
 
     grid_x: Grid
@@ -397,7 +416,6 @@ class Abstraction:
     length: np.ndarray          # (rows, d) box length
     enabled: np.ndarray         # (rows, non-periodic d, 2) non-blocked [first, stop)
     fingerprint: bytes
-    _flat: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_states(self) -> int:
@@ -407,26 +425,18 @@ class Abstraction:
     def n_inputs(self) -> int:
         return self.grid_u.size
 
-    @property
-    def _keyed(self) -> list[int]:
-        return [d for d in range(self.grid_x.ndim) if d not in self.invariant]
-
     @cached_property
     def _keys(self) -> np.ndarray:
-        """Per row key, its index on each keyed dimension ``(d, keys)``,
-        zero on the invariant ones."""
-        counts, keyed = self.grid_x.counts, self._keyed
-        keys = np.zeros((self.grid_x.ndim, self.length.shape[0] // self.n_inputs),
-                        dtype=np.int64)
-        if keyed:
-            keys[keyed] = np.unravel_index(np.arange(keys.shape[1]), tuple(counts[keyed]))
-        return keys
+        """Per row key, its reference cell ``(keys, d)``."""
+        return _reference_cells(self.grid_x, self.invariant)
 
-    def _key_shape(self) -> list[int]:
-        """The grid's shape with the invariant dimensions collapsed: a value
-        per row key, reshaped to it, broadcasts over the grid."""
-        return [1 if d in self.invariant else int(n)
-                for d, n in enumerate(self.grid_x.counts)]
+    @cached_property
+    def _cell_keys(self) -> np.ndarray:
+        """Every cell's row key (int32, flat): the very array the pair
+        lookup keeps as its ``key``."""
+        shape = _key_shape(self.grid_x, self.invariant)
+        return _per_cell(self.grid_x.counts, np.arange(math.prod(shape)).reshape(shape),
+                         dtype=np.int32)
 
     @cached_property
     def _enabled_parts(self) -> list[np.ndarray]:
@@ -447,7 +457,7 @@ class Abstraction:
             padded[..., :m] = test
             return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
 
-        shape = self._key_shape() + [m]
+        shape = _key_shape(self.grid_x, self.invariant) + [m]
         parts = []
         for a, d in enumerate(_ranged(self.grid_x)):
             first, stop = self.enabled[:, a].T.reshape([2] + shape)
@@ -478,10 +488,7 @@ class Abstraction:
         # unravel_index gets rows of an (N, 1) input wrong past 8 192 of them
         flat = np.unravel_index(states.ravel(), tuple(counts))
         idx = [i.reshape(states.shape) for i in flat]
-        kappa = np.zeros(states.shape, dtype=np.int64)
-        for d in self._keyed:
-            kappa = kappa * counts[d] + idx[d]
-        row = kappa * self.n_inputs + inputs
+        row = self._cell_keys[states].astype(np.intp) * self.n_inputs + inputs
         lo = np.empty((self.grid_x.ndim,) + row.shape, dtype=np.int64)
         hi = np.empty_like(lo)
         for d in range(self.grid_x.ndim):
@@ -500,7 +507,7 @@ class Abstraction:
         transitions = pairs.copy()
         for d, n in enumerate(self.grid_x.counts):
             at = np.arange(n) if d in self.invariant \
-                else self._keys[d][rows // self.n_inputs, None]
+                else self._keys[rows // self.n_inputs, d, None]
             lo, hi = self.grid_x.window(d, at + self.offset[:, d, None],
                                         self.length[:, d, None])
             inside = np.ones(hi.shape, dtype=bool)
@@ -527,27 +534,25 @@ class Abstraction:
         m, d = self.n_inputs, self.grid_x.ndim
         n, periodic = self.grid_x.counts, self.grid_x.periodic
         keys = self._keys
-        start = (self.offset + np.repeat(keys, m, axis=1).T).reshape(-1, m, d)
+        start = (self.offset + np.repeat(keys, m, axis=0)).reshape(-1, m, d)
         length = self.length.reshape(start.shape)
         # on a periodic axis, measure each start from the key's own index,
         # wrapped into [-n/2, n/2): boxes on both sides of the seam then form
         # one short window.  A window that reaches n is the whole ring [0, n)
-        key = keys.T[:, None, :]
+        key = keys[:, None, :]
         centred = np.where(periodic, key + np.mod(start - key + n // 2, n) - n // 2, start)
         lo, hi = centred.min(axis=1), (centred + length).max(axis=1)
         ring = periodic & (hi - lo >= n)
         lo, hi = np.where(ring, 0, lo), np.where(ring, n, hi)
-        kappa = _per_cell(n, np.arange(keys.shape[1]).reshape(self._key_shape()),
-                          dtype=np.int32)
-        pairs = _Lookup.build(self.grid_x, self.invariant, start, length, kappa)
+        pairs = _Lookup.build(self.grid_x, self.invariant, start, length,
+                              self._cell_keys)
         cover = _Lookup.build(self.grid_x, self.invariant, lo[:, None],
-                              (hi - lo)[:, None], kappa)
+                              (hi - lo)[:, None], self._cell_keys)
         work = _Scratch.fit(pairs, cover)
         return pairs.plan(work), cover.plan(work)
 
     def controllable(self, Z: np.ndarray, states: np.ndarray,
-                     fresh: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, ok)``: ``rows`` are the positions in ``states`` that
         were read, ``ok`` is ``(len(rows), n_inputs)``, per read state and
         input whether the pair is enabled and all its successors lie in
@@ -561,17 +566,15 @@ class Abstraction:
         a cell wide.  ``fresh`` is the part of ``Z`` added since the
         previous call, which found none of these pairs controllable; only
         the states whose covering window meets ``fresh`` are read, as the
-        others' answers cannot have changed.  Without ``fresh`` every state
-        is read.
+        others' answers cannot have changed.  A first call passes ``fresh =
+        Z``, and its answer is exact: a state whose window misses ``Z`` has
+        no enabled box that lies in ``Z``.
         """
         pairs, cover = self._lookups
-        if fresh is None:
-            rows, near = np.arange(states.size), states
-        else:
-            # the cover's tables are read to the end here, before the pair
-            # lookup overwrites the workspace
-            rows = np.flatnonzero(~cover.read(~fresh, states)[:, 0])
-            near = states[rows]
+        # the cover's tables are read to the end here, before the pair
+        # lookup overwrites the workspace
+        rows = np.flatnonzero(~cover.read(~fresh, states)[:, 0])
+        near = states[rows]
         ok = pairs.read(Z, near)
         # a block's unpacked bits take 4 * _GATHER bytes, under the mmap
         # threshold, in few enough blocks to keep the per-block calls cheap
@@ -588,31 +591,29 @@ class Abstraction:
 
         ``flat[offsets[p]:offsets[p+1]]`` are the successors of pair
         ``p = state * n_inputs + input`` (unsorted); blocked pairs are empty.
-        This expands the whole table (49 M entries at full scale); the
-        pipeline does not call it.  Built once and cached.
+        This expands the whole table (49 M entries at full scale), anew on
+        every call; the pipeline does not call it.
         """
-        if self._flat is None:
-            n, m = self.n_states, self.n_inputs
-            lo, hi = self.boxes(np.repeat(np.arange(n), m), np.tile(np.arange(m), n))
-            lo, lnn = lo.T, (hi - lo).T
-            lens = np.prod(lnn, axis=1)
-            offsets = np.concatenate(([0], np.cumsum(lens)))
-            total = int(offsets[-1])
-            pair_of_slot = np.repeat(np.arange(lens.size), lens)
-            slot = np.arange(total) - offsets[pair_of_slot]
-            d = self.grid_x.ndim
-            counts = self.grid_x.counts
-            ids = np.zeros(total, dtype=np.int64)
-            rem = slot
-            for dim in range(d - 1, -1, -1):
-                l_d = lnn[pair_of_slot, dim]
-                off = rem % l_d
-                rem = rem // l_d
-                idx = np.mod(lo[pair_of_slot, dim] + off, counts[dim])
-                stride = int(np.prod(counts[dim + 1:])) if dim + 1 < d else 1
-                ids += idx * stride
-            self._flat = (lens, offsets, ids)
-        return self._flat
+        n, m = self.n_states, self.n_inputs
+        lo, hi = self.boxes(np.repeat(np.arange(n), m), np.tile(np.arange(m), n))
+        lo, lnn = lo.T, (hi - lo).T
+        lens = np.prod(lnn, axis=1)
+        offsets = np.concatenate(([0], np.cumsum(lens)))
+        total = int(offsets[-1])
+        pair_of_slot = np.repeat(np.arange(lens.size), lens)
+        slot = np.arange(total) - offsets[pair_of_slot]
+        d = self.grid_x.ndim
+        counts = self.grid_x.counts
+        ids = np.zeros(total, dtype=np.int64)
+        rem = slot
+        for dim in range(d - 1, -1, -1):
+            l_d = lnn[pair_of_slot, dim]
+            off = rem % l_d
+            rem = rem // l_d
+            idx = np.mod(lo[pair_of_slot, dim] + off, counts[dim])
+            stride = int(np.prod(counts[dim + 1:])) if dim + 1 < d else 1
+            ids += idx * stride
+        return lens, offsets, ids
 
     # ---- cache file -------------------------------------------------------
 
@@ -669,8 +670,7 @@ class Abstraction:
         d = grid_x.ndim
         if list(invariant) != sorted(set(invariant)) or any(a >= d for a in invariant):
             raise CacheFormatError("bad invariant dimension list")
-        rows = grid_u.size * int(np.prod(
-            [grid_x.counts[a] for a in range(d) if a not in invariant]))
+        rows = grid_u.size * math.prod(_key_shape(grid_x, invariant))
         ranged = len(_ranged(grid_x))
         width = 2 * (d + ranged)
         if len(buf) - off != 4 * rows * width:
@@ -685,33 +685,32 @@ class Abstraction:
 
 
 def _write_grid(fh, grid: Grid):
-    nd = grid.ndim
-    fh.write(struct.pack("<B", nd))
-    fh.write(grid.bounds.lower.astype("<f8").tobytes())
-    fh.write(grid.bounds.upper.astype("<f8").tobytes())
-    fh.write(grid.eta.astype("<f8").tobytes())
-    fh.write(grid.periodic.astype(np.uint8).tobytes())
-    fh.write(grid.counts.astype("<u8").tobytes())
+    fh.write(struct.pack("<B", grid.ndim))
+    for values, dtype in zip(_grid_fields(grid), _GRID_DTYPES):
+        fh.write(values.astype(dtype).tobytes())
 
 
 def _read_grid(buf: bytes, off: int) -> tuple[Grid, int]:
     (nd,) = struct.unpack_from("<B", buf, off)
     off += 1
-    lower = np.frombuffer(buf, "<f8", nd, off).copy(); off += 8 * nd
-    upper = np.frombuffer(buf, "<f8", nd, off).copy(); off += 8 * nd
-    eta = np.frombuffer(buf, "<f8", nd, off).copy(); off += 8 * nd
-    periodic = np.frombuffer(buf, np.uint8, nd, off).astype(bool); off += nd
-    counts = np.frombuffer(buf, "<u8", nd, off).astype(np.int64); off += 8 * nd
+    fields = []
+    for dtype in _GRID_DTYPES:
+        fields.append(np.frombuffer(buf, dtype, nd, off))
+        off += fields[-1].nbytes
+    lower, upper, eta, periodic, counts = fields
+    counts = counts.astype(np.int64)
     if np.any(counts < 1):
         raise CacheFormatError("grid with an empty dimension")
-    grid = Grid(bounds=HyperRect(lower, upper), eta=eta,
-                periodic=periodic, counts=counts)
+    grid = Grid(bounds=HyperRect(lower.astype(float), upper.astype(float)),
+                eta=eta.astype(float), periodic=periodic.astype(bool), counts=counts)
     return grid, off
 
 
 def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
                       grid_u: Grid) -> Abstraction:
-    """Construct the table of the sampled, disturbed dynamics.
+    """Construct the table of the sampled, disturbed dynamics; raises
+    ``OverflowError(entry, message)``, naming the system entry ("tau" or
+    "disturbance"), when a reach set lies beyond the table's index range.
 
     Each row's reference cell -- index 0 on the invariant dimensions, the
     row's index on the others -- is flowed for one sampling period under the
@@ -724,26 +723,24 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
     index, which lies in that range exactly when the reference cell's own
     rectangle stays inside.
     """
-    m, d = grid_u.size, grid_x.ndim
-    counts, eta = grid_x.counts, grid_x.eta
+    m, counts, eta = grid_u.size, grid_x.counts, grid_x.eta
     xlo, xhi = grid_x.bounds.lower, grid_x.bounds.upper
     invariant = sys.invariant_dims
-    keyed = [k for k in range(d) if k not in invariant]
-    ref = np.zeros((int(np.prod(counts[keyed])), d), dtype=np.int64)
-    if keyed:
-        ref[:, keyed] = np.indices(tuple(counts[keyed])).reshape(len(keyed), -1).T
-    ref = np.repeat(ref, m, axis=0)
+    ref = np.repeat(_reference_cells(grid_x, invariant), m, axis=0)
     inputs = np.tile(grid_u.centers(), (ref.shape[0] // m, 1))
     start = xlo + ref * eta
     c_out, radius = reach_over_approx(sys, start, eta / 2, inputs)
     c_out = grid_x.wrap(c_out)
     k_lo, k_hi = grid_x.index_bounds(c_out - radius, c_out + radius)
     # index bounds within +-2**30 keep every offset, length and enabled
-    # bound of a grid under 2**30 cells inside int32; a huge tau gives
-    # bounds past that, or NaN, which the casts below would wrap silently
-    if not (np.all(np.abs(k_lo) < 2**30) and np.all(np.abs(k_hi) < 2**30)):
-        raise OverflowError("a reach set of one sampling period lies beyond "
-                            "the table's int32 index range")
+    # bound of a grid under 2**30 cells inside int32; a huge tau or
+    # disturbance gives bounds past that, or NaN, which the casts below
+    # would wrap silently.  The flowed centres depend on tau alone
+    if not (np.abs([k_lo, k_hi]) < 2**30).all():
+        centres = (np.abs(grid_x.index_bounds(c_out, c_out)) < 2**30).all()
+        entry = "disturbance" if centres and sys.dist_halfwidth.any() else "tau"
+        raise OverflowError(entry, "a reach set of one sampling period lies "
+                            "beyond the table's int32 index range")
     k_lo, k_hi = k_lo.astype(np.int64), k_hi.astype(np.int64)
     length = k_hi - k_lo + 1
     length[:, grid_x.periodic] = np.minimum(length[:, grid_x.periodic],

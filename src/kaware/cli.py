@@ -28,7 +28,8 @@ def cmd_abstract(args) -> int:
         abs_ = build_abstraction(scenario.system(), scenario.state_grid(),
                                  scenario.input_grid())
     except OverflowError as exc:
-        raise ScenarioValidationError("system.tau", str(exc)) from None
+        entry, message = exc.args
+        raise ScenarioValidationError(f"system.{entry}", message) from None
     built = time.perf_counter() - t0
     abs_.save(args.output)
     stats = abs_.stats()

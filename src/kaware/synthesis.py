@@ -10,9 +10,10 @@ transition system's ``controllable`` hook which pairs of the given states
 have all their successors in the goal set.  The hook answers ``(rows,
 ok)``: ``rows`` are the positions of the states it read, ``ok`` their
 pairs' answers, and a state it did not read has no controllable pair.  The
-table abstraction reads only the states whose boxes can meet the cells the
-last sweep added, and answers each pair by one lookup into erosion tables
-of the goal set.  A sweep writes the goal set and the mask of added cells
+table abstraction reads only the states whose boxes can meet the fresh
+cells, those the last sweep added (the first sweep passes the whole
+target), and answers each pair by one lookup into erosion tables of the
+goal set.  A sweep writes the goal set and the mask of added cells
 only at the cells it wins and those the last sweep won.  The sweep that
 wins a cell also picks its policy input, the lowest controllable one; the
 controller keeps that one input per cell, not the set of inputs the sweep

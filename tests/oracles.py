@@ -303,7 +303,7 @@ class ExplicitTransitions:
             self._flat = (lens, np.concatenate(([0], np.cumsum(lens))), flat)
         return self._flat
 
-    def controllable(self, Z, states, fresh=None):
+    def controllable(self, Z, states, fresh):
         """``(rows, ok)`` as the solver reads it: every position of
         ``states`` is read, and ``ok`` holds, per state and input, whether
         its successors are nonempty and all in ``Z``.  ``fresh`` is
@@ -324,8 +324,9 @@ class ExplicitTransitions:
 
 def dense_controllable(ts, Z, states, fresh=None):
     """The ``controllable`` hook's ``(rows, ok)`` scattered into a dense
-    ``(len(states), n_inputs)`` answer, false on the rows it did not read."""
-    rows, ok = ts.controllable(Z, states, fresh)
+    ``(len(states), n_inputs)`` answer, false on the rows it did not read.
+    With no ``fresh`` it asks as a first call does, with ``fresh = Z``."""
+    rows, ok = ts.controllable(Z, states, Z if fresh is None else fresh)
     out = np.zeros((states.size, ts.n_inputs), dtype=bool)
     out[rows] = ok
     return out

@@ -172,6 +172,7 @@ def test_nonpositive_tau_rejected(tmp_path):
     ("eta_u", [1e-300]),
     ("tau", 1e20),
     ("tau", 1e300),
+    ("disturbance", [1e300, 0.0, 0.0]),
 ])
 def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
     path = _mutate(DESK_SCENARIO, tmp_path,
@@ -181,6 +182,15 @@ def test_cli_rejects_bad_dimension_entries(tmp_path, capsys, key, value):
     assert code == 2
     assert f"error:validation: system.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_blames_tau_for_flowed_centres_beyond_the_table(tmp_path, capsys):
+    """A reach set whose flowed centre already lies beyond the table's
+    index range is τ's doing, whatever the disturbance."""
+    path = _mutate(DESK_SCENARIO, tmp_path, lambda raw: raw["system"].update(
+        tau=1e20, disturbance=[0.1, 0.0, 0.0]))
+    assert main(["abstract", path, "-o", str(tmp_path / "c.kaw")]) == 2
+    assert "error:validation: system.tau: a reach set" in capsys.readouterr().err
 
 
 def _objective(text):
