@@ -66,6 +66,9 @@ from .grid import _TOL, Grid, HyperRect
 _MAGIC = b"KAW1"
 _VERSION = 3
 _DIGEST = 4  # bytes of a CRC-32: the dynamics fingerprint and the file's trailer
+# every grid has fewer cells and every reach set's index bounds lie within
+# +-INDEX_LIMIT, so the table's offsets, lengths and enabled bounds fit int32
+INDEX_LIMIT = 2**30
 # gather indices per block of _Lookup.read: its per-block temporaries stay
 # under glibc's 128 KiB mmap threshold
 _GATHER = 1 << 14
@@ -247,6 +250,8 @@ class _Lookup:
                     k += min(k, n - k)
             shifts.append(tuple(row_shifts))
         size = math.prod(shape)
+        if len(lengths) * size > np.iinfo(np.int64).max:
+            raise MemoryError(f"erosion tables of {len(lengths)} x {size} cells")
         at = lid.reshape(start.shape[:-1]) * size + (start - first) @ stride
         dtype = np.int32 if len(lengths) * size <= np.iinfo(np.int32).max else np.int64
         base = _per_cell(grid.counts, *(_along(grid.ndim, d, np.arange(n) * stride[d])
@@ -591,29 +596,24 @@ class Abstraction:
 
         ``flat[offsets[p]:offsets[p+1]]`` are the successors of pair
         ``p = state * n_inputs + input`` (unsorted); blocked pairs are empty.
-        This expands the whole table (49 M entries at full scale), anew on
-        every call; the pipeline does not call it.
+        A pair's ``k``-th successor is its box's ``k``-th cell, row-major:
+        ``np.divmod`` peels ``k`` from the last dimension on and
+        ``np.ravel_multi_index`` joins the wrapped cell indices.  This
+        expands the whole table (49 M entries at full scale), anew on every
+        call; the pipeline does not call it.
         """
         n, m = self.n_states, self.n_inputs
         lo, hi = self.boxes(np.repeat(np.arange(n), m), np.tile(np.arange(m), n))
-        lo, lnn = lo.T, (hi - lo).T
-        lens = np.prod(lnn, axis=1)
+        lens = np.prod(hi - lo, axis=0)
         offsets = np.concatenate(([0], np.cumsum(lens)))
-        total = int(offsets[-1])
         pair_of_slot = np.repeat(np.arange(lens.size), lens)
-        slot = np.arange(total) - offsets[pair_of_slot]
-        d = self.grid_x.ndim
-        counts = self.grid_x.counts
-        ids = np.zeros(total, dtype=np.int64)
-        rem = slot
-        for dim in range(d - 1, -1, -1):
-            l_d = lnn[pair_of_slot, dim]
-            off = rem % l_d
-            rem = rem // l_d
-            idx = np.mod(lo[pair_of_slot, dim] + off, counts[dim])
-            stride = int(np.prod(counts[dim + 1:])) if dim + 1 < d else 1
-            ids += idx * stride
-        return lens, offsets, ids
+        rem = np.arange(offsets[-1]) - offsets[pair_of_slot]
+        idx = [None] * self.grid_x.ndim
+        for d in reversed(range(self.grid_x.ndim)):
+            rem, off = np.divmod(rem, (hi[d] - lo[d])[pair_of_slot])
+            idx[d] = lo[d, pair_of_slot] + off
+        return lens, offsets, np.ravel_multi_index(idx, tuple(self.grid_x.counts),
+                                                   mode="wrap")
 
     # ---- cache file -------------------------------------------------------
 
@@ -732,12 +732,10 @@ def build_abstraction(sys: ContinuousSystem, grid_x: Grid,
     c_out, radius = reach_over_approx(sys, start, eta / 2, inputs)
     c_out = grid_x.wrap(c_out)
     k_lo, k_hi = grid_x.index_bounds(c_out - radius, c_out + radius)
-    # index bounds within +-2**30 keep every offset, length and enabled
-    # bound of a grid under 2**30 cells inside int32; a huge tau or
-    # disturbance gives bounds past that, or NaN, which the casts below
-    # would wrap silently.  The flowed centres depend on tau alone
-    if not (np.abs([k_lo, k_hi]) < 2**30).all():
-        centres = (np.abs(grid_x.index_bounds(c_out, c_out)) < 2**30).all()
+    # a huge tau or disturbance gives bounds past INDEX_LIMIT, or NaN, which
+    # the casts below would wrap silently.  The flowed centres depend on tau alone
+    if not (np.abs([k_lo, k_hi]) < INDEX_LIMIT).all():
+        centres = (np.abs(grid_x.index_bounds(c_out, c_out)) < INDEX_LIMIT).all()
         entry = "disturbance" if centres and sys.dist_halfwidth.any() else "tau"
         raise OverflowError(entry, "a reach set of one sampling period lies "
                             "beyond the table's int32 index range")

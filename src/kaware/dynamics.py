@@ -69,13 +69,12 @@ class ContinuousSystem:
         object.__setattr__(self, "invariant_dims", inv)
 
 
-def dubins_car(tau: float = 0.2, dist_halfwidth=None) -> ContinuousSystem:
-    w = np.zeros(3) if dist_halfwidth is None else np.asarray(dist_halfwidth, float)
+def dubins_car(tau: float = 0.2, dist_halfwidth=(0.0, 0.0, 0.0)) -> ContinuousSystem:
     return ContinuousSystem(
         name="dubins_car",
         tau=tau,
         lipschitz=DUBINS_LIPSCHITZ,
-        dist_halfwidth=w,
+        dist_halfwidth=dist_halfwidth,
         field=dubins_field,
         invariant_dims=(0, 1),
     )
@@ -84,27 +83,21 @@ def dubins_car(tau: float = 0.2, dist_halfwidth=None) -> ContinuousSystem:
 _SUBSTEPS = 8  # RK4 steps per call of flow
 
 
-def flow(sys: ContinuousSystem, x0, u, t: float, disturbance=None) -> np.ndarray:
-    """RK4 integration of ``xdot = f(x, u) + w`` with constant ``u`` and ``w``.
+def flow(sys: ContinuousSystem, x0, u, t: float, disturbance=0.0) -> np.ndarray:
+    """RK4 integration of ``xdot = f(x, u) + w`` with constant ``u`` and
+    ``w = disturbance``: zero by default, the nominal flow.
 
     ``x0`` may carry leading batch axes.  The result is not wrapped.
     """
     x = np.asarray(x0, dtype=float)
     u = np.asarray(u, dtype=float)
-    if disturbance is None:
-        g = sys.field
-    else:
-        w = np.asarray(disturbance, dtype=float)
-
-        def g(x_, u_):
-            return sys.field(x_, u_) + w
-
+    w = np.asarray(disturbance, dtype=float)
     h = t / _SUBSTEPS
     for _ in range(_SUBSTEPS):
-        k1 = g(x, u)
-        k2 = g(x + 0.5 * h * k1, u)
-        k3 = g(x + 0.5 * h * k2, u)
-        k4 = g(x + h * k3, u)
+        k1 = sys.field(x, u) + w
+        k2 = sys.field(x + 0.5 * h * k1, u) + w
+        k3 = sys.field(x + 0.5 * h * k2, u) + w
+        k4 = sys.field(x + h * k3, u) + w
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
 

@@ -106,6 +106,11 @@ class Always(Formula):
     arg: Formula
 
 
+def _operands(phi: Formula) -> list[Formula]:
+    """The formulas ``phi`` applies its operator to, left before right."""
+    return [getattr(phi, f) for f in ("arg", "left", "right") if hasattr(phi, f)]
+
+
 def mentions(phi: Formula) -> Iterator[tuple[bool, str]]:
     """``(is_role, name)`` of every atom and role ``phi`` mentions, in
     reading order."""
@@ -113,10 +118,8 @@ def mentions(phi: Formula) -> Iterator[tuple[bool, str]]:
         yield False, phi.name
     if isinstance(phi, (Exists, Forall)):
         yield True, phi.role
-    for f in ("arg", "left", "right"):
-        child = getattr(phi, f, None)
-        if child is not None:
-            yield from mentions(child)
+    for child in _operands(phi):
+        yield from mentions(child)
 
 
 def propositions(phi: Formula) -> frozenset[str]:
@@ -334,8 +337,8 @@ def _get_role(interp, name: str):
 
 
 def _boolean(phi: Formula) -> bool:
-    children = [getattr(phi, f) for f in ("arg", "left", "right") if hasattr(phi, f)]
-    return isinstance(phi, (Top, Atomic, Not, And, Or)) and all(map(_boolean, children))
+    return (isinstance(phi, (Top, Atomic, Not, And, Or))
+            and all(map(_boolean, _operands(phi))))
 
 
 def reach_avoid(phi: Formula) -> tuple[Formula, Formula]:

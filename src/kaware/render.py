@@ -42,7 +42,7 @@ class _Canvas:
             f'stroke="{stroke}"/>'
         )
 
-    def polyline(self, points, stroke: str, width: float = 2.0):
+    def polyline(self, points, stroke: str, width: float):
         coords = " ".join(
             f"{_fmt(px)},{_fmt(py)}" for px, py in (self.pt(x, y) for x, y in points)
         )
@@ -66,7 +66,8 @@ class _Canvas:
         )
 
 
-def render_svg(scenario: Scenario, trace: Trace | None = None) -> str:
+def render_svg(scenario: Scenario, trace: Trace) -> str:
+    """The map, its unsafe and goal cells and detection zone, and ``trace``'s path."""
     grid_x = scenario.state_grid()
     canvas = _Canvas(scenario.state_bounds)
     canvas.rect(scenario.state_bounds, "none", stroke="black")
@@ -93,15 +94,14 @@ def render_svg(scenario: Scenario, trace: Trace | None = None) -> str:
     for sign in scenario.signs:
         canvas.rect(sign.sign_box, "#d62728")
 
-    if trace is not None:
-        pts = [(s.state[0], s.state[1]) for s in trace.steps]
-        canvas.polyline(pts, "#1f4fd6", 2.5)
-        s0 = trace.steps[0]
-        canvas.circle(s0.state[0], s0.state[1], 5, "black")
-        for s in trace.steps:
-            if s.detected:
-                canvas.circle(s.state[0], s.state[1], 4, "#d62728")
-        s_end = trace.steps[-1]
-        canvas.circle(s_end.state[0], s_end.state[1], 5, "#1a7f1a")
+    pts = [(s.state[0], s.state[1]) for s in trace.steps]
+    canvas.polyline(pts, "#1f4fd6", 2.5)
+    s0 = trace.steps[0]
+    canvas.circle(s0.state[0], s0.state[1], 5, "black")
+    for s in trace.steps:
+        if s.detected:
+            canvas.circle(s.state[0], s.state[1], 4, "#d62728")
+    s_end = trace.steps[-1]
+    canvas.circle(s_end.state[0], s_end.state[1], 5, "#1a7f1a")
 
     return canvas.to_svg()

@@ -202,11 +202,12 @@ def read_trace_csv(path: str) -> Trace:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     except (OSError, ValueError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
-    seed, steps, outcome = -1, [], None
+    steps, outcome = [], None
     where = "seed line"
     try:
-        if lines and lines[0].startswith("# seed="):
-            seed = int(lines.pop(0).split("=", 1)[1])
+        if not lines or not lines[0].startswith("# seed="):
+            raise TraceFormatError(f"{path}: missing seed line")
+        seed = int(lines.pop(0).split("=", 1)[1])
         if not lines or lines[0] != _COLUMNS:
             raise TraceFormatError(f"{path}: missing or unexpected trace header row")
         for row, ln in enumerate(lines[1:], 1):

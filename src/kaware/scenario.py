@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import knowledge
-from .abstraction import fingerprint
+from .abstraction import INDEX_LIMIT, fingerprint
 from .dynamics import ContinuousSystem, dubins_car
 from .errors import (CacheFormatError, LtlSyntaxError, ScenarioParseError,
                      ScenarioValidationError)
@@ -355,8 +355,7 @@ def load_scenario(path: str) -> Scenario:
         except (ValueError, OverflowError) as exc:
             raise ScenarioValidationError(f"system.{key}",
                                           f"no grid fits the bounds: {exc}") from None
-        # the table's int32 offsets and bounds hold indices of fewer cells
-        if key == "eta_x" and cells >= 2**30:
+        if key == "eta_x" and cells >= INDEX_LIMIT:
             raise ScenarioValidationError("system.eta_x", f"the grid has {cells} "
                                           "cells; the limit is 2**30 - 1")
     return scenario

@@ -44,7 +44,7 @@ class Controller:
     winning_mask: np.ndarray       # bool (n_states,)
     rank_array: np.ndarray         # int32, _NO_RANK outside winning
     policy_array: np.ndarray       # int32 input index, -1 where undefined
-    sweeps: int = 0                # fixpoint sweeps, the last one adds nothing
+    sweeps: int                    # fixpoint sweeps, the last one adds nothing
 
     def policy(self, cell: int) -> int:
         p = int(self.policy_array[cell])

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -820,6 +821,7 @@ TRACE_DEFECTS = {
     "nan_state": _field(3, "nan"),
     "detected_cell_past_int64": _field(8, "99999999999999999999999"),
     "bad_header": lambda lines: [lines[0], "step,time"] + lines[2:],
+    "missing_seed_line": lambda lines: lines[1:],
 }
 
 
@@ -878,6 +880,48 @@ def test_cli_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
     code = main(["abstract", str(DESK_SCENARIO), "-o", str(tmp_path / "c.kaw")])
     assert code == 3
     assert "error:runtime:" in capsys.readouterr().err
+
+
+def _assert_out_of_memory(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "error:runtime: out of memory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("disturbance", [[3e8, 3e8, 0.0], [0.0, 0.0, 1e9]])
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_cli_huge_reach_boxes_run_out_of_memory(tmp_path, capsys, command,
+                                                disturbance):
+    """Reach boxes inside the table's int32 range pass ``abstract``, but
+    erosion tables past the int64 range are out of memory at the first
+    solve (exit 3), not a traceback."""
+    def mutate(raw):
+        raw["system"]["disturbance"] = disturbance
+    scn = _mutate(DESK_SCENARIO, tmp_path, mutate)
+    cache = str(tmp_path / "c.kaw")
+    assert main(["abstract", scn, "-o", cache]) == 0
+    capsys.readouterr()
+    _assert_out_of_memory([command, scn, "--cache", cache,
+                           "-o", str(tmp_path / "out.csv")], capsys)
+
+
+def test_cli_cache_of_huge_boxes_runs_out_of_memory(cli_artifacts, tmp_path,
+                                                    capsys):
+    """A desk cache whose x1 and x2 box lengths are 2**30 - 1, under a
+    valid checksum, loads, and its first solve is out of memory."""
+    abs_ = Abstraction.load(str(cli_artifacts["cache"]))
+    body = cli_artifacts["cache"].read_bytes()[:-4]
+    rows, d = abs_.offset.shape
+    width = 2 * d + 2 * abs_.enabled.shape[1]
+    at = len(body) - 4 * rows * width
+    table = np.frombuffer(body, "<i4", rows * width, at).reshape(rows, width).copy()
+    table[:, d:d + 2] = 2**30 - 1
+    body = body[:at] + table.tobytes()
+    cache = tmp_path / "huge.kaw"
+    cache.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    _assert_out_of_memory(["synthesize", cli_artifacts["scn"], "--cache", str(cache),
+                           "-o", str(tmp_path / "ctrl.csv")], capsys)
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
